@@ -4,10 +4,10 @@ Construction, exhaustive classification, and CI testing of Schur rings,
 with a CLI front end (``srings --help``).
 """
 
-from .config import Bounds, DEFAULT_BOUNDS, RunConfig, extended_bounds
+from .config import Bounds, DEFAULT_BOUNDS, extended_bounds
 from .groups import (GroupAut, GroupSpec, Section, Subgroup, aut_group,
                      complement, enumerate_subgroups, format_group,
-                     make_group, parse_group, section_quotient, subgroup_span)
+                     make_group, parse_group, subgroup_span)
 from .permgrp import (PermGroup, from_generators, holomorph, regular_subgroups,
                       right_regular, subgroups_between, two_equivalent)
 from .sring import SRing, SubgroupChart, radical, validate_partition

@@ -17,6 +17,7 @@ from .groups import (GroupAut, GroupSpec, Section, enumerate_subgroups,
 from .sring import SRing, SubgroupChart, validate_partition
 from .construct import (cyclotomic, decompositions, group_ring,
                         recognize_construction, wreath, tensor)
+from .morphisms import least_labeling
 
 CATALOG_FORMAT = "srings-catalog"
 CATALOG_VERSION = 1
@@ -32,97 +33,13 @@ def canonical_form(a: SRing) -> bytes:
 
 
 def canonical_partition(spec: GroupSpec, cells):
-    """Lexicographically least cell labeling over the Aut(G) orbit.
-
-    The labeling of a partition image reads elements in index order and
-    numbers cells by first occurrence.  Branch and bound over the images
-    of the coordinate basis vectors under the inverse automorphism: fixing
-    the first j basis images determines the labeling on the index prefix
-    below the j-th mixed-radix weight, which prunes against the best known
-    labeling.
-    """
-    n = spec.order
-    cell_of = [0] * n
-    cells = sorted((frozenset(c) for c in cells), key=lambda c: (len(c), min(c)))
+    """Lexicographically least cell labeling over the Aut(G) orbit, as
+    bytes, together with the cells it numbers (see least_labeling)."""
+    cell_of = [0] * spec.order
     for i, c in enumerate(cells):
         for x in c:
             cell_of[x] = i
-    ncoords = len(spec.radices)
-    add = spec.add_table()
-
-    block_candidates = []
-    for p, nn, pos in spec.prime_blocks():
-        members = [v for v in range(1, n)
-                   if all(c == 0 for i, c in enumerate(spec.coords(v))
-                          if not pos <= i < pos + nn)]
-        block_candidates.append(members)
-    coord_block = []
-    for bi, (p, nn, pos) in enumerate(spec.prime_blocks()):
-        coord_block.extend([bi] * nn)
-
-    weights = [1]
-    for r in spec.radices:
-        weights.append(weights[-1] * r)
-
-    def labeling_of_identity():
-        remap = {}
-        out = []
-        for x in range(n):
-            c = cell_of[x]
-            if c not in remap:
-                remap[c] = len(remap)
-            out.append(remap[c])
-        return out
-
-    best = labeling_of_identity()
-    best_images = list(range(n))
-
-    img = [0] * n
-    labels = [0] * n
-    remap: dict = {0: 0}
-    labels[0] = 0
-
-    def rec(ci, used_mask, remap, strictly_better):
-        nonlocal best, best_images
-        if ci == ncoords:
-            if strictly_better:
-                best = labels[:]
-                best_images = img[:]
-            return
-        lo, hi = weights[ci], weights[ci + 1]
-        w = weights[ci]
-        for v in block_candidates[coord_block[ci]]:
-            if used_mask >> v & 1:
-                continue
-            new_used = used_mask
-            new_remap = dict(remap)
-            better = strictly_better
-            ok = True
-            for x in range(lo, hi):
-                prev = img[x - w]
-                y = add[prev][v]
-                if new_used >> y & 1:
-                    ok = False
-                    break
-                new_used |= 1 << y
-                img[x] = y
-                c = cell_of[y]
-                lab = new_remap.get(c)
-                if lab is None:
-                    lab = len(new_remap)
-                    new_remap[c] = lab
-                labels[x] = lab
-                if not better:
-                    if lab > best[x]:
-                        ok = False
-                        break
-                    if lab < best[x]:
-                        better = True
-            if ok:
-                rec(ci + 1, new_used, new_remap, better)
-        return
-
-    rec(0, 1, remap, False)
+    best, _images = least_labeling(spec, cell_of)
     canonical_cells = {}
     for x, lab in enumerate(best):
         canonical_cells.setdefault(lab, set()).add(x)

@@ -23,11 +23,6 @@ from .permgrp import PermGroup, pinv, pmul, regular_subgroups
 from .sring import SRing, validate_partition
 from .construct import decompositions, quotient, sring_image
 
-METHODS = ("bruteforce", "regular-subgroups", "fastpath-trivial",
-           "fastpath-min", "fastpath-thin", "fastpath-easy",
-           "fastpath-quotient", "section-condition")
-
-
 @dataclass
 class CIStatus:
     verdict: str  # "CI" | "NotCI" | "Undecided"
@@ -97,8 +92,8 @@ def is_ci_bruteforce(a: SRing, bounds=DEFAULT_BOUNDS) -> CIStatus:
     product_size = aut.order() * aut_order(spec) // cay_group.order()
     iso_count = 0
     witness = None
-    auts = all_auts(spec, bounds.aut_iteration_threshold)
-    aut_perms = [g.perm for g in auts]
+    # n <= bruteforce_order keeps Aut(G) small: at most 168 maps for n = 8
+    aut_perms = [g.perm for g in all_auts(spec)]
     for f in itertools.permutations(range(n)):
         if not iso_membership(f, a, bounds):
             continue

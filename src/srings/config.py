@@ -1,4 +1,4 @@
-"""Resource bounds and run configuration.
+"""Resource bounds.
 
 Every potentially expensive search takes a Bounds value and fails loudly
 with ResourceBoundExceeded instead of running away.  The defaults cover
@@ -8,7 +8,7 @@ field explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)
@@ -22,9 +22,6 @@ class Bounds:
     enum_node_budget: int = 50_000_000
     # Node budget shared by scheme-automorphism and isomorphism backtracking.
     backtrack_node_budget: int = 5_000_000
-    # Largest automorphism-group order iterated exhaustively; beyond this
-    # Cayley isomorphisms fall back to column backtracking.
-    aut_iteration_threshold: int = 100_000
     # Output cap for operations that list permutations explicitly.
     iso_list_limit: int = 200_000
     # Element budget for streaming over a permutation group (regular
@@ -51,25 +48,3 @@ def extended_bounds() -> Bounds:
         backtrack_node_budget=50_000_000,
         regular_element_budget=3_000_000,
     )
-
-
-@dataclass
-class RunConfig:
-    """Configuration of one CLI run; echoed into every report."""
-
-    group: str = ""
-    command: str = ""
-    seed: int = 0
-    out: str = ""
-    workers: int = 1
-    time_limit: float | None = None
-    bounds: Bounds = field(default_factory=lambda: DEFAULT_BOUNDS)
-
-    def describe(self) -> dict:
-        return {
-            "group": self.group,
-            "command": self.command,
-            "seed": self.seed,
-            "workers": self.workers,
-            "time_limit": self.time_limit,
-        }

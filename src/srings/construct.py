@@ -3,7 +3,8 @@ quotient, generalized wreath product, and the wreath-decomposition finder."""
 
 from __future__ import annotations
 
-from .errors import IncompatibleOnSection, PartitionError
+from .errors import (IncompatibleOnSection, PartitionError,
+                     ResourceBoundExceeded)
 from .groups import (GroupAut, GroupSpec, Section, Subgroup, full_subgroup,
                      subgroup_span, trivial_subgroup)
 from .permgrp import PermGroup
@@ -91,10 +92,6 @@ def quotient(a: SRing, section: Section) -> SRing:
         if cell <= U.elements:
             out.add(frozenset(section.proj[x] for x in cell))
     return validate_partition(section.quotient, out)
-
-
-def restriction(a: SRing, U: Subgroup):
-    return a.restriction(U)
 
 
 def wreath(a_top: SRing, a_quot: SRing, section: Section) -> SRing:
@@ -245,10 +242,6 @@ def _format_gens(spec, sub: Subgroup):
     return "[" + ";".join(rows) + "]"
 
 
-def format_construction(label) -> str:
-    return label
-
-
 def recognize_construction(a: SRing, max_order_for_cyc=100_000) -> str | None:
     """Best-effort structural label for a ring; None if nothing matched."""
     from . import morphisms
@@ -284,7 +277,7 @@ def recognize_construction(a: SRing, max_order_for_cyc=100_000) -> str | None:
                 f";L={_format_gens(spec, sec.L)})")
     try:
         group, auts = morphisms.cayley_auts(a)
-    except Exception:
+    except ResourceBoundExceeded:
         return None
     orbit_ring = cyclotomic(auts, spec) if auts else group_ring(spec)
     if orbit_ring.cells == a.cells:

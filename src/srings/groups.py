@@ -489,11 +489,6 @@ class Section:
         return f"Section(|U|={self.U.order}, |L|={self.L.order})"
 
 
-def section_quotient(section: Section):
-    """The quotient spec and total projection map of a section."""
-    return section.quotient, section.proj
-
-
 # -- automorphisms -----------------------------------------------------------
 
 
@@ -550,6 +545,18 @@ class GroupAut:
         aut = cls(spec, mats)
         if not aut.is_invertible():
             raise GroupSpecError("images do not define an automorphism")
+        return aut
+
+    @classmethod
+    def from_perm(cls, spec: GroupSpec, perm) -> "GroupAut":
+        """The automorphism with the given image tuple, which must be the
+        image tuple of an automorphism."""
+        basis = spec.basis()
+        mats = [tuple(spec.coords(perm[basis[pos + i]])[pos:pos + n]
+                      for i in range(n))
+                for _p, n, pos in spec.prime_blocks()]
+        aut = cls(spec, mats)
+        aut._perm = tuple(perm)
         return aut
 
     def is_invertible(self) -> bool:

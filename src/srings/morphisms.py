@@ -12,7 +12,7 @@ from __future__ import annotations
 from .config import DEFAULT_BOUNDS
 from .errors import (PartitionError, ResourceBoundExceeded,
                      SectionNotPreserved, SRingsError)
-from .groups import GroupAut, Section, all_auts, aut_order
+from .groups import GroupAut, Section
 from .permgrp import PermGroup, identity_perm, pmul, right_regular
 from .sring import SRing
 
@@ -167,15 +167,16 @@ class _PairColoring:
 
 
 class _Budget:
-    __slots__ = ("left",)
+    __slots__ = ("limit", "left")
 
     def __init__(self, nodes):
+        self.limit = nodes
         self.left = nodes
 
     def spend(self):
         self.left -= 1
         if self.left < 0:
-            raise ResourceBoundExceeded("backtracking nodes", 0)
+            raise ResourceBoundExceeded("backtracking nodes", self.limit)
 
 
 def _search_maps(src: _PairColoring, dst: _PairColoring, src_colors,
@@ -346,111 +347,123 @@ def combinatorial_isos(a: SRing, b: SRing, phi: AlgebraicIso,
 # -- Cayley isomorphisms -------------------------------------------------------
 
 
+def least_labeling(spec, cell_of, best=None, budget=None, on_tie=None):
+    """Least cell labeling of a partition over its Aut(G) orbit.
+
+    An automorphism g labels x by the cell of g(x), numbering cells by
+    first occurrence in index order; this is the labeling of the image of
+    the partition under g^-1.  Branch and bound over the images of the
+    coordinate basis vectors: fixing the first j of them determines g, and
+    so the labeling, on the index prefix below the j-th mixed-radix
+    weight, which prunes against the best labeling known.
+
+    The search starts from best, by default the partition's own labeling,
+    and returns (labels, images): the least labeling found and the image
+    list of an automorphism reaching it, or None for images when nothing
+    beats a given best.  With on_tie, the image list (reused by the
+    search) of every automorphism whose labeling equals best is passed to
+    on_tie, and the search stops at the first labeling below best.
+    """
+    n = spec.order
+    add = spec.add_table()
+    candidates = []
+    for _p, nn, pos in spec.prime_blocks():
+        members = [v for v in range(1, n)
+                   if all(c == 0 for i, c in enumerate(spec.coords(v))
+                          if not pos <= i < pos + nn)]
+        candidates.extend([members] * nn)
+    ncoords = len(candidates)
+    weights = [1]
+    for r in spec.radices:
+        weights.append(weights[-1] * r)
+
+    images = None
+    if best is None:
+        first = {}
+        best = [first.setdefault(c, len(first)) for c in cell_of]
+        images = list(range(n))
+    img = [0] * n
+    labels = [0] * n
+
+    def rec(ci, used_mask, remap, strictly_better):
+        nonlocal best, images
+        if budget is not None:
+            budget.spend()
+        if ci == ncoords:
+            if strictly_better:
+                best = labels[:]
+                images = img[:]
+                return True
+            if on_tie is not None:
+                on_tie(img)
+            return False
+        improved = False
+        lo, hi = weights[ci], weights[ci + 1]
+        for v in candidates[ci]:
+            if used_mask >> v & 1:
+                continue
+            new_used = used_mask
+            new_remap = dict(remap)
+            better = strictly_better
+            ok = True
+            for x in range(lo, hi):
+                y = add[img[x - lo]][v]
+                if new_used >> y & 1:
+                    ok = False
+                    break
+                new_used |= 1 << y
+                img[x] = y
+                c = cell_of[y]
+                lab = new_remap.get(c)
+                if lab is None:
+                    lab = len(new_remap)
+                    new_remap[c] = lab
+                labels[x] = lab
+                if not better:
+                    if lab > best[x]:
+                        ok = False
+                        break
+                    if lab < best[x]:
+                        better = True
+            if ok and rec(ci + 1, new_used, new_remap, better):
+                if on_tie is not None:
+                    return True
+                # the new best shares this prefix, so later siblings
+                # must be compared against it
+                improved = True
+                strictly_better = False
+        return improved
+
+    rec(0, 1, {cell_of[0]: 0}, False)
+    return best, images
+
+
 def cayley_isos(a: SRing, b: SRing, bounds=DEFAULT_BOUNDS) -> list:
-    """All group automorphisms carrying the cells of a onto the cells of b."""
+    """All group automorphisms carrying the cells of a onto the cells of b,
+    sorted by matrix.
+
+    The search on a gives its least labeling and a map g_a from the
+    canonical partition onto a.  Seeded with that labeling, the search on
+    b reaches exactly the maps g_b from the canonical partition onto b,
+    and each g_b g_a^-1 is one Cayley isomorphism; a labeling of b below
+    the seed puts b in another class.
+    """
     if a.spec != b.spec:
         raise ValueError("rings live over different groups")
     spec = a.spec
     if a.rank != b.rank or sorted(map(len, a.cells)) != sorted(map(len, b.cells)):
         return []
-    if aut_order(spec) <= bounds.aut_iteration_threshold:
-        out = []
-        b_cells = set(b.cells)
-        for aut in all_auts(spec, bounds.aut_iteration_threshold):
-            perm = aut.perm
-            if all(frozenset(perm[x] for x in cell) in b_cells
-                   for cell in a.cells):
-                out.append(aut)
-        return out
-    return _cayley_isos_backtrack(a, b, bounds)
-
-
-def _cayley_isos_backtrack(a: SRing, b: SRing, bounds) -> list:
-    """Column-by-column search for cell-compatible automorphisms.
-
-    Basis images are chosen per coordinate; thanks to the little-endian
-    element encoding, fixing the first j columns determines the images of
-    an index prefix, which must map cells of a consistently onto cells of b.
-    """
-    spec = a.spec
-    n = spec.order
-    add = spec.add_table()
-    basis = spec.basis()
-    blocks = spec.prime_blocks()
     budget = _Budget(bounds.backtrack_node_budget)
-
-    prefix_bounds = []
-    w = 1
-    for r in spec.radices:
-        w *= r
-        prefix_bounds.append(w)
-
-    coord_prime = []
-    for p, nn, pos in blocks:
-        coord_prime.extend([p] * nn)
-
+    labels, images = least_labeling(spec, a.cell_of, budget=budget)
+    inverse = [0] * spec.order
+    for x, y in enumerate(images):
+        inverse[y] = x
     out = []
-    images = [0] * n
 
-    def block_of(ci):
-        pos = 0
-        for bi, (p, nn, _pos) in enumerate(blocks):
-            if ci < pos + nn:
-                return bi, ci - pos
-            pos += nn
-        raise AssertionError
+    def on_tie(img):
+        out.append(GroupAut.from_perm(spec, tuple(img[x] for x in inverse)))
 
-    def extend(ci, pairing):
-        budget.spend()
-        if ci == len(basis):
-            aut = GroupAut.from_images(spec, [(basis[i], images[basis[i]])
-                                              for i in range(len(basis))])
-            out.append(aut)
-            return
-        p = coord_prime[ci]
-        lo = prefix_bounds[ci - 1] if ci else 1
-        hi = prefix_bounds[ci]
-        bi, _ = block_of(ci)
-        pblock, pn, ppos = blocks[bi]
-        for v in range(n):
-            coords = spec.coords(v)
-            if any(coords[i] for i in range(len(coords))
-                   if coord_prime[i] != p):
-                continue
-            # linear independence within the block comes out of bijectivity
-            new_pairing = dict(pairing)
-            ok = True
-            for x in range(lo, hi):
-                cx = spec.coords(x)
-                d = cx[ci]
-                base = x - d * (prefix_bounds[ci - 1] if ci else 1)
-                img = images[base]
-                for _ in range(d):
-                    img = add[img][v]
-                images[x] = img
-                ca = a.cell_of[x]
-                cb = b.cell_of[img]
-                if len(a.cells[ca]) != len(b.cells[cb]):
-                    ok = False
-                    break
-                prev = new_pairing.get(ca)
-                if prev is None:
-                    if cb in new_pairing.values():
-                        ok = False
-                        break
-                    new_pairing[ca] = cb
-                elif prev != cb:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            seen = len({images[x] for x in range(hi)})
-            if seen != hi:
-                continue
-            extend(ci + 1, new_pairing)
-
-    images[0] = 0
-    extend(0, {0: 0})
+    least_labeling(spec, b.cell_of, labels, budget, on_tie)
     out.sort(key=GroupAut.sort_key)
     return out
 

@@ -33,11 +33,6 @@ def pinv(a):
     return tuple(out)
 
 
-def pconj(p, f):
-    """Relabel p through f, i.e. f^-1 p f."""
-    return pmul(pmul(pinv(f), p), f)
-
-
 def identity_perm(n):
     return tuple(range(n))
 
@@ -483,7 +478,8 @@ def _conjugacy_reps(subgroups: dict, conj_pairs, bounds):
                 if k1 not in orbit:
                     if len(orbit) > budget:
                         raise ResourceBoundExceeded(
-                            "conjugacy orbit of subgroups", budget)
+                            "conjugacy orbit of subgroups", budget,
+                            len(orbit) + 1)
                     orbit.add(k1)
                     frontier.append(k1)
         seen |= orbit
@@ -509,7 +505,8 @@ def _orbit_contains(elset, conj_pairs, target_set, bounds):
             if k1 not in orbit:
                 if len(orbit) > budget:
                     raise ResourceBoundExceeded(
-                        "conjugacy orbit of subgroups", budget)
+                        "conjugacy orbit of subgroups", budget,
+                        len(orbit) + 1)
                 orbit.add(k1)
                 frontier.append(k1)
     return False

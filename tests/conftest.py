@@ -2,7 +2,8 @@
 
 The oracles deliberately avoid the library's own machinery: subgroup
 counting by subset closure, permutation-group order by naive closure,
-scheme automorphisms by filtering all of Sym(n), and Schur ring validity
+scheme automorphisms by filtering all of Sym(n), canonical labelings and
+Cayley isomorphisms by filtering all of Aut(G), and Schur ring validity
 by integer-span membership.
 """
 
@@ -10,7 +11,8 @@ import itertools
 
 import pytest
 
-from srings.groups import Section, full_subgroup, parse_group, subgroup_span
+from srings.groups import (Section, all_auts, full_subgroup, parse_group,
+                           subgroup_span)
 from srings.sring import SubgroupChart, validate_partition
 from srings.construct import group_ring, wreath
 from srings.catalog import enumerate_srings
@@ -160,6 +162,32 @@ def brute_scheme_aut(ring):
         if good:
             out.append(f)
     return out
+
+
+def least_labeling_by_filter(spec, cells):
+    """The least first-occurrence cell labeling over all of Aut(G), as
+    bytes: the automorphism g labels x by the cell of g(x)."""
+    cell_of = [0] * spec.order
+    for i, cell in enumerate(cells):
+        for x in cell:
+            cell_of[x] = i
+    best = None
+    for g in all_auts(spec):
+        first = {}
+        labels = bytes(first.setdefault(cell_of[y], len(first))
+                       for y in g.perm)
+        if best is None or labels < best:
+            best = labels
+    return best
+
+
+def cayley_isos_by_filter(a, b):
+    """Every automorphism of G carrying the cells of a onto cells of b, in
+    matrix order."""
+    b_cells = set(b.cells)
+    return [g for g in all_auts(a.spec)
+            if all(frozenset(g.perm[x] for x in cell) in b_cells
+                   for cell in a.cells)]
 
 
 def span_closure_holds(spec, cells):

@@ -11,7 +11,7 @@ from srings.catalog import (canonical_form, canonical_partition,
                             enumerate_srings, load_catalog,
                             rank3_classification, save_catalog)
 
-from conftest import all_partitions
+from conftest import all_partitions, least_labeling_by_filter
 
 
 def test_enumerate_c3_all(c3):
@@ -83,6 +83,29 @@ def test_canonical_form_idempotent_and_invariant(c27, table_rings):
 def test_canonical_form_separates_classes(table_rings):
     forms = {canonical_form(r) for r in table_rings.values()}
     assert len(forms) == 6
+
+
+@pytest.mark.parametrize("group, max_cells, count",
+                         [("2^4", 7, 30), ("3^3", 5, 8)])
+def test_canonical_partition_is_least_over_aut(group, max_cells, count):
+    """Arbitrary partitions, not only Schur rings: the canonical labeling
+    is the least over all of Aut(G), and relabeling leaves it unchanged.
+    Every catalog class happens to be least already, so only random
+    partitions reach search paths where a new best is found mid-subtree."""
+    spec = parse_group(group)
+    rng = random.Random(7)
+    auts = all_auts(spec)
+    for _ in range(count):
+        ncells = rng.randint(1, max_cells)
+        blocks = {}
+        for x in spec.elements():
+            blocks.setdefault(rng.randrange(ncells), set()).add(x)
+        cells = list(blocks.values())
+        form, _cells = canonical_partition(spec, cells)
+        assert form == least_labeling_by_filter(spec, cells)
+        perm = rng.choice(auts).perm
+        image = [{perm[x] for x in cell} for cell in cells]
+        assert canonical_partition(spec, image)[0] == form
 
 
 def test_catalog_roundtrip(tmp_path, c12, catalog_c12):

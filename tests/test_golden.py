@@ -1,0 +1,55 @@
+"""Golden digests of CLI outputs.
+
+Refactors must leave every catalog and report byte-identical.  The
+commands run in a temporary working directory with relative paths,
+because the ci report header echoes the catalog path.  The 3^3 p-catalog
+carries a cyc(...) label that depends on the order of cayley_auts.
+"""
+
+import hashlib
+
+from srings.cli import main
+
+GOLDEN = {
+    "enumerate 2^3":
+        "89a3f5d543bdd1966c2b146ae36fd10703f6f7c7c15906acc0c88a2e5d3183de",
+    "enumerate 3^2":
+        "7d2d7620c04df8368f26d84e1f99bb8aac4a169d8c52f5dcc62b3fd2dd5c1975",
+    "enumerate 2^2x3":
+        "7890e6db5bb935cb8426cab3ca620de06b2f535bf65ed05d87d4821265f190f5",
+    "enumerate 3^3 p-srings":
+        "147aa8bea2a1c322dab870d5670c9be7f625f4de6851d6b3a7d10b8b2f79a1a7",
+    "ci auto 2^2x3":
+        "d5ddda9bf6c9c3ab56f59f53fca8797117338fd43216fa74bd879e195de96225",
+    "classify 3":
+        "f7dd44ff6ec79ee838b7630e63572d5e8141b081e529928ca581a461521df0d2",
+    "criterion 2^3":
+        "2b753b841b6ba65f9a35017c5b3d4932e2e444006c58113d358bb77b69574862",
+}
+
+COMMANDS = (
+    ("enumerate 2^3",
+     ["enumerate", "--group", "2^3", "--out", "c8.cat"], "c8.cat"),
+    ("enumerate 3^2",
+     ["enumerate", "--group", "3^2", "--out", "c9.cat"], "c9.cat"),
+    ("enumerate 2^2x3",
+     ["enumerate", "--group", "2^2x3", "--out", "c12.cat"], "c12.cat"),
+    ("enumerate 3^3 p-srings",
+     ["enumerate", "--group", "3^3", "--filter", "p-srings",
+      "--out", "c27p.cat"], "c27p.cat"),
+    ("ci auto 2^2x3",
+     ["ci", "--catalog", "c12.cat", "--method", "auto", "--out", "ci.txt"],
+     "ci.txt"),
+    ("classify 3", ["classify", "--p", "3", "--out", "rows.txt"], "rows.txt"),
+    ("criterion 2^3",
+     ["criterion", "--group", "2^3", "--out", "crit.txt"], "crit.txt"),
+)
+
+
+def test_cli_outputs_match_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    digests = {}
+    for name, argv, out in COMMANDS:
+        assert main(argv) == 0, name
+        digests[name] = hashlib.sha256((tmp_path / out).read_bytes()).hexdigest()
+    assert digests == GOLDEN

@@ -1,18 +1,24 @@
+import random
+from dataclasses import replace
+
 import pytest
 
-from srings.errors import SectionNotPreserved
+from srings.config import DEFAULT_BOUNDS
+from srings.errors import ResourceBoundExceeded, SectionNotPreserved
 from srings.groups import (GroupAut, Section, all_auts, aut_order,
                            full_subgroup, parse_group, subgroup_span)
 from srings.permgrp import right_regular
 from srings.sring import validate_partition
 from srings.construct import decompositions, group_ring, wreath_parts
+from srings.catalog import enumerate_srings
 from srings.morphisms import (algebraic_image, algebraic_isos, cayley_auts,
                               cayley_isos, combinatorial_isos, delta_section,
                               induced_algebraic, is_2_minimal,
                               is_cayley_minimal, is_cyclotomic, restrict_perm,
                               scheme_aut)
 
-from conftest import brute_scheme_aut, make_plain_wreath
+from conftest import (brute_scheme_aut, cayley_isos_by_filter,
+                      make_plain_wreath)
 
 
 def test_cayley_isos_group_ring(c8):
@@ -25,16 +31,39 @@ def test_cayley_isos_distinct_classes(c9):
     assert cayley_isos(group_ring(c9), wr) == []
 
 
-def test_cayley_isos_backtracking_agrees_with_iteration(c27, table_rings):
-    from srings.morphisms import _cayley_isos_backtrack
-    from srings.config import DEFAULT_BOUNDS
+@pytest.mark.parametrize("group", ["2^3", "3^2", "2^2x3", "3^3"])
+def test_cayley_isos_agree_with_aut_filter(group, table_rings):
+    """Same list, order and permutations as filtering all of Aut(G), on
+    (a, a), (a, relabeled a) and every cross-class pair."""
+    spec = parse_group(group)
+    if group == "3^3":
+        rings = list(table_rings.values())
+    else:
+        rings = enumerate_srings(spec, "all", label=False).rings()
+    rng = random.Random(11)
+    auts = all_auts(spec)
+    for a in rings:
+        perm = rng.choice(auts).perm
+        relabeled = validate_partition(
+            spec, [frozenset(perm[x] for x in cell) for cell in a.cells])
+        for b in rings + [relabeled]:
+            got = cayley_isos(a, b)
+            want = cayley_isos_by_filter(a, b)
+            assert got == want
+            assert [g.perm for g in got] == [g.perm for g in want]
 
-    for ring in (table_rings[3], table_rings[6]):
-        iterated = {a.mats for a in cayley_isos(ring, ring)}
-        backtracked = {a.mats
-                       for a in _cayley_isos_backtrack(ring, ring,
-                                                       DEFAULT_BOUNDS)}
-        assert iterated == backtracked
+
+def test_backtracking_bound_reports_its_limit(table_rings):
+    tiny = replace(DEFAULT_BOUNDS, backtrack_node_budget=7)
+    ring = table_rings[6]
+    with pytest.raises(ResourceBoundExceeded) as info:
+        cayley_isos(ring, ring, tiny)
+    assert info.value.limit == 7
+    # a fresh ring, because scheme_aut memoizes its result on the ring
+    fresh = validate_partition(ring.spec, ring.cells)
+    with pytest.raises(ResourceBoundExceeded) as info:
+        scheme_aut(fresh, tiny)
+    assert info.value.limit == 7
 
 
 def test_cayley_auts_orders(c27, table_rings):
