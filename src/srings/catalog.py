@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_BOUNDS
 from .errors import (CatalogFormatError, ClassificationMismatch,
-                     ResourceBoundExceeded)
-from .groups import (GroupAut, GroupSpec, Section, enumerate_subgroups,
-                     format_group, full_subgroup, make_group, parse_group,
-                     subgroup_span)
+                     EnumerationMismatch, ResourceBoundExceeded)
+from .groups import (GroupAut, GroupSpec, Section, aut_generators,
+                     enumerate_subgroups, format_group, full_subgroup,
+                     make_group, parse_group, subgroup_span)
 from .sring import SRing, SubgroupChart, validate_partition
 from .construct import (cyclotomic, decompositions, group_ring,
                         recognize_construction, wreath, tensor)
@@ -78,7 +78,6 @@ class _Enumerator:
         self.p_filter = p_filter
         self.bounds = bounds
         self.nodes = 0
-        self.leaves = []
         self.resume_root = resume_root
         self.on_root = on_root
         self.on_leaf = on_leaf
@@ -116,7 +115,6 @@ class _Enumerator:
         self._fix_cell((ident,), check=False)
         unassigned = frozenset(range(1, self.n))
         self._recurse(unassigned, depth=0)
-        return self.leaves
 
     def _spend(self):
         self.nodes += 1
@@ -126,10 +124,8 @@ class _Enumerator:
 
     def _recurse(self, unassigned, depth):
         if not unassigned:
-            partition = tuple(cell for cell, _ in self.fixed)
-            self.leaves.append(partition)
             if self.on_leaf:
-                self.on_leaf(partition)
+                self.on_leaf(tuple(cell for cell, _ in self.fixed))
             return
         x = min(unassigned)
         forced_cell = self.forced.get(x)
@@ -296,6 +292,15 @@ def enumerate_srings(spec: GroupSpec, sring_filter: str = "all",
     """All Schur rings over the group, one canonical representative per
     Cayley isomorphism class.
 
+    Each raw ring the merge search reaches is looked up by its cell
+    labeling.  The first ring of a class pays for one canonical form, and
+    its whole Aut(G) orbit, walked with the generators of Aut(G), enters
+    the lookup table; later rings of the orbit are table hits.  An entry's
+    raw_count is the number of raw rings counted for its class, which must
+    equal the size of the walked orbit (orbit-stabilizer); a difference
+    means the search missed or repeated a ring and raises
+    EnumerationMismatch.
+
     sring_filter "p-srings" keeps only partitions with prime-power cell
     sizes (the group must be a p-group); "all" enumerates everything.
     checkpoint names a progress file: finished top-level branches are
@@ -328,14 +333,24 @@ def enumerate_srings(spec: GroupSpec, sring_filter: str = "all",
                 cells = tuple(frozenset(c) for c in item["cells"])
                 classes[bytes.fromhex(item["form"])] = [cells, item["raw"]]
 
+    perms = [g.perm for g in aut_generators(spec)]
+    class_of: dict = {}
+    orbit_size: dict = {}
+
     def on_leaf(partition):
         nonlocal raw_total
         raw_total += 1
-        key, cells = canonical_partition(spec, partition)
-        if key in classes:
-            classes[key][1] += 1
-        else:
-            classes[key] = [cells, 1]
+        lab = [0] * spec.order
+        for i, cell in enumerate(partition):
+            for x in cell:
+                lab[x] = i
+        lab = _renumbered(lab)
+        key = class_of.get(lab)
+        if key is None:
+            key, cells = canonical_partition(spec, partition)
+            classes.setdefault(key, [cells, 0])
+            orbit_size[key] = _walk_orbit(lab, perms, class_of, key)
+        classes[key][1] += 1
         if progress and raw_total % 50 == 0:
             progress(raw_total, len(classes))
 
@@ -357,6 +372,11 @@ def enumerate_srings(spec: GroupSpec, sring_filter: str = "all",
     enum.run()
     if checkpoint and os.path.exists(checkpoint):
         os.remove(checkpoint)
+    for key, size in orbit_size.items():
+        if classes[key][1] != size:
+            raise EnumerationMismatch(
+                f"class {key.hex()}: {classes[key][1]} raw rings counted, "
+                f"its Aut(G) orbit has {size}")
 
     entries = []
     for key in sorted(classes):
@@ -378,6 +398,31 @@ def enumerate_srings(spec: GroupSpec, sring_filter: str = "all",
             raw_count=raw_count,
         ))
     return Catalog(spec, sring_filter, entries, raw_total)
+
+
+def _renumbered(labels) -> bytes:
+    """The labeling with its labels renumbered by first occurrence."""
+    first: dict = {}
+    return bytes([first.setdefault(v, len(first)) for v in labels])
+
+
+def _walk_orbit(lab, perms, class_of, key):
+    """Enter every image of the labeling lab under the group generated by
+    perms into class_of under key; returns the orbit size.  Reading lab
+    through g gives its image under g^-1, and the inverses generate the
+    same group."""
+    class_of[lab] = key
+    stack = [lab]
+    size = 1
+    while stack:
+        cur = stack.pop()
+        for g in perms:
+            img = _renumbered([cur[i] for i in g])
+            if img not in class_of:
+                class_of[img] = key
+                stack.append(img)
+                size += 1
+    return size
 
 
 def _write_checkpoint(path, spec, sring_filter, root_done, raw_total, classes):

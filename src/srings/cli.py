@@ -7,7 +7,8 @@ Commands:
   criterion  test the section-factorization criterion over a full catalog
 
 Exit codes: 0 success, 2 usage error, 3 undecided within bounds,
-4 mismatch with the expected classification or a soundness violation.
+4 mismatch with the expected classification, a class whose raw count
+differs from its Aut(G) orbit, or a soundness violation.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import sys
 import time
 
 from .config import DEFAULT_BOUNDS, extended_bounds
-from .errors import ClassificationMismatch, GroupSpecError, \
-    ResourceBoundExceeded, SRingsError
+from .errors import ClassificationMismatch, EnumerationMismatch, \
+    GroupSpecError, ResourceBoundExceeded, SRingsError
 from .groups import format_group, parse_group
 from .catalog import (enumerate_srings, load_catalog, rank3_classification,
                       save_catalog)
@@ -69,6 +70,9 @@ def cmd_enumerate(args) -> int:
     except ResourceBoundExceeded as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
+    except EnumerationMismatch as exc:
+        print(f"enumeration mismatch: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     save_catalog(catalog, args.out)
     print(f"{len(catalog.entries)} classes "
           f"({catalog.raw_total} rings) -> {args.out}")
@@ -84,7 +88,7 @@ def cmd_classify(args) -> int:
         return EXIT_USAGE
     try:
         report = rank3_classification(args.p, bounds)
-    except ClassificationMismatch as exc:
+    except (ClassificationMismatch, EnumerationMismatch) as exc:
         print(f"classification mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except ResourceBoundExceeded as exc:
@@ -136,7 +140,8 @@ def cmd_ci(args) -> int:
     payloads = [(group_text, [sorted(c) for c in e.cells], args.method,
                  args.extended) for e in catalog.entries]
     records = [None] * len(payloads)
-    deadline = time.monotonic() + args.time_limit if args.time_limit else None
+    deadline = None if args.time_limit is None \
+        else time.monotonic() + args.time_limit
     if args.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -145,7 +150,7 @@ def cmd_ci(args) -> int:
                 records[i] = rec
     else:
         for i, payload in enumerate(payloads):
-            if deadline and time.monotonic() > deadline:
+            if deadline is not None and time.monotonic() >= deadline:
                 records[i] = {"verdict": "Undecided", "method": None,
                               "resource": {"what": "time limit"}}
                 continue
@@ -200,6 +205,13 @@ def cmd_criterion(args) -> int:
     return EXIT_OK
 
 
+def _seconds(text):
+    value = float(text)
+    if not value >= 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"{text!r} is not a time >= 0")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="srings",
@@ -236,8 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
                       default="auto")
     p_ci.add_argument("--out", default=None)
     p_ci.add_argument("--workers", type=int, default=1)
-    p_ci.add_argument("--time-limit", type=float, default=None,
-                      help="soft wall clock limit in seconds")
+    p_ci.add_argument("--time-limit", type=_seconds, default=None,
+                      help="soft wall clock limit in seconds; 0 decides "
+                           "no entry")
     p_ci.add_argument("--update-catalog", action="store_true",
                       help="write verdicts back into the catalog file")
     p_ci.add_argument("--extended", action="store_true")

@@ -242,7 +242,7 @@ def _format_gens(spec, sub: Subgroup):
     return "[" + ";".join(rows) + "]"
 
 
-def recognize_construction(a: SRing, max_order_for_cyc=100_000) -> str | None:
+def recognize_construction(a: SRing) -> str | None:
     """Best-effort structural label for a ring; None if nothing matched."""
     from . import morphisms
     from .groups import format_group

@@ -88,5 +88,10 @@ class ClassificationMismatch(SRingsError):
     """An enumerated class does not match the expected template set."""
 
 
+class EnumerationMismatch(SRingsError):
+    """The raw rings counted for a class differ from the size of its
+    Aut(G) orbit: the enumeration missed or repeated a ring."""
+
+
 class CatalogFormatError(SRingsError):
     """Catalog file is corrupted or has the wrong version."""

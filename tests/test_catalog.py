@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from srings.errors import CatalogFormatError, ResourceBoundExceeded
-from srings.groups import all_auts, parse_group
+from srings import catalog as catalog_module
+from srings.errors import (CatalogFormatError, EnumerationMismatch,
+                           ResourceBoundExceeded)
+from srings.groups import all_auts, aut_order, parse_group
 from srings.sring import validate_partition
 from srings.construct import sring_image
-from srings.morphisms import is_cyclotomic
+from srings.morphisms import cayley_isos, is_cyclotomic
 from srings.catalog import (canonical_form, canonical_partition,
                             enumerate_srings, load_catalog,
                             rank3_classification, save_catalog)
@@ -56,6 +58,56 @@ def test_enumeration_raw_count_c9_oracle(c9):
             continue
     catalog = enumerate_srings(c9, "all", label=False)
     assert catalog.raw_total == valid
+
+
+def _orbit_stabilizer_holds(spec, catalog):
+    """raw_count times the number of Cayley automorphisms is |Aut(G)| for
+    every class; this does not use the enumeration's orbit walk."""
+    return all(e.raw_count * len(cayley_isos(e.ring(spec), e.ring(spec)))
+               == aut_order(spec) for e in catalog.entries)
+
+
+@pytest.mark.parametrize("group, sring_filter",
+                         [("2^3", "all"), ("3^2", "all"), ("2^2x3", "all"),
+                          ("3^3", "p-srings")])
+def test_raw_counts_are_orbit_sizes(group, sring_filter):
+    spec = parse_group(group)
+    catalog = enumerate_srings(spec, sring_filter, label=False)
+    assert _orbit_stabilizer_holds(spec, catalog)
+
+
+def test_enumerate_c16_all(c16):
+    catalog = enumerate_srings(c16, "all", label=False)
+    assert catalog.raw_total == 12_537
+    assert len(catalog) == 43
+    assert sum(e.raw_count for e in catalog.entries) == catalog.raw_total
+    assert _orbit_stabilizer_holds(c16, catalog)
+
+
+@pytest.mark.parametrize("copies", [0, 2], ids=["dropped", "repeated"])
+def test_enumeration_mismatch_gate(monkeypatch, c8, copies):
+    """A raw ring the merge search misses or repeats breaks the count of
+    its class against the class's orbit.  The edited leaf is the first one
+    whose class has more than one ring: a class with every ring missed
+    would leave nothing to compare."""
+
+    class Faulty(catalog_module._Enumerator):
+        def __init__(self, *args, on_leaf, **kwargs):
+            edited = []
+
+            def faulty_on_leaf(partition):
+                if not edited and 2 < len(partition) < c8.order:
+                    edited.append(partition)
+                    for _ in range(copies):
+                        on_leaf(partition)
+                else:
+                    on_leaf(partition)
+
+            super().__init__(*args, on_leaf=faulty_on_leaf, **kwargs)
+
+    monkeypatch.setattr(catalog_module, "_Enumerator", Faulty)
+    with pytest.raises(EnumerationMismatch):
+        enumerate_srings(c8, "all", label=False)
 
 
 def test_enumeration_filter_validation(c12):
@@ -200,8 +252,8 @@ def test_checkpoint_resume_completed(tmp_path, c8, catalog_c8):
     _write_checkpoint(str(ckpt), c8, "all", 10 ** 9,
                       catalog_c8.raw_total, classes)
     resumed = enumerate_srings(c8, "all", label=False, checkpoint=str(ckpt))
-    assert [e.cells for e in resumed.entries] == \
-        [e.cells for e in catalog_c8.entries]
+    assert [(e.cells, e.raw_count) for e in resumed.entries] == \
+        [(e.cells, e.raw_count) for e in catalog_c8.entries]
     assert resumed.raw_total == catalog_c8.raw_total
     assert not ckpt.exists()
 
@@ -218,8 +270,8 @@ def test_checkpoint_resume_after_interrupt(tmp_path, c8, catalog_c8):
                          checkpoint_interval=0.0, progress=bomb)
     assert ckpt.exists()
     resumed = enumerate_srings(c8, "all", label=False, checkpoint=str(ckpt))
-    assert [e.cells for e in resumed.entries] == \
-        [e.cells for e in catalog_c8.entries]
+    assert [(e.cells, e.raw_count) for e in resumed.entries] == \
+        [(e.cells, e.raw_count) for e in catalog_c8.entries]
     assert resumed.raw_total == catalog_c8.raw_total
     assert not ckpt.exists()
 

@@ -1,6 +1,8 @@
 import json
 
+from srings import cli
 from srings.cli import main
+from srings.errors import EnumerationMismatch
 from srings.catalog import load_catalog
 
 
@@ -89,3 +91,30 @@ def test_time_limit_marks_undecided(tmp_path):
     assert code == 3
     records = [json.loads(l) for l in out.read_text().splitlines()[1:]]
     assert any(r["verdict"] == "Undecided" for r in records)
+
+
+def test_time_limit_zero_decides_nothing(tmp_path):
+    cat = tmp_path / "c8.cat"
+    main(["enumerate", "--group", "2^3", "--filter", "all", "--out",
+          str(cat), "--no-labels"])
+    out = tmp_path / "t.txt"
+    code = main(["ci", "--catalog", str(cat), "--method", "regular",
+                 "--out", str(out), "--time-limit", "0"])
+    assert code == 3
+    lines = out.read_text().splitlines()
+    assert json.loads(lines[0])["undecided"] == 9
+    records = [json.loads(l) for l in lines[1:]]
+    assert all(r["verdict"] == "Undecided" for r in records)
+    assert main(["ci", "--catalog", str(cat), "--out", str(out),
+                 "--time-limit", "-1"]) == 2
+
+
+def test_enumeration_mismatch_exits_4(tmp_path, monkeypatch):
+    def mismatch(*_args, **_kwargs):
+        raise EnumerationMismatch("class 00: 1 raw rings counted, "
+                                  "its Aut(G) orbit has 2")
+
+    monkeypatch.setattr(cli, "enumerate_srings", mismatch)
+    cat = tmp_path / "c8.cat"
+    assert main(["enumerate", "--group", "2^3", "--out", str(cat)]) == 4
+    assert not cat.exists()
