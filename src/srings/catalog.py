@@ -97,7 +97,6 @@ class _Enumerator:
         self.cell_of_fixed: dict = {}
         self.sig = [[] for _ in range(self.n)]
         self.forced: dict = {}
-        self._root_counter = 0
 
     def _index_p_cosets(self):
         p = self.prime
@@ -135,15 +134,14 @@ class _Enumerator:
             candidates = self._candidates(x, unassigned)
         at_root = depth == 0
         for count, cand in enumerate(candidates):
-            if at_root:
-                self._root_counter = count
-                if count < self.resume_root:
-                    continue
+            if at_root and count < self.resume_root:
+                continue
             self._spend()
-            journal = self._try_fix(cand, unassigned)
+            rest = unassigned - frozenset(cand)
+            journal = self._fix_cell(cand, check=True, unassigned=rest)
             if journal is None:
                 continue
-            self._recurse(unassigned - frozenset(cand), depth + 1)
+            self._recurse(rest, depth + 1)
             self._unfix(journal)
             if at_root and self.on_root:
                 self.on_root(count)
@@ -169,16 +167,11 @@ class _Enumerator:
                 for combo in itertools.combinations(pool, s - 1):
                     yield (x,) + combo
 
-    def _try_fix(self, cell, unassigned):
-        journal = self._fix_cell(cell, check=True,
-                                 unassigned=unassigned - frozenset(cell))
-        return journal
-
     def _fix_cell(self, cell, check, unassigned=frozenset()):
         cell_set = frozenset(cell)
         k = len(self.fixed)
         journal = {"index": k, "forced": [], "sig_pairs": 0,
-                    "unassigned": unassigned, "ok": True}
+                    "unassigned": unassigned}
         self.fixed.append((cell_set, tuple(sorted(cell_set))))
         for y in cell_set:
             self.cell_of_fixed[y] = k
@@ -193,11 +186,11 @@ class _Enumerator:
             hit = self.cell_of_fixed.get(min(image))
             if hit is not None:
                 if self.fixed[hit][0] != image:
-                    self._rollback(journal)
+                    self._unfix(journal)
                     return None
                 continue
             if not image <= unassigned:
-                self._rollback(journal)
+                self._unfix(journal)
                 return None
             conflict = False
             for y in image:
@@ -209,11 +202,11 @@ class _Enumerator:
                     conflict = True
                     break
             if conflict:
-                self._rollback(journal)
+                self._unfix(journal)
                 return None
         # forced cells must stay signature-uniform and intact
         if not self._counts_ok(k, unassigned, journal):
-            self._rollback(journal)
+            self._unfix(journal)
             return None
         return journal
 
@@ -237,10 +230,6 @@ class _Enumerator:
                 self.sig[z].append(counts[z])
             journal["sig_pairs"] += 1
         return True
-
-    def _rollback(self, journal):
-        journal["ok"] = False
-        self._unfix(journal)
 
     def _unfix(self, journal):
         k = journal["index"]
@@ -299,7 +288,9 @@ def enumerate_srings(spec: GroupSpec, sring_filter: str = "all",
     raw_count is the number of raw rings counted for its class, which must
     equal the size of the walked orbit (orbit-stabilizer); a difference
     means the search missed or repeated a ring and raises
-    EnumerationMismatch.
+    EnumerationMismatch.  This catches a class whose rings are partly
+    missed or repeated, but not a class the search misses entirely, which
+    leaves no orbit to compare; only known raw totals catch that.
 
     sring_filter "p-srings" keeps only partitions with prime-power cell
     sizes (the group must be a p-group); "all" enumerates everything.

@@ -7,7 +7,7 @@ from .errors import (IncompatibleOnSection, PartitionError,
                      ResourceBoundExceeded)
 from .groups import (GroupAut, GroupSpec, Section, Subgroup, full_subgroup,
                      subgroup_span, trivial_subgroup)
-from .permgrp import PermGroup
+from .permgrp import PermGroup, orbits
 from .sring import SRing, SubgroupChart, radical, validate_partition
 
 
@@ -19,24 +19,7 @@ def group_ring(spec: GroupSpec) -> SRing:
 def cyclotomic(auts, spec: GroupSpec) -> SRing:
     """Cells are the orbits of the given automorphisms on the group."""
     perms = [a.perm if isinstance(a, GroupAut) else tuple(a) for a in auts]
-    seen = [False] * spec.order
-    cells = []
-    for start in spec.elements():
-        if seen[start]:
-            continue
-        orbit = {start}
-        frontier = [start]
-        seen[start] = True
-        while frontier:
-            x = frontier.pop()
-            for g in perms:
-                y = g[x]
-                if not seen[y]:
-                    seen[y] = True
-                    orbit.add(y)
-                    frontier.append(y)
-        cells.append(frozenset(orbit))
-    return validate_partition(spec, cells)
+    return validate_partition(spec, orbits(perms, spec.order))
 
 
 def schurian(K: PermGroup, spec: GroupSpec) -> SRing:

@@ -234,41 +234,20 @@ def span_vectors(rows, p, ncols):
 
 
 def solve_in_basis(rows, vec, p):
-    """Coefficients expressing vec in the given independent rows, or None."""
-    if not rows:
-        return () if not any(vec) else None
-    n = len(rows[0])
-    aug = [list(r) + [0] * len(rows) for r in rows]
-    for i in range(len(rows)):
-        aug[i][n + i] = 1
-    # Row reduce [rows | I]; then read off combination for vec.
-    mat = [row[:] for row in aug]
-    pivots = []
-    pivot_row = 0
-    for col in range(n):
-        pivot = next((r for r in range(pivot_row, len(mat)) if mat[r][col] % p), None)
-        if pivot is None:
-            continue
-        mat[pivot_row], mat[pivot] = mat[pivot], mat[pivot_row]
-        inv = pow(mat[pivot_row][col], -1, p)
-        mat[pivot_row] = [v * inv % p for v in mat[pivot_row]]
-        for r in range(len(mat)):
-            if r != pivot_row and mat[r][col] % p:
-                f = mat[r][col]
-                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[pivot_row])]
-        pivots.append(col)
-        pivot_row += 1
-    residual = list(vec)
-    coeffs = [0] * len(rows)
-    for row_i, col in enumerate(pivots):
-        f = residual[col] % p
-        if f:
-            for i in range(n):
-                residual[i] = (residual[i] - f * mat[row_i][i]) % p
-            for i in range(len(rows)):
-                coeffs[i] = (coeffs[i] + f * mat[row_i][n + i]) % p
-    if any(v % p for v in residual):
-        return None
+    """Coefficients expressing vec in the given independent rows, or None.
+
+    Back-substitution on the reduced echelon form of [rows^T | vec]: a
+    pivot in the last column means vec is outside the span, and otherwise
+    each pivot row gives its variable's value (free variables are 0).
+    """
+    k = len(rows)
+    aug = [[r[i] for r in rows] + [v] for i, v in enumerate(vec)]
+    coeffs = [0] * k
+    for row in rref(aug, p):
+        col = next(c for c, v in enumerate(row) if v)
+        if col == k:
+            return None
+        coeffs[col] = row[k]
     return tuple(coeffs)
 
 

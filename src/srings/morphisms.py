@@ -13,7 +13,8 @@ from .config import DEFAULT_BOUNDS
 from .errors import (PartitionError, ResourceBoundExceeded,
                      SectionNotPreserved, SRingsError)
 from .groups import GroupAut, Section
-from .permgrp import PermGroup, identity_perm, pmul, right_regular
+from .permgrp import (PermGroup, orbit, right_regular,
+                      subgroups_between)
 from .sring import SRing
 
 
@@ -279,33 +280,20 @@ def scheme_aut(a: SRing, bounds=DEFAULT_BOUNDS) -> PermGroup:
     budget = _Budget(bounds.backtrack_node_budget)
     found = [spec.translation(b) for b in spec.basis()]
 
-    def level_orbit(k, gens):
-        seen = {k}
-        frontier = [k]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = g[x]
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return seen
-
     for k in range(n):
         level_gens = [g for g in found
                       if all(g[i] == i for i in range(k))]
-        orbit = level_orbit(k, level_gens)
+        reached = orbit(k, level_gens)
         for y in range(n):
-            if y in orbit:
+            if y in reached:
                 continue
             fixed = [(i, i) for i in range(k)] + [(k, y)]
             sol = next(_search_maps(coloring, coloring, coloring.colors,
                                     fixed, budget, find_all=False), None)
             if sol is not None:
                 found.append(sol)
-                level_gens = [g for g in found
-                              if all(g[i] == i for i in range(k))]
-                orbit = level_orbit(k, level_gens)
+                level_gens.append(sol)
+                reached = orbit(k, level_gens)
     group = PermGroup(n, found)
     a._scheme_aut = group
     return group
@@ -586,8 +574,6 @@ def delta_section(perms, section: Section) -> list:
 def is_2_minimal(a: SRing, bounds=DEFAULT_BOUNDS) -> bool:
     """No proper overgroup of the translations below Aut has the same
     orbits on ordered pairs as Aut itself."""
-    from .permgrp import subgroups_between
-
     aut = scheme_aut(a, bounds)
     base = right_regular(a.spec)
     target = aut.orbits_pairs()
@@ -606,57 +592,6 @@ def is_cayley_minimal(a: SRing, bounds=DEFAULT_BOUNDS) -> bool:
                                     bounds.cayley_minimal_order_bound,
                                     group.order())
     target = set(group.orbits())
-    elements = sorted(group.elements())
-    n = group.degree
-    ident = identity_perm(n)
-    subgroups = {frozenset([ident])}
-    frontier = [frozenset([ident])]
-    while frontier:
-        sub = frontier.pop()
-        for g in elements:
-            if g in sub:
-                continue
-            new = _closure(sub | {g})
-            if new not in subgroups:
-                subgroups.add(new)
-                frontier.append(new)
-    for sub in subgroups:
-        if len(sub) == group.order():
-            continue
-        if _orbit_partition(sub, n) == target:
-            return False
-    return True
-
-
-def _closure(perms):
-    perms = set(perms)
-    frontier = list(perms)
-    while frontier:
-        g = frontier.pop()
-        for h in list(perms):
-            for prod in (pmul(g, h), pmul(h, g)):
-                if prod not in perms:
-                    perms.add(prod)
-                    frontier.append(prod)
-    return frozenset(perms)
-
-
-def _orbit_partition(perms, n):
-    seen = [False] * n
-    out = set()
-    for start in range(n):
-        if seen[start]:
-            continue
-        orbit = {start}
-        frontier = [start]
-        seen[start] = True
-        while frontier:
-            x = frontier.pop()
-            for g in perms:
-                y = g[x]
-                if not seen[y]:
-                    seen[y] = True
-                    orbit.add(y)
-                    frontier.append(y)
-        out.add(frozenset(orbit))
-    return out
+    trivial = PermGroup(group.degree)
+    return not any(M.order() < group.order() and set(M.orbits()) == target
+                   for M in subgroups_between(trivial, group, bounds))

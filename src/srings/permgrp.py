@@ -41,6 +41,32 @@ def is_identity(p):
     return p is None or all(i == j for i, j in enumerate(p))
 
 
+def orbit(x, gens):
+    """The orbit of the point x under the group generated by gens."""
+    seen = {x}
+    frontier = [x]
+    for y in frontier:
+        for g in gens:
+            z = g[y]
+            if z not in seen:
+                seen.add(z)
+                frontier.append(z)
+    return frozenset(seen)
+
+
+def orbits(gens, n):
+    """The orbits of the group generated by gens on 0..n-1, each listed
+    once, in order of their least point."""
+    seen = set()
+    out = []
+    for x in range(n):
+        if x not in seen:
+            orb = orbit(x, gens)
+            seen |= orb
+            out.append(orb)
+    return out
+
+
 class _Level:
     __slots__ = ("point", "gens", "transversal", "pairs_done")
 
@@ -200,53 +226,19 @@ class PermGroup:
         return self._reduced
 
     def orbit(self, x):
-        gens = self._levels[0].gens if self._levels else []
-        seen = {x}
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            for g in gens:
-                z = g[y]
-                if z not in seen:
-                    seen.add(z)
-                    frontier.append(z)
-        return frozenset(seen)
+        return orbit(x, self.gens)
 
     def orbits(self):
-        remaining = set(range(self.degree))
-        out = []
-        while remaining:
-            x = min(remaining)
-            orb = self.orbit(x)
-            out.append(orb)
-            remaining -= orb
-        return out
+        return orbits(self.gens, self.degree)
 
-    def orbits_pairs(self, bounds=DEFAULT_BOUNDS):
-        """Orbits on ordered pairs, as a frozenset of frozensets."""
-        if self._pair_orbits is not None:
-            return self._pair_orbits
-        n = self.degree
-        gens = self._levels[0].gens if self._levels else []
-        seen = [False] * (n * n)
-        orbits = []
-        for start in range(n * n):
-            if seen[start]:
-                continue
-            seen[start] = True
-            orb = [start]
-            frontier = [start]
-            while frontier:
-                pair = frontier.pop()
-                x, y = divmod(pair, n)
-                for g in gens:
-                    q = g[x] * n + g[y]
-                    if not seen[q]:
-                        seen[q] = True
-                        orb.append(q)
-                        frontier.append(q)
-            orbits.append(frozenset(orb))
-        self._pair_orbits = frozenset(orbits)
+    def orbits_pairs(self):
+        """Orbits on ordered pairs, as a frozenset of frozensets; the pair
+        (x, y) is the point x*n + y."""
+        if self._pair_orbits is None:
+            n = self.degree
+            pair_gens = [tuple(g[x] * n + g[y] for x in range(n)
+                               for y in range(n)) for g in self.gens]
+            self._pair_orbits = frozenset(orbits(pair_gens, n * n))
         return self._pair_orbits
 
     def point_stabilizer(self, x) -> "PermGroup":
@@ -447,8 +439,7 @@ def regular_subgroups(K: PermGroup, spec, bounds=DEFAULT_BOUNDS) -> list:
         reps = _conjugacy_reps(new, conj_pairs, bounds)
     out = []
     for elset, gens in reps:
-        orbit0 = PermGroup(n, gens).orbit(0)
-        assert len(orbit0) == n and len(elset) == spec.order
+        assert len(orbit(0, gens)) == n and len(elset) == spec.order
         flagged = _orbit_contains(elset, conj_pairs, t_set, bounds)
         out.append(RegularClass(gens, elset, flagged))
     flagged = [c for c in out if c.is_translation_class]

@@ -2,8 +2,9 @@
 
 A Schur ring is stored as its cell partition.  Cells are frozensets of
 element indices, canonically ordered by (size, smallest element), so the
-identity cell always has index 0.  Validation checks the three axioms and
-keeps the full structure-constant table computed along the way.
+identity cell always has index 0.  Validation checks the three axioms;
+the structure-constant table is computed on first use, from the same
+product counts.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class SRing:
     def structure_constants(self) -> dict:
         """Full table {(i, j): counts} with counts[k] = c^{Z_k}_{X_i, X_j}."""
         if self._constants is None:
-            self._constants = _count_table(self.spec, self.cells, self.cell_of)
+            self._constants = _count_table(self.spec, self.cells)
         return self._constants
 
     def sc(self, i: int, j: int, k: int) -> int:
@@ -176,21 +177,24 @@ def _is_p_power(s, p):
     return s == 1
 
 
-def _count_table(spec, cells, cell_of):
+def _product_counts(add, n, X, Y):
+    """counts[z] = number of pairs (x, y) in X x Y with x + y = z."""
+    counts = [0] * n
+    for x in X:
+        row = add[x]
+        for y in Y:
+            counts[row[y]] += 1
+    return counts
+
+
+def _count_table(spec, cells):
     add = spec.add_table()
+    reps = [min(Z) for Z in cells]
     table = {}
-    rank = len(cells)
     for i, X in enumerate(cells):
         for j, Y in enumerate(cells):
-            counts = [0] * spec.order
-            for x in X:
-                row = add[x]
-                for y in Y:
-                    counts[row[y]] += 1
-            vec = [0] * rank
-            for k, Z in enumerate(cells):
-                vec[k] = counts[min(Z)]
-            table[(i, j)] = tuple(vec)
+            counts = _product_counts(add, spec.order, X, Y)
+            table[(i, j)] = tuple(counts[z] for z in reps)
     return table
 
 
@@ -233,11 +237,7 @@ def validate_partition(spec: GroupSpec, cells) -> SRing:
     add = spec.add_table()
     for X in cells:
         for Y in cells:
-            counts = [0] * spec.order
-            for x in X:
-                row = add[x]
-                for y in Y:
-                    counts[row[y]] += 1
+            counts = _product_counts(add, spec.order, X, Y)
             for Z in cells:
                 it = iter(Z)
                 z0 = next(it)

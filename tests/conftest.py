@@ -2,6 +2,7 @@
 
 The oracles deliberately avoid the library's own machinery: subgroup
 counting by subset closure, permutation-group order by naive closure,
+Cayley minimality by closing every subset-generated subgroup,
 scheme automorphisms by filtering all of Sym(n), canonical labelings and
 Cayley isomorphisms by filtering all of Aut(G), and Schur ring validity
 by integer-span membership.
@@ -120,6 +121,39 @@ def naive_perm_closure(gens, degree):
                 seen.add(prod)
                 frontier.append(prod)
     return seen
+
+
+def cayley_minimal_by_closure(ring):
+    """Cayley minimality by brute force: every subgroup of the Cayley
+    automorphism group, reached from the trivial group by adjoining one
+    element at a time and closing by multiplication; the ring is minimal
+    when no proper one has the same orbits as the whole group."""
+    from srings.morphisms import cayley_auts
+
+    group, _ = cayley_auts(ring)
+    n = group.degree
+    elements = sorted(group.elements())
+
+    def orbit_partition(sub):
+        return {frozenset(g[x] for g in sub) for x in range(n)}
+
+    target = orbit_partition(elements)
+    trivial = frozenset([tuple(range(n))])
+    subgroups = {trivial: ()}
+    frontier = [trivial]
+    while frontier:
+        sub = frontier.pop()
+        for g in elements:
+            if g in sub:
+                continue
+            gens = subgroups[sub] + (g,)
+            new = frozenset(naive_perm_closure(gens, n))
+            if new not in subgroups:
+                subgroups[new] = gens
+                frontier.append(new)
+    return not any(len(sub) < len(elements)
+                   and orbit_partition(sub) == target
+                   for sub in subgroups)
 
 
 def op_preserving_bijections(spec):

@@ -18,7 +18,7 @@ from srings.morphisms import (algebraic_image, algebraic_isos, cayley_auts,
                               scheme_aut)
 
 from conftest import (brute_scheme_aut, cayley_isos_by_filter,
-                      make_plain_wreath)
+                      cayley_minimal_by_closure, make_plain_wreath)
 
 
 def test_cayley_isos_group_ring(c8):
@@ -289,10 +289,15 @@ def test_2_minimality_of_indecomposables(catalog_c27_p, c27):
             assert is_2_minimal(entry.ring(c27))
 
 
-def test_cayley_minimality(c27, table_rings):
+def test_cayley_minimality(c27, c9, table_rings):
     assert is_cayley_minimal(table_rings[3])
     assert not is_cayley_minimal(table_rings[5])
     assert is_cayley_minimal(group_ring(c27))
+    # the rank-2 ring over 3^2: GL(2,3), of order 48, has proper subgroups
+    # transitive on the 8 non-identity elements
+    rank2 = validate_partition(c9, [{0}, set(range(1, 9))])
+    assert cayley_auts(rank2)[0].order() == 48
+    assert is_cayley_minimal(rank2) is False
 
 
 def test_cayley_minimality_all_but_tower(catalog_c27_p, c27, table_rings):
@@ -302,6 +307,24 @@ def test_cayley_minimality_all_but_tower(catalog_c27_p, c27, table_rings):
     for entry in catalog_c27_p.entries:
         expected = entry.canonical != tower
         assert is_cayley_minimal(entry.ring(c27)) == expected
+
+
+@pytest.mark.parametrize("group,sring_filter",
+                         [("2^3", "all"), ("3^2", "all"), ("2^2x3", "all"),
+                          ("3^3", "p-srings")])
+def test_cayley_minimality_agrees_with_closure_oracle(group, sring_filter):
+    """is_cayley_minimal against closing every subgroup of the Cayley
+    automorphism group by brute force, on every catalog ring whose Cayley
+    group has order at most 48.  That leaves out one ring, the rank-2 ring
+    over 2^3 (|GL(3,2)| = 168, with 179 subgroups), which is too slow for
+    the oracle to close here."""
+    spec = parse_group(group)
+    checked = 0
+    for ring in enumerate_srings(spec, sring_filter, label=False).rings():
+        if cayley_auts(ring)[0].order() <= 48:
+            assert is_cayley_minimal(ring) == cayley_minimal_by_closure(ring)
+            checked += 1
+    assert checked
 
 
 def test_is_cyclotomic(c27, table_rings):

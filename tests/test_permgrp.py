@@ -6,8 +6,9 @@ import pytest
 from srings.errors import ResourceBoundExceeded
 from srings.groups import aut_generators, parse_group
 from srings.permgrp import (PermGroup, from_generators, holomorph,
-                            identity_perm, pinv, pmul, regular_subgroups,
-                            right_regular, subgroups_between, two_equivalent)
+                            identity_perm, orbit, orbits, pinv, pmul,
+                            regular_subgroups, right_regular,
+                            subgroups_between, two_equivalent)
 
 from conftest import naive_perm_closure
 
@@ -85,6 +86,9 @@ def test_point_stabilizer():
 def test_orbits_pairs_counts(c8):
     triv = PermGroup(4)
     assert len(triv.orbits_pairs()) == 16
+    singletons = [frozenset([x]) for x in range(4)]
+    assert orbits([], 4) == triv.orbits() == singletons
+    assert orbit(2, []) == frozenset([2])
     sym3 = PermGroup(3, [(1, 0, 2), (1, 2, 0)])
     assert len(sym3.orbits_pairs()) == 2
     reg = right_regular(c8)
