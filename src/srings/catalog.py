@@ -14,7 +14,8 @@ from .errors import (CatalogFormatError, ClassificationMismatch,
 from .groups import (GroupAut, GroupSpec, Section, aut_generators,
                      enumerate_subgroups, format_group, full_subgroup,
                      make_group, parse_group, subgroup_span)
-from .sring import SRing, SubgroupChart, validate_partition
+from .sring import (SRing, SubgroupChart, _product_counts, _split_pair,
+                    memoized, validate_partition)
 from .construct import (cyclotomic, decompositions, group_ring,
                         recognize_construction, wreath, tensor)
 from .morphisms import least_labeling
@@ -26,10 +27,9 @@ CATALOG_VERSION = 1
 # -- canonical form -----------------------------------------------------------
 
 
+@memoized
 def canonical_form(a: SRing) -> bytes:
-    if a._canonical is None:
-        a._canonical = canonical_partition(a.spec, a.cells)[0]
-    return a._canonical
+    return canonical_partition(a.spec, a.cells)[0]
 
 
 def canonical_partition(spec: GroupSpec, cells):
@@ -211,21 +211,12 @@ class _Enumerator:
         return journal
 
     def _counts_ok(self, k, unassigned, journal):
-        add = self.add
+        cells = [cell for _, cell in self.fixed]
         pairs = [(k, i) for i in range(k + 1)] + [(i, k) for i in range(k)]
         for (i, j) in pairs:
-            X = self.fixed[i][1]
-            Y = self.fixed[j][1]
-            counts = [0] * self.n
-            for xx in X:
-                row = add[xx]
-                for yy in Y:
-                    counts[row[yy]] += 1
-            for cell_set, cell_tuple in self.fixed:
-                want = counts[cell_tuple[0]]
-                for z in cell_tuple[1:]:
-                    if counts[z] != want:
-                        return False
+            counts = _product_counts(self.add, self.n, cells[i], cells[j])
+            if _split_pair(counts, cells) is not None:
+                return False
             for z in unassigned:
                 self.sig[z].append(counts[z])
             journal["sig_pairs"] += 1
@@ -566,7 +557,7 @@ def rank3_templates(p: int):
     ]
 
 
-def rank3_classification(p: int, bounds=DEFAULT_BOUNDS, progress=None) -> dict:
+def rank3_classification(p: int, bounds=DEFAULT_BOUNDS) -> dict:
     """Enumerate the p-power Schur rings over the rank-3 elementary abelian
     group and match each class against the six templates.
 
@@ -582,7 +573,7 @@ def rank3_classification(p: int, bounds=DEFAULT_BOUNDS, progress=None) -> dict:
     if spec.order > bounds.enum_p_order:
         run_bounds = replace(bounds, enum_p_order=spec.order)
     catalog = enumerate_srings(spec, "p-srings", run_bounds,
-                               label=(p == 3), progress=progress)
+                               label=(p == 3))
     template_forms = {}
     for idx, (name, ring) in enumerate(templates):
         template_forms[canonical_form(ring)] = (idx, name, ring)

@@ -13,15 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .config import DEFAULT_BOUNDS
-from .errors import PreconditionFailed, ResourceBoundExceeded
+from .errors import (PreconditionFailed, ResourceBoundExceeded,
+                     SectionNotPreserved)
 from .groups import (GroupAut, Section, Subgroup, all_auts, aut_order,
                      complement, full_subgroup)
 from .morphisms import (cayley_auts, cayley_isos, induced_algebraic,
                         is_2_minimal, is_cayley_minimal, is_cyclotomic,
-                        scheme_aut)
+                        restrict_perm, scheme_aut)
 from .permgrp import PermGroup, pinv, pmul, regular_subgroups
-from .sring import SRing, validate_partition
-from .construct import decompositions, quotient, sring_image
+from .sring import SRing, radical, validate_partition
+from .construct import (decompositions, is_wreath_for, quotient, sring_image,
+                        wreath_parts)
 
 @dataclass
 class CIStatus:
@@ -149,17 +151,13 @@ class SectionContext:
     """
 
     def __init__(self, a: SRing, section: Section, bounds=DEFAULT_BOUNDS):
-        from .construct import is_wreath_for
-
         if not is_wreath_for(a, section):
             raise PreconditionFailed("wreath",
                                      "the ring is not a wreath over this section")
         self.ring = a
         self.section = section
         self.bounds = bounds
-        self.top, self.chart = a.restriction(section.U)
-        self.glq = Section(full_subgroup(a.spec), section.L)
-        self.quot = quotient(a, self.glq)
+        self.top, self.chart, self.quot, self.glq = wreath_parts(a, section)
         self.sec_ring = quotient(a, section)
         self.l_in_top = Subgroup.from_elements(
             self.chart.spec, [self.chart.to_sub[x] for x in section.L.elements])
@@ -268,7 +266,11 @@ def lift_isomorphism(a: SRing, b: SRing, f, section: Section | None = None,
     quot_b = quotient(b1, ctx.glq)
     f_top = tuple(ctx.chart.to_sub[f1[ctx.chart.from_sub[x]]]
                   for x in range(ctx.chart.spec.order))
-    f_quot = _induced_on_quotient(f1, ctx.glq)
+    try:
+        f_quot = restrict_perm(f1, ctx.glq)
+    except SectionNotPreserved:
+        raise PreconditionFailed("quotient",
+                                 "f does not respect the cosets") from None
     phi0 = _matching_cayley(ctx.top, top_b, f_top, bounds, "top factor")
     psi0 = _matching_cayley(ctx.quot, quot_b, f_quot, bounds, "quotient factor")
 
@@ -416,20 +418,6 @@ def _split_over(spec, rep, D, V, U, L):
     return spec.index(d_coords), spec.index(v_coords)
 
 
-def _induced_on_quotient(f, glq: Section):
-    """The permutation f induces on G/L; f must permute the L-cosets."""
-    q_order = glq.quotient.order
-    out = [-1] * q_order
-    for x in range(glq.spec.order):
-        q = glq.proj[x]
-        fq = glq.proj[f[x]]
-        if out[q] == -1:
-            out[q] = fq
-        elif out[q] != fq:
-            raise PreconditionFailed("quotient", "f does not respect the cosets")
-    return tuple(out)
-
-
 def _matching_cayley(src: SRing, dst: SRing, f_perm, bounds, stage):
     """The least Cayley isomorphism inducing the same algebraic iso as f."""
     phi_f = induced_algebraic(src, dst, f_perm)
@@ -471,23 +459,22 @@ def _p_group_prime(spec):
     return None
 
 
-def ci_fastpath(a: SRing, section: Section | None, bounds=DEFAULT_BOUNDS,
-                parts_ci: bool = False) -> CIStatus | None:
+def ci_fastpath(a: SRing, ctx: SectionContext | None = None,
+                bounds=DEFAULT_BOUNDS) -> CIStatus | None:
     """Structural sufficient conditions for CI, cheapest first.
 
-    The caller certifies parts_ci for the given section's factors.  The
-    thin-radical path needs no section at all.
+    ctx is the context of a wreath section whose two factors the caller
+    has decided are CI.  The thin-radical path needs no section at all.
     """
     spec = a.spec
     p = _p_group_prime(spec)
     if p is not None and a.is_p_sring(p):
         thin = a.thin_radical()
         if thin.order * p == spec.order:
-            _assert_thin_structure(a, thin, bounds)
+            _assert_thin_structure(a, thin)
             return CIStatus("CI", "fastpath-thin")
-    if section is None or not parts_ci:
+    if ctx is None:
         return None
-    ctx = SectionContext(a, section, bounds)
     if ctx.sec_ring.rank == ctx.sec_ring.spec.order:
         return CIStatus("CI", "fastpath-trivial")
     cyclotomic_whole = is_cyclotomic(a, bounds)
@@ -499,7 +486,7 @@ def ci_fastpath(a: SRing, section: Section | None, bounds=DEFAULT_BOUNDS,
         if is_cayley_minimal(ctx.sec_ring, bounds) or \
                 is_2_minimal(ctx.sec_ring, bounds):
             return CIStatus("CI", "fastpath-min")
-    if p is not None and a.is_p_sring(p) and section.L.order == p \
+    if p is not None and a.is_p_sring(p) and ctx.section.L.order == p \
             and cyclotomic_whole:
         # cyclotomic rings are orbit partitions of a point stabilizer, so
         # the quotient-minimality path applies
@@ -508,22 +495,17 @@ def ci_fastpath(a: SRing, section: Section | None, bounds=DEFAULT_BOUNDS,
     return None
 
 
-def _assert_thin_structure(a: SRing, thin, bounds):
+def _assert_thin_structure(a: SRing, thin):
     """A p-ring whose thin radical has index p must be the wreath of the
     thin group ring with a full quotient group ring."""
-    from .construct import is_wreath_for
-    from .sring import radical
-
     spec = a.spec
     outside = [c for c in a.cells if not c <= thin.elements]
     assert outside, "thin radical of index p leaves cells outside"
     L = radical(spec, outside[0])
     section = Section(thin, L)
     assert is_wreath_for(a, section), "expected thin-radical wreath structure"
-    top, _chart = a.restriction(thin)
+    top, _chart, quot, _glq = wreath_parts(a, section)
     assert top.rank == top.spec.order, "top factor must be the group ring"
-    glq = Section(full_subgroup(spec), L)
-    quot = quotient(a, glq)
     assert quot.rank == quot.spec.order, "quotient factor must be the group ring"
 
 
@@ -536,7 +518,6 @@ class CIDecider:
 
     bounds: object = field(default_factory=lambda: DEFAULT_BOUNDS)
     allow_fastpaths: bool = True
-    allow_bruteforce: bool = True
     cache: dict = field(default_factory=dict)
 
     def decide(self, a: SRing) -> CIStatus:
@@ -556,7 +537,7 @@ class CIDecider:
         status = is_ci(a, self.bounds)
         if status.verdict != "Undecided":
             return status
-        if self.allow_bruteforce and a.spec.order <= self.bounds.bruteforce_order:
+        if a.spec.order <= self.bounds.bruteforce_order:
             return is_ci_bruteforce(a, self.bounds)
         return status
 
@@ -574,7 +555,7 @@ class CIDecider:
             if not (top_ci.is_ci and quot_ci.is_ci):
                 continue
             try:
-                status = ci_fastpath(a, section, self.bounds, parts_ci=True)
+                status = ci_fastpath(a, ctx, self.bounds)
                 if status is not None:
                     return status
                 if condition_holds(a, section, self.bounds, context=ctx):
@@ -584,17 +565,14 @@ class CIDecider:
         return None
 
 
-def decide_ci(a: SRing, bounds=DEFAULT_BOUNDS, decider: CIDecider | None = None
-              ) -> CIStatus:
-    decider = decider or CIDecider(bounds=bounds)
-    return decider.decide(a)
+def decide_ci(a: SRing, bounds=DEFAULT_BOUNDS) -> CIStatus:
+    return CIDecider(bounds=bounds).decide(a)
 
 
 # -- criterion verification -------------------------------------------------------
 
 
-def verify_criterion(catalog, bounds=DEFAULT_BOUNDS, ground_truth=None,
-                     progress=None) -> dict:
+def verify_criterion(catalog, bounds=DEFAULT_BOUNDS) -> dict:
     """Check that the factorization condition matches the CI property over
     every decomposable catalog entry whose wreath factors are CI.
 
@@ -604,7 +582,7 @@ def verify_criterion(catalog, bounds=DEFAULT_BOUNDS, ground_truth=None,
     readings: the condition holding for every witnessing section and for
     at least one.
     """
-    truth = ground_truth or CIDecider(bounds=bounds, allow_fastpaths=False)
+    truth = CIDecider(bounds=bounds, allow_fastpaths=False)
     parts = CIDecider(bounds=bounds)
     records = []
     soundness_violations = []
@@ -612,8 +590,6 @@ def verify_criterion(catalog, bounds=DEFAULT_BOUNDS, ground_truth=None,
     criterion_every = True
     criterion_some = True
     for idx, a in enumerate(catalog):
-        if progress:
-            progress(idx, a)
         decs = decompositions(a)
         if not decs:
             continue

@@ -25,7 +25,7 @@ from .errors import ClassificationMismatch, EnumerationMismatch, \
 from .groups import format_group, parse_group
 from .catalog import (enumerate_srings, load_catalog, rank3_classification,
                       save_catalog)
-from .ci import CIDecider, decide_ci, is_ci, is_ci_bruteforce, verify_criterion
+from .ci import decide_ci, is_ci, is_ci_bruteforce, verify_criterion
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -106,8 +106,13 @@ def cmd_classify(args) -> int:
 
 
 def _decide_entry(payload):
-    """Worker body: decide one catalog entry from its serialized cells."""
-    group_text, cells, method, extended = payload
+    """Worker body: decide one catalog entry from its serialized cells,
+    or mark it undecided once the deadline (a time.monotonic() reading,
+    which worker processes share with the parent) has passed."""
+    group_text, cells, method, extended, deadline = payload
+    if deadline is not None and time.monotonic() >= deadline:
+        return {"verdict": "Undecided", "method": None,
+                "resource": {"what": "time limit"}}
     bounds = extended_bounds() if extended else DEFAULT_BOUNDS
     spec = parse_group(group_text, max_order=None)
     from .sring import validate_partition
@@ -137,24 +142,17 @@ def cmd_ci(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     group_text = format_group(catalog.spec)
-    payloads = [(group_text, [sorted(c) for c in e.cells], args.method,
-                 args.extended) for e in catalog.entries]
-    records = [None] * len(payloads)
     deadline = None if args.time_limit is None \
         else time.monotonic() + args.time_limit
+    payloads = [(group_text, [sorted(c) for c in e.cells], args.method,
+                 args.extended, deadline) for e in catalog.entries]
     if args.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            for i, rec in enumerate(pool.map(_decide_entry, payloads)):
-                records[i] = rec
+            records = list(pool.map(_decide_entry, payloads))
     else:
-        for i, payload in enumerate(payloads):
-            if deadline is not None and time.monotonic() >= deadline:
-                records[i] = {"verdict": "Undecided", "method": None,
-                              "resource": {"what": "time limit"}}
-                continue
-            records[i] = _decide_entry(payload)
+        records = list(map(_decide_entry, payloads))
     undecided = sum(1 for r in records if r["verdict"] == "Undecided")
     for entry, rec in zip(catalog.entries, records):
         entry.ci = rec
@@ -183,8 +181,7 @@ def cmd_criterion(args) -> int:
     except ResourceBoundExceeded as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
-    truth = CIDecider(bounds=bounds, allow_fastpaths=False)
-    report = verify_criterion(catalog.rings(), bounds, ground_truth=truth)
+    report = verify_criterion(catalog.rings(), bounds)
     header = {"command": "criterion", "group": args.group, "seed": args.seed,
               "entries": len(catalog.entries),
               "soundness_violations": len(report["soundness_violations"]),

@@ -8,7 +8,8 @@ from .errors import (IncompatibleOnSection, PartitionError,
 from .groups import (GroupAut, GroupSpec, Section, Subgroup, full_subgroup,
                      subgroup_span, trivial_subgroup)
 from .permgrp import PermGroup, orbits
-from .sring import SRing, SubgroupChart, radical, validate_partition
+from .sring import (SRing, SubgroupChart, memoized, radical,
+                    validate_partition)
 
 
 def group_ring(spec: GroupSpec) -> SRing:
@@ -137,14 +138,13 @@ def wreath(a_top: SRing, a_quot: SRing, section: Section) -> SRing:
     return ring
 
 
-def decompositions(a: SRing) -> list:
+@memoized
+def decompositions(a: SRing) -> tuple:
     """All sections U/L with 1 < |L|, U < G, witnessing a generalized
     wreath decomposition: every cell outside U has L inside its radical.
 
     Empty exactly when the ring is indecomposable.
     """
-    if a._decompositions is not None:
-        return list(a._decompositions)
     spec = a.spec
     subs = a.a_subgroups()
     rads = [radical(spec, cell).mask for cell in a.cells]
@@ -162,8 +162,7 @@ def decompositions(a: SRing) -> list:
                 out.append(Section(U, L))
     out.sort(key=lambda s: (s.L.order, -s.U.order,
                             s.U.sort_key(), s.L.sort_key()))
-    a._decompositions = tuple(out)
-    return out
+    return tuple(out)
 
 
 def is_wreath_for(a: SRing, section: Section) -> bool:

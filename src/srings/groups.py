@@ -137,10 +137,6 @@ class GroupSpec:
         """Indices of the coordinate unit vectors, in coordinate order."""
         return [self._index_weights[i] for i in range(len(self.radices))]
 
-    def block_coords(self, x: int, block: int):
-        p, n, pos = self.prime_blocks()[block]
-        return self._coords[x][pos:pos + n]
-
     def element_from_blocks(self, blocks) -> int:
         coords = []
         for vec in blocks:
@@ -360,7 +356,6 @@ def subgroup_span(spec: GroupSpec, gens) -> Subgroup:
 def enumerate_subspaces(p, n):
     """All subspaces of F_p^n as canonical echelon bases."""
     out = [()]
-    vectors = list(itertools.product(range(p), repeat=n))
     for k in range(1, n + 1):
         for pivots in itertools.combinations(range(n), k):
             free_positions = []
@@ -375,7 +370,6 @@ def enumerate_subspaces(p, n):
                 for (row_i, col), v in zip(free_positions, values):
                     rows[row_i][col] = v
                 out.append(tuple(tuple(r) for r in rows))
-    del vectors
     return out
 
 

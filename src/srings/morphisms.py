@@ -15,7 +15,7 @@ from .errors import (PartitionError, ResourceBoundExceeded,
 from .groups import GroupAut, Section
 from .permgrp import (PermGroup, orbit, right_regular,
                       subgroups_between)
-from .sring import SRing
+from .sring import SRing, memoized
 
 
 class AlgebraicIso:
@@ -50,9 +50,6 @@ class AlgebraicIso:
                 for k in range(a.rank):
                     if va[k] != vb[m[k]]:
                         raise SRingsError("structure constants differ")
-
-    def apply_cell(self, i: int) -> int:
-        return self.cell_map[i]
 
     def image_set(self, elements):
         """Image of a cell-union set, as a set of target elements."""
@@ -265,6 +262,7 @@ def _search_maps(src: _PairColoring, dst: _PairColoring, src_colors,
     yield from dfs()
 
 
+@memoized
 def scheme_aut(a: SRing, bounds=DEFAULT_BOUNDS) -> PermGroup:
     """The full automorphism group of the ring's pair coloring.
 
@@ -272,8 +270,6 @@ def scheme_aut(a: SRing, bounds=DEFAULT_BOUNDS) -> PermGroup:
     automorphism fixing 0..k-1 and moving k to each candidate outside the
     orbit of the group found so far, exactly once per candidate orbit.
     """
-    if a._scheme_aut is not None:
-        return a._scheme_aut
     spec = a.spec
     n = spec.order
     coloring = _PairColoring(a)
@@ -294,9 +290,7 @@ def scheme_aut(a: SRing, bounds=DEFAULT_BOUNDS) -> PermGroup:
                 found.append(sol)
                 level_gens.append(sol)
                 reached = orbit(k, level_gens)
-    group = PermGroup(n, found)
-    a._scheme_aut = group
-    return group
+    return PermGroup(n, found)
 
 
 def has_combinatorial_iso(a: SRing, b: SRing, phi: AlgebraicIso,
@@ -456,6 +450,7 @@ def cayley_isos(a: SRing, b: SRing, bounds=DEFAULT_BOUNDS) -> list:
     return out
 
 
+@memoized
 def cayley_auts(a: SRing, bounds=DEFAULT_BOUNDS):
     """Group automorphisms fixing every cell setwise, i.e. the group
     automorphisms that are scheme automorphisms.  Returns the permutation
@@ -464,15 +459,13 @@ def cayley_auts(a: SRing, bounds=DEFAULT_BOUNDS):
     Note this is smaller than cayley_isos(a, a): a self Cayley isomorphism
     may permute the cells, a Cayley automorphism may not.
     """
-    if a._cayley is None:
-        cell_of = a.cell_of
-        auts = [g for g in cayley_isos(a, a, bounds)
-                if all(cell_of[g.perm[x]] == cell_of[x]
-                       for x in range(a.spec.order))]
-        group = PermGroup(a.spec.order, [g.perm for g in auts])
-        assert group.order() == len(auts)
-        a._cayley = (group, tuple(auts))
-    return a._cayley
+    cell_of = a.cell_of
+    auts = [g for g in cayley_isos(a, a, bounds)
+            if all(cell_of[g.perm[x]] == cell_of[x]
+                   for x in range(a.spec.order))]
+    group = PermGroup(a.spec.order, [g.perm for g in auts])
+    assert group.order() == len(auts)
+    return group, tuple(auts)
 
 
 def is_cyclotomic(a: SRing, bounds=DEFAULT_BOUNDS) -> bool:

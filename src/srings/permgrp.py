@@ -3,7 +3,7 @@
 Permutations are image tuples acting on the right: the image of x under g
 is g[x], and pmul(a, b) applies a first, then b.  PermGroup keeps a
 deterministic stabilizer chain whose base is always the full point set in
-a fixed order, so prefix stabilizers come straight off the chain.
+a fixed order.
 """
 
 from __future__ import annotations
@@ -249,14 +249,6 @@ class PermGroup:
                           base_prefix=(x,))
         gens = chain._levels[1].gens if len(chain._levels) > 1 else ()
         return PermGroup(self.degree, gens)
-
-    def prefix_stabilizer(self, k) -> "PermGroup":
-        """Pointwise stabilizer of 0..k-1 (requires the natural base)."""
-        if self._base[:k] != tuple(range(k)):
-            raise ValueError("chain was not built with the natural base")
-        if k >= len(self._levels):
-            return PermGroup(self.degree)
-        return PermGroup(self.degree, self._levels[k].gens)
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self._order})"

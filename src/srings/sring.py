@@ -2,12 +2,19 @@
 
 A Schur ring is stored as its cell partition.  Cells are frozensets of
 element indices, canonically ordered by (size, smallest element), so the
-identity cell always has index 0.  Validation checks the three axioms;
-the structure-constant table is computed on first use, from the same
-product counts.
+identity cell always has index 0.  Validation checks the three axioms.
+
+Everything derived from a ring alone (structure constants, cell-union
+subgroups, automorphism groups, decompositions, the canonical form) is
+computed on first use and kept in the ring's one memo by the memoized
+decorator, wherever the deriving function lives.  One product-count loop
+and one closure check serve validation, the structure-constant table and
+the enumerator's merge search.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .errors import (IdentityNotACell, NotAPartition, NotClosed,
                      NotInverseClosed, PartitionError, SchurMultiplierViolation,
@@ -20,6 +27,23 @@ def _canonical_cells(cells):
                         key=lambda c: (len(c), min(c))))
 
 
+def memoized(fn):
+    """Keep fn(ring, ...) in the ring's memo after the first call.
+
+    The value depends on the ring alone; later calls return the same
+    object whatever their other arguments, so bounds only matter until a
+    value is cached.  A call that raises caches nothing.
+    """
+    @functools.wraps(fn)
+    def wrapper(ring, *args, **kwargs):
+        memo = ring._memo
+        if fn not in memo:
+            memo[fn] = fn(ring, *args, **kwargs)
+        return memo[fn]
+
+    return wrapper
+
+
 class SRing:
     """A validated Schur ring over a GroupSpec.
 
@@ -27,11 +51,9 @@ class SRing:
     were already checked and only builds the lookup tables.
     """
 
-    __slots__ = ("spec", "cells", "masks", "cell_of", "inverse_cell",
-                 "_constants", "_a_subgroups", "_scheme_aut", "_cayley",
-                 "_canonical", "_decompositions")
+    __slots__ = ("spec", "cells", "masks", "cell_of", "inverse_cell", "_memo")
 
-    def __init__(self, spec: GroupSpec, cells, constants=None):
+    def __init__(self, spec: GroupSpec, cells):
         self.spec = spec
         self.cells = _canonical_cells(cells)
         masks = []
@@ -46,22 +68,23 @@ class SRing:
         self.cell_of = tuple(cell_of)
         neg = spec.neg_table()
         self.inverse_cell = tuple(self.cell_of[neg[min(c)]] for c in self.cells)
-        self._constants = constants
-        self._a_subgroups = None
-        self._scheme_aut = None
-        self._cayley = None
-        self._canonical = None
-        self._decompositions = None
+        self._memo = {}
 
     @property
     def rank(self) -> int:
         return len(self.cells)
 
+    @memoized
     def structure_constants(self) -> dict:
         """Full table {(i, j): counts} with counts[k] = c^{Z_k}_{X_i, X_j}."""
-        if self._constants is None:
-            self._constants = _count_table(self.spec, self.cells)
-        return self._constants
+        add = self.spec.add_table()
+        reps = [min(Z) for Z in self.cells]
+        table = {}
+        for i, X in enumerate(self.cells):
+            for j, Y in enumerate(self.cells):
+                counts = _product_counts(add, self.spec.order, X, Y)
+                table[(i, j)] = tuple(counts[z] for z in reps)
+        return table
 
     def sc(self, i: int, j: int, k: int) -> int:
         return self.structure_constants()[(i, j)][k]
@@ -74,13 +97,11 @@ class SRing:
         needed = {self.cell_of[x] for x in elements}
         return sum(len(self.cells[i]) for i in needed) == len(set(elements))
 
-    def a_subgroups(self) -> list:
+    @memoized
+    def a_subgroups(self) -> tuple:
         """All subgroups that are unions of cells, sorted canonically."""
-        if self._a_subgroups is None:
-            out = [H for H in enumerate_subgroups(self.spec)
-                   if self.is_a_set(H.elements)]
-            self._a_subgroups = out
-        return list(self._a_subgroups)
+        return tuple(H for H in enumerate_subgroups(self.spec)
+                     if self.is_a_set(H.elements))
 
     def a_sections(self) -> list:
         """All pairs (U, L) of nested cell-union subgroups."""
@@ -187,15 +208,16 @@ def _product_counts(add, n, X, Y):
     return counts
 
 
-def _count_table(spec, cells):
-    add = spec.add_table()
-    reps = [min(Z) for Z in cells]
-    table = {}
-    for i, X in enumerate(cells):
-        for j, Y in enumerate(cells):
-            counts = _product_counts(add, spec.order, X, Y)
-            table[(i, j)] = tuple(counts[z] for z in reps)
-    return table
+def _split_pair(counts, cells):
+    """The first pair (cell[0], z) inside one cell with counts[z] !=
+    counts[cell[0]], or None when the counts are constant on every cell.
+    Cells are sequences: indexing them is the enumerator's hot path."""
+    for cell in cells:
+        want = counts[cell[0]]
+        for z in cell:
+            if counts[z] != want:
+                return cell[0], z
+    return None
 
 
 def validate_partition(spec: GroupSpec, cells) -> SRing:
@@ -235,16 +257,12 @@ def validate_partition(spec: GroupSpec, cells) -> SRing:
             raise NotInverseClosed(cell)
 
     add = spec.add_table()
+    seqs = [tuple(cell) for cell in cells]
     for X in cells:
         for Y in cells:
-            counts = _product_counts(add, spec.order, X, Y)
-            for Z in cells:
-                it = iter(Z)
-                z0 = next(it)
-                want = counts[z0]
-                for z in it:
-                    if counts[z] != want:
-                        raise NotClosed((X, Y, z0, z))
+            split = _split_pair(_product_counts(add, spec.order, X, Y), seqs)
+            if split is not None:
+                raise NotClosed((X, Y) + split)
     return SRing(spec, cells)
 
 

@@ -78,8 +78,7 @@ def test_criterion_4_criterion_verification_mandatory():
     for group_text in ("2^3", "2^2x3"):
         spec = parse_group(group_text)
         catalog = enumerate_srings(spec, "all", label=False)
-        truth = CIDecider(allow_fastpaths=False)
-        report = verify_criterion(catalog.rings(), ground_truth=truth)
+        report = verify_criterion(catalog.rings())
         results[group_text] = report
     elapsed = time.time() - t0
     ok = all(
@@ -101,8 +100,7 @@ def test_criterion_4_extended(group_text):
     bounds = extended_bounds()
     spec = parse_group(group_text, max_order=bounds.max_group_order)
     catalog = enumerate_srings(spec, "all", bounds, label=False)
-    truth = CIDecider(bounds=bounds, allow_fastpaths=False)
-    report = verify_criterion(catalog.rings(), bounds, ground_truth=truth)
+    report = verify_criterion(catalog.rings(), bounds)
     ok = not report["soundness_violations"]
     _report("4-extended", ok,
             f"{group_text}: {len(report['records'])} decomposable entries, "

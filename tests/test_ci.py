@@ -115,7 +115,7 @@ def test_fastpath_trivial(c27, table_rings):
     ring = table_rings[5]
     section = next(s for s in decompositions(ring)
                    if s.U.order == 9 and s.L.order == 3)
-    status = ci_fastpath(ring, section, parts_ci=True)
+    status = ci_fastpath(ring, SectionContext(ring, section))
     assert status is not None
     assert status.method in ("fastpath-trivial", "fastpath-thin")
 
@@ -123,7 +123,7 @@ def test_fastpath_trivial(c27, table_rings):
 def test_fastpath_min(c27, table_rings):
     ring = table_rings[3]
     section = next(s for s in decompositions(ring) if s.U.order == 9)
-    status = ci_fastpath(ring, section, parts_ci=True)
+    status = ci_fastpath(ring, SectionContext(ring, section))
     assert status is not None and status.verdict == "CI"
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from srings import cli
 from srings.cli import main
 from srings.errors import EnumerationMismatch
@@ -93,13 +95,15 @@ def test_time_limit_marks_undecided(tmp_path):
     assert any(r["verdict"] == "Undecided" for r in records)
 
 
-def test_time_limit_zero_decides_nothing(tmp_path):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_time_limit_zero_decides_nothing(tmp_path, workers):
     cat = tmp_path / "c8.cat"
     main(["enumerate", "--group", "2^3", "--filter", "all", "--out",
           str(cat), "--no-labels"])
     out = tmp_path / "t.txt"
     code = main(["ci", "--catalog", str(cat), "--method", "regular",
-                 "--out", str(out), "--time-limit", "0"])
+                 "--out", str(out), "--time-limit", "0",
+                 "--workers", workers])
     assert code == 3
     lines = out.read_text().splitlines()
     assert json.loads(lines[0])["undecided"] == 9

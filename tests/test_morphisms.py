@@ -66,6 +66,19 @@ def test_backtracking_bound_reports_its_limit(table_rings):
     assert info.value.limit == 7
 
 
+def test_memo_keeps_first_result_whatever_the_bounds(table_rings):
+    """A ring's memo answers later calls without searching again, so a
+    budget too small to recompute the group neither raises nor changes
+    the result."""
+    tiny = replace(DEFAULT_BOUNDS, backtrack_node_budget=1)
+    ring = table_rings[6]
+    with pytest.raises(ResourceBoundExceeded):
+        scheme_aut(validate_partition(ring.spec, ring.cells), tiny)
+    fresh = validate_partition(ring.spec, ring.cells)
+    group = scheme_aut(fresh)
+    assert scheme_aut(fresh, tiny) is group
+
+
 def test_cayley_auts_orders(c27, table_rings):
     assert cayley_auts(group_ring(c27))[0].order() == 1
     assert cayley_auts(table_rings[3])[0].order() == 9
