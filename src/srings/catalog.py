@@ -212,9 +212,9 @@ class _Enumerator:
 
     def _counts_ok(self, k, unassigned, journal):
         cells = [cell for _, cell in self.fixed]
-        pairs = [(k, i) for i in range(k + 1)] + [(i, k) for i in range(k)]
-        for (i, j) in pairs:
-            counts = _product_counts(self.add, self.n, cells[i], cells[j])
+        # the group is abelian, so each unordered pair is counted once
+        for i in range(k + 1):
+            counts = _product_counts(self.add, self.n, cells[k], cells[i])
             if _split_pair(counts, cells) is not None:
                 return False
             for z in unassigned:

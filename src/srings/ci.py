@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 from .config import DEFAULT_BOUNDS
 from .errors import (PreconditionFailed, ResourceBoundExceeded,
-                     SectionNotPreserved)
+                     SectionNotPreserved, SRingsError)
 from .groups import (GroupAut, Section, Subgroup, all_auts, aut_order,
-                     complement, full_subgroup)
+                     complement, flag_basis)
 from .morphisms import (cayley_auts, cayley_isos, induced_algebraic,
                         is_2_minimal, is_cayley_minimal, is_cyclotomic,
                         restrict_perm, scheme_aut)
@@ -92,26 +92,18 @@ def is_ci_bruteforce(a: SRing, bounds=DEFAULT_BOUNDS) -> CIStatus:
     aut = scheme_aut(a, bounds)
     cay_group, _ = cayley_auts(a, bounds)
     product_size = aut.order() * aut_order(spec) // cay_group.order()
-    iso_count = 0
-    witness = None
+    isos = [f for f in itertools.permutations(range(n))
+            if iso_membership(f, a, bounds)]
+    if len(isos) == product_size:
+        return CIStatus("CI", "bruteforce")
     # n <= bruteforce_order keeps Aut(G) small: at most 168 maps for n = 8
     aut_perms = [g.perm for g in all_auts(spec)]
-    for f in itertools.permutations(range(n)):
-        if not iso_membership(f, a, bounds):
-            continue
-        iso_count += 1
-        if witness is None and iso_count > product_size:
-            witness = f
-    if iso_count == product_size:
-        return CIStatus("CI", "bruteforce")
-    # locate an explicit element outside the product set
+    witness = next((f for f in isos if not _in_product(f, aut, aut_perms)),
+                   None)
     if witness is None:
-        for f in itertools.permutations(range(n)):
-            if iso_membership(f, a, bounds) and \
-                    not _in_product(f, aut, aut_perms):
-                witness = f
-                break
-    assert witness is not None
+        raise SRingsError(
+            f"{len(isos)} isomorphisms against a product of size "
+            f"{product_size}, yet every one lies in Aut(A)*Aut(G)")
     return CIStatus("NotCI", "bruteforce", witness={"isomorphism": witness})
 
 
@@ -234,8 +226,14 @@ def lift_isomorphism(a: SRing, b: SRing, f, section: Section | None = None,
     Requires a wreath decomposition of a over a section with CI factors
     satisfying the factorization condition.  Stages: align the image
     section with a group automorphism, lift both factor isomorphisms to
-    canonical Cayley isomorphisms, correct them to agree on the section,
-    and assemble the full automorphism from a complement basis.
+    canonical Cayley isomorphisms phi (over U) and psi (over G/L), correct
+    them to agree on the section U/L, and glue them over basis images.
+
+    The glued alpha maps U's basis through phi and each basis element x
+    of a complement of U to any element of the coset psi(x + L).  That
+    choice is free: cells outside U are unions of L-cosets, so alpha's
+    action on them is fixed by the map it induces on G/L, which is psi;
+    cells inside U are fixed by alpha restricted to U, which is phi.
     """
     spec = a.spec
     # translations are scheme automorphisms, so normalizing f(e) = e keeps
@@ -295,26 +293,12 @@ def lift_isomorphism(a: SRing, b: SRing, f, section: Section | None = None,
     psi = sigma2.compose(psi0)
     assert ctx.project_top_aut(phi) == ctx.project_quot_aut(psi)
 
-    # stage 4: assemble from a complement basis
-    D = complement(U, spec)
-    V_sub = complement(ctx.l_in_top, ctx.chart.spec)
-    d_basis = [row for basis, (p, n, pos) in
-               zip(D.bases, spec.prime_blocks()) for row in
-               _embed_rows(basis, spec, pos, n)]
-    pairs = []
-    phi_perm = phi.perm
-    for u_basis_row in _subgroup_basis_elements(U, spec):
-        u_sub = ctx.chart.to_sub[u_basis_row]
-        pairs.append((u_basis_row, ctx.chart.from_sub[phi_perm[u_sub]]))
-    v_amb = Subgroup.span(
-        spec, [ctx.chart.from_sub[x]
-               for x in _subgroup_basis_elements(V_sub, ctx.chart.spec)])
-    psi_perm = psi.perm
-    for x_i in d_basis:
-        q = ctx.glq.proj[x_i]
-        rep = ctx.glq.lift[psi_perm[q]]
-        y_i, z_i = _split_over(spec, rep, D, v_amb, U, L)
-        pairs.append((x_i, spec.add(y_i, z_i)))
+    # stage 4: glue phi on U's basis to psi on a complement's basis
+    chart, glq = ctx.chart, ctx.glq
+    pairs = [(u, chart.from_sub[phi.perm[chart.to_sub[u]]])
+             for u in U.basis_elements()]
+    pairs += [(x, glq.lift[psi.perm[glq.proj[x]]])
+              for x in complement(U, spec).basis_elements()]
     alpha = GroupAut.from_images(spec, pairs)
 
     # verify against b1, then compose the section alignment back in
@@ -322,100 +306,21 @@ def lift_isomorphism(a: SRing, b: SRing, f, section: Section | None = None,
     phi_f1 = induced_algebraic(a, b1, f1)
     if phi_alpha is None or phi_alpha.cell_map != phi_f1.cell_map:
         raise PreconditionFailed("assembly", "lift verification failed")
-    result = alpha.compose(theta)
-    return result
-
-
-def _embed_rows(basis, spec, pos, n):
-    out = []
-    for row in basis:
-        full = [0] * len(spec.radices)
-        full[pos:pos + n] = list(row)
-        out.append(spec.index(full))
-    return out
-
-
-def _subgroup_basis_elements(U: Subgroup, spec):
-    out = []
-    for basis, (p, n, pos) in zip(U.bases, spec.prime_blocks()):
-        out.extend(_embed_rows(basis, spec, pos, n))
-    return out
+    return alpha.compose(theta)
 
 
 def _pair_aut(spec, U, L, u_img, l_img) -> GroupAut:
     """An automorphism mapping (U, L) onto (u_img, l_img) as a nested pair.
 
     Exists whenever the orders match: in a squarefree-exponent abelian
-    group the order fixes the isomorphism type, so a basis of L maps to a
-    basis of the image, extends through U, then to the whole group.
+    group the order fixes the isomorphism type, so a basis of G running
+    through L and then U maps onto one running through l_img and u_img.
     """
     if (U.order, L.order) != (u_img.order, l_img.order):
         raise PreconditionFailed("align", "image subgroups have wrong orders")
-    pairs = _extend_pairs(spec, [], L, l_img)
-    pairs = _extend_pairs(spec, pairs, U, u_img)
-    pairs = _extend_pairs(spec, pairs, full_subgroup(spec),
-                          full_subgroup(spec))
-    return GroupAut.from_images(spec, pairs)
-
-
-def _extend_pairs(spec, pairs, src_sub, dst_sub):
-    """Extend a partial basis mapping to cover src_sub -> dst_sub."""
-    from .groups import solve_in_basis
-
-    out = list(pairs)
-    for (p, n, pos) in spec.prime_blocks():
-        chosen_src = [spec.coords(s)[pos:pos + n] for s, _ in out]
-        chosen_dst = [spec.coords(d)[pos:pos + n] for _, d in out]
-        chosen_src = [v for v in chosen_src if any(v)]
-        chosen_dst = [v for v in chosen_dst if any(v)]
-        for cand in sorted(src_sub.elements):
-            vec = spec.coords(cand)[pos:pos + n]
-            if not any(vec):
-                continue
-            if any(spec.coords(cand)[i] for i in range(len(spec.radices))
-                   if not pos <= i < pos + n):
-                continue
-            if solve_in_basis(chosen_src, vec, p) is not None:
-                continue
-            for cand_dst in sorted(dst_sub.elements):
-                dvec = spec.coords(cand_dst)[pos:pos + n]
-                if not any(dvec):
-                    continue
-                if any(spec.coords(cand_dst)[i] for i in range(len(spec.radices))
-                       if not pos <= i < pos + n):
-                    continue
-                if solve_in_basis(chosen_dst, dvec, p) is None:
-                    chosen_src.append(vec)
-                    chosen_dst.append(dvec)
-                    out.append((cand, cand_dst))
-                    break
-    return out
-
-
-def _split_over(spec, rep, D, V, U, L):
-    """Split rep = d + v + l over the direct decomposition D x V x L,
-    returning (d, v)."""
-    from .groups import solve_in_basis
-
-    blocks = spec.prime_blocks()
-    d_coords = [0] * len(spec.radices)
-    v_coords = [0] * len(spec.radices)
-    for (p, n, pos), d_rows, v_rows, l_rows in zip(blocks, D.bases, V.bases,
-                                                   L.bases):
-        rows = list(d_rows) + list(v_rows) + list(l_rows)
-        vec = spec.coords(rep)[pos:pos + n]
-        coeffs = solve_in_basis(rows, vec, p)
-        if coeffs is None:
-            raise PreconditionFailed("assembly",
-                                     "complement decomposition failed")
-        for c, row in zip(coeffs[:len(d_rows)], d_rows):
-            for j in range(n):
-                d_coords[pos + j] = (d_coords[pos + j] + c * row[j]) % p
-        for c, row in zip(coeffs[len(d_rows):len(d_rows) + len(v_rows)],
-                          v_rows):
-            for j in range(n):
-                v_coords[pos + j] = (v_coords[pos + j] + c * row[j]) % p
-    return spec.index(d_coords), spec.index(v_coords)
+    src = flag_basis(spec, (L, U))
+    dst = flag_basis(spec, (l_img, u_img))
+    return GroupAut.from_images(spec, list(zip(src, dst)))
 
 
 def _matching_cayley(src: SRing, dst: SRing, f_perm, bounds, stage):

@@ -214,13 +214,7 @@ def _format_vec(coords):
 
 
 def _format_gens(spec, sub: Subgroup):
-    rows = []
-    blocks = spec.prime_blocks()
-    for (p, n, pos), basis in zip(blocks, sub.bases):
-        for row in basis:
-            full = [0] * len(spec.radices)
-            full[pos:pos + n] = list(row)
-            rows.append(_format_vec(full))
+    rows = [_format_vec(spec.coords(x)) for x in sub.basis_elements()]
     return "[" + ";".join(rows) + "]"
 
 

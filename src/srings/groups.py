@@ -137,6 +137,11 @@ class GroupSpec:
         """Indices of the coordinate unit vectors, in coordinate order."""
         return [self._index_weights[i] for i in range(len(self.radices))]
 
+    def block_element(self, pos: int, row) -> int:
+        """The element with coordinates row from position pos on, zero
+        elsewhere."""
+        return self.index([0] * pos + list(row))
+
     def element_from_blocks(self, blocks) -> int:
         coords = []
         for vec in blocks:
@@ -247,6 +252,23 @@ def solve_in_basis(rows, vec, p):
     return tuple(coeffs)
 
 
+def extend_basis(rows, candidates, p):
+    """The candidates that extend the independent rows, taken in order:
+    each one added lies outside the span of the rows and of the
+    candidates added before it."""
+    rows = list(rows)
+    start = len(rows)
+    for c in candidates:
+        if solve_in_basis(rows, c, p) is None:
+            rows.append(c)
+    return rows[start:]
+
+
+def unit_rows(n):
+    """The rows of the n x n identity matrix."""
+    return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
+
+
 def invertible_matrices(p, n):
     """All invertible n x n matrices over F_p, rows independent, sorted."""
     vectors = list(itertools.product(range(p), repeat=n))
@@ -310,6 +332,13 @@ class Subgroup:
             raise ValueError("element set is not a subgroup")
         return sub
 
+    def basis_elements(self) -> list:
+        """The element indices of the echelon rows, prime block by block."""
+        spec = self.spec
+        return [spec.block_element(pos, row)
+                for (_p, _n, pos), basis in zip(spec.prime_blocks(), self.bases)
+                for row in basis]
+
     def contains(self, x: int) -> bool:
         return bool(self.mask >> x & 1)
 
@@ -342,11 +371,7 @@ def trivial_subgroup(spec: GroupSpec) -> Subgroup:
 
 
 def full_subgroup(spec: GroupSpec) -> Subgroup:
-    bases = []
-    for p, n in spec.factors:
-        bases.append(tuple(tuple(1 if j == i else 0 for j in range(n))
-                           for i in range(n)))
-    return Subgroup(spec, bases)
+    return Subgroup(spec, [unit_rows(n) for _p, n in spec.factors])
 
 
 def subgroup_span(spec: GroupSpec, gens) -> Subgroup:
@@ -384,17 +409,25 @@ def enumerate_subgroups(spec: GroupSpec) -> list:
 def complement(U: Subgroup, spec: GroupSpec) -> Subgroup:
     """Deterministic direct complement: extend U's echelon basis by unit
     vectors and take the added ones."""
-    bases = []
-    for (p, n), basis in zip(spec.factors, U.bases):
-        rows = [list(r) for r in basis]
-        added = []
-        for i in range(n):
-            unit = [1 if j == i else 0 for j in range(n)]
-            if solve_in_basis([tuple(r) for r in rows], unit, p) is None:
-                rows.append(unit)
-                added.append(tuple(unit))
-        bases.append(tuple(added))
-    return Subgroup(spec, bases)
+    return Subgroup(spec, [extend_basis(basis, unit_rows(n), p)
+                           for (p, n), basis in zip(spec.factors, U.bases)])
+
+
+def flag_basis(spec: GroupSpec, chain) -> list:
+    """A basis of the group, as elements, whose first members span each
+    subgroup of the increasing chain in turn, prime block by prime block.
+
+    Two chains with the same orders have the same rank in every block, so
+    zipping their flag bases pairs elements of the same prime.
+    """
+    out = []
+    for b, (p, n, pos) in enumerate(spec.prime_blocks()):
+        rows = []
+        for sub in chain:
+            rows += extend_basis(rows, sub.bases[b], p)
+        rows += extend_basis(rows, unit_rows(n), p)
+        out += [spec.block_element(pos, row) for row in rows]
+    return out
 
 
 # -- sections ---------------------------------------------------------------
@@ -418,12 +451,7 @@ class Section:
         factors = []
         complements = []
         for (p, n), ubasis, lbasis in zip(spec.factors, U.bases, L.bases):
-            w_rows = []
-            current = [list(r) for r in lbasis]
-            for row in ubasis:
-                if solve_in_basis([tuple(r) for r in current], row, p) is None:
-                    current.append(list(row))
-                    w_rows.append(row)
+            w_rows = extend_basis(lbasis, ubasis, p)
             complements.append((p, tuple(lbasis), tuple(w_rows)))
             if w_rows:
                 factors.append((p, len(w_rows)))
@@ -444,12 +472,6 @@ class Section:
             if lift[q] == -1:
                 lift[q] = u
         self.lift = tuple(lift)
-
-    def project(self, u: int) -> int:
-        q = self.proj[u]
-        if q < 0:
-            raise ValueError(f"element {u} is outside the section's top group")
-        return q
 
     def __eq__(self, other):
         return (isinstance(other, Section) and self.U == other.U
@@ -482,11 +504,7 @@ class GroupAut:
 
     @classmethod
     def identity(cls, spec: GroupSpec) -> "GroupAut":
-        mats = []
-        for p, n in spec.factors:
-            mats.append(tuple(tuple(1 if i == j else 0 for j in range(n))
-                              for i in range(n)))
-        return cls(spec, mats)
+        return cls(spec, [unit_rows(n) for _p, n in spec.factors])
 
     @classmethod
     def from_images(cls, spec: GroupSpec, pairs) -> "GroupAut":
@@ -501,13 +519,11 @@ class GroupAut:
                 if any(vec):
                     srcs.append(vec)
                     dsts.append(spec.coords(d)[pos:pos + n])
-            if rref(srcs, p) != rref([tuple(1 if j == i else 0 for j in range(n))
-                                      for i in range(n)], p):
+            if rref(srcs, p) != unit_rows(n):
                 raise GroupSpecError("sources do not span the prime block")
             # Solve M from srcs*M = dsts, row by row of the inverse basis.
             mat_rows = []
-            for i in range(n):
-                unit = tuple(1 if j == i else 0 for j in range(n))
+            for unit in unit_rows(n):
                 coeffs = solve_in_basis(srcs, unit, p)
                 img = [0] * n
                 for c, d in zip(coeffs, dsts):
@@ -537,9 +553,6 @@ class GroupAut:
             if len(rref(m, p)) != n:
                 return False
         return True
-
-    def apply(self, x: int) -> int:
-        return self.perm[x]
 
     @property
     def perm(self):
@@ -581,9 +594,7 @@ class GroupAut:
     def inverse(self) -> "GroupAut":
         mats = []
         for (p, n), m in zip(self.spec.factors, self.mats):
-            aug = [list(m[i]) + [1 if j == i else 0 for j in range(n)]
-                   for i in range(n)]
-            red = rref(aug, p)
+            red = rref([row + unit for row, unit in zip(m, unit_rows(n))], p)
             mats.append(tuple(tuple(row[n:]) for row in red))
         return GroupAut(self.spec, mats)
 
@@ -619,15 +630,15 @@ def aut_generators(spec: GroupSpec) -> list:
     ident = GroupAut.identity(spec)
     for bi, (p, n) in enumerate(spec.factors):
         block_mats = []
+        units = unit_rows(n)
         if n >= 2:
-            t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+            t = [list(row) for row in units]
             t[0][1] = 1
             block_mats.append(t)
-            cyc = [[1 if j == (i + 1) % n else 0 for j in range(n)]
-                   for i in range(n)]
-            block_mats.append(cyc)
+            # row i is the unit vector i + 1, cyclically
+            block_mats.append(units[1:] + units[:1])
         if p > 2:
-            d = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+            d = [list(row) for row in units]
             d[0][0] = _primitive_root(p)
             block_mats.append(d)
         for m in block_mats:

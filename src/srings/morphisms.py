@@ -491,11 +491,8 @@ def algebraic_isos(a: SRing, b: SRing, bounds=DEFAULT_BOUNDS) -> list:
         mi = mapping[i]
         for j in done:
             mj = mapping[j]
+            # structure constants are symmetric: (j, i) repeats (i, j)
             va, vb = ca[(i, j)], cb[(mi, mj)]
-            for k in done:
-                if va[k] != vb[mapping[k]]:
-                    return False
-            va, vb = ca[(j, i)], cb[(mj, mi)]
             for k in done:
                 if va[k] != vb[mapping[k]]:
                     return False

@@ -400,11 +400,12 @@ def regular_subgroups(K: PermGroup, spec, bounds=DEFAULT_BOUNDS) -> list:
 
     ident = identity_perm(n)
     conj_pairs = [(c, pinv(c)) for c in K.reduced_generators()]
-    reps = [(frozenset([ident]), ())]
+    t_key = tuple(sorted(t_set))
+    reps = [((frozenset([ident]), ()), False)]
     sequence = [p for p, rank in spec.factors for _ in range(rank)]
     for prime in sequence:
         new = {}
-        for elset, gens in reps:
+        for (elset, gens), _ in reps:
             for r in cands[prime]:
                 if any(not _commutes(r, h) for h in gens) or r in elset:
                     continue
@@ -428,12 +429,11 @@ def regular_subgroups(K: PermGroup, spec, bounds=DEFAULT_BOUNDS) -> list:
                 key = tuple(sorted(newels))
                 if key not in new:
                     new[key] = (frozenset(newels), gens + (r,))
-        reps = _conjugacy_reps(new, conj_pairs, bounds)
+        reps = _conjugacy_reps(new, conj_pairs, bounds, t_key)
     out = []
-    for elset, gens in reps:
+    for (elset, gens), holds_translations in reps:
         assert len(orbit(0, gens)) == n and len(elset) == spec.order
-        flagged = _orbit_contains(elset, conj_pairs, t_set, bounds)
-        out.append(RegularClass(gens, elset, flagged))
+        out.append(RegularClass(gens, elset, holds_translations))
     flagged = [c for c in out if c.is_translation_class]
     assert len(flagged) == 1, "translation class must appear exactly once"
     return out
@@ -444,8 +444,9 @@ def _conjugate_key(key, c, cinv):
     return tuple(sorted(pmul(pmul(cinv, h), c) for h in key))
 
 
-def _conjugacy_reps(subgroups: dict, conj_pairs, bounds):
-    """One representative per conjugation orbit of the given subgroups."""
+def _conjugacy_reps(subgroups: dict, conj_pairs, bounds, target):
+    """One representative per conjugation orbit of the given subgroups,
+    each paired with whether its orbit holds the sorted key target."""
     seen = set()
     reps = []
     budget = bounds.regular_element_budget
@@ -466,30 +467,5 @@ def _conjugacy_reps(subgroups: dict, conj_pairs, bounds):
                     orbit.add(k1)
                     frontier.append(k1)
         seen |= orbit
-        reps.append(subgroups[key])
+        reps.append((subgroups[key], target in orbit))
     return reps
-
-
-def _orbit_contains(elset, conj_pairs, target_set, bounds):
-    """Whether the conjugation orbit of elset reaches target_set."""
-    target = tuple(sorted(target_set))
-    key0 = tuple(sorted(elset))
-    if key0 == target:
-        return True
-    orbit = {key0}
-    frontier = [key0]
-    budget = bounds.regular_element_budget
-    while frontier:
-        k0 = frontier.pop()
-        for c, cinv in conj_pairs:
-            k1 = _conjugate_key(k0, c, cinv)
-            if k1 == target:
-                return True
-            if k1 not in orbit:
-                if len(orbit) > budget:
-                    raise ResourceBoundExceeded(
-                        "conjugacy orbit of subgroups", budget,
-                        len(orbit) + 1)
-                orbit.add(k1)
-                frontier.append(k1)
-    return False

@@ -81,16 +81,14 @@ class SRing:
         reps = [min(Z) for Z in self.cells]
         table = {}
         for i, X in enumerate(self.cells):
-            for j, Y in enumerate(self.cells):
-                counts = _product_counts(add, self.spec.order, X, Y)
-                table[(i, j)] = tuple(counts[z] for z in reps)
+            for j in range(i, self.rank):
+                counts = _product_counts(add, self.spec.order, X, self.cells[j])
+                # the group is abelian: X_j X_i = X_i X_j
+                table[(i, j)] = table[(j, i)] = tuple(counts[z] for z in reps)
         return table
 
     def sc(self, i: int, j: int, k: int) -> int:
         return self.structure_constants()[(i, j)][k]
-
-    def cell_index(self, x: int) -> int:
-        return self.cell_of[x]
 
     def is_a_set(self, elements) -> bool:
         """True if the set is a union of cells."""
@@ -258,8 +256,10 @@ def validate_partition(spec: GroupSpec, cells) -> SRing:
 
     add = spec.add_table()
     seqs = [tuple(cell) for cell in cells]
-    for X in cells:
-        for Y in cells:
+    # the group is abelian, so (Y, X) fails exactly when (X, Y) does and
+    # the first failing ordered pair has X before or equal to Y
+    for i, X in enumerate(cells):
+        for Y in cells[i:]:
             split = _split_pair(_product_counts(add, spec.order, X, Y), seqs)
             if split is not None:
                 raise NotClosed((X, Y) + split)

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from srings.errors import PreconditionFailed
-from srings.groups import Section, all_auts, subgroup_span
+from srings.errors import PreconditionFailed, SRingsError
+from srings.groups import Section, all_auts, parse_group, subgroup_span
 from srings.permgrp import pmul
 from srings.construct import decompositions, group_ring
 from srings.morphisms import (cayley_isos, induced_algebraic, is_cayley_minimal,
@@ -58,6 +58,14 @@ def test_image_sring_of_affine_map(c8):
 
 def test_is_ci_bruteforce_group_ring(c8):
     assert is_ci_bruteforce(group_ring(c8)).verdict == "CI"
+
+
+def test_is_ci_bruteforce_never_takes_an_unchecked_witness(monkeypatch):
+    # with |Aut(G)| misreported as 1 the isomorphisms outnumber the
+    # product, yet every one of them lies inside Aut(A)*Aut(G)
+    monkeypatch.setattr("srings.ci.aut_order", lambda spec: 1)
+    with pytest.raises(SRingsError):
+        is_ci_bruteforce(group_ring(parse_group("2^2")))
 
 
 def test_is_ci_matches_bruteforce_everywhere(catalog_c8, c8):
@@ -200,6 +208,21 @@ def test_lift_isomorphism_random_instances(c27, c16):
             assert verify_lift(ring, target, f, alpha)
             total += 1
     assert total == 120
+
+
+def test_lift_isomorphism_mixed_primes(c12):
+    # sections whose U or G/L has both primes: the alignment and the glued
+    # basis run over two prime blocks
+    builders = []
+    for top, bottom in (([1, 4], [1]), ([1, 2, 4], [4]), ([1, 4], [1, 4])):
+        builders.append((make_plain_wreath(c12, top, bottom),
+                         Section(subgroup_span(c12, top),
+                                 subgroup_span(c12, bottom))))
+    for ring, section, f in _random_instances(c12, 5, 30, builders):
+        assert condition_holds(ring, section)
+        target = image_sring(ring, f)
+        alpha = lift_isomorphism(ring, target, f, section)
+        assert verify_lift(ring, target, f, alpha)
 
 
 def test_lift_contract_cases(c27, table_rings):

@@ -3,7 +3,8 @@
 Refactors must leave every catalog and report byte-identical.  The
 commands run in a temporary working directory with relative paths,
 because the ci report header echoes the catalog path.  The 3^3 p-catalog
-carries a cyc(...) label that depends on the order of cayley_auts.
+carries a cyc(...) label that depends on the order of cayley_auts.  The
+regular-method reports pin the regular-subgroup certificates.
 """
 
 import hashlib
@@ -21,6 +22,10 @@ GOLDEN = {
         "147aa8bea2a1c322dab870d5670c9be7f625f4de6851d6b3a7d10b8b2f79a1a7",
     "ci auto 2^2x3":
         "d5ddda9bf6c9c3ab56f59f53fca8797117338fd43216fa74bd879e195de96225",
+    "ci regular 2^3":
+        "9437d41c7bdbf0f1b623b8d06acc45a24a66ea93b61d2379ecff9321d395d0c5",
+    "ci regular 3^2":
+        "2a81c1c3fa6cacce72cadbc5423fb3a1f922db273fca256dbd6c5a508f00f624",
     "classify 3":
         "f7dd44ff6ec79ee838b7630e63572d5e8141b081e529928ca581a461521df0d2",
     "criterion 2^3":
@@ -40,6 +45,12 @@ COMMANDS = (
     ("ci auto 2^2x3",
      ["ci", "--catalog", "c12.cat", "--method", "auto", "--out", "ci.txt"],
      "ci.txt"),
+    ("ci regular 2^3",
+     ["ci", "--catalog", "c8.cat", "--method", "regular", "--out", "ci8.txt"],
+     "ci8.txt"),
+    ("ci regular 3^2",
+     ["ci", "--catalog", "c9.cat", "--method", "regular", "--out", "ci9.txt"],
+     "ci9.txt"),
     ("classify 3", ["classify", "--p", "3", "--out", "rows.txt"], "rows.txt"),
     ("criterion 2^3",
      ["criterion", "--group", "2^3", "--out", "crit.txt"], "crit.txt"),

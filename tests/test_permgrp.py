@@ -143,6 +143,14 @@ def test_regular_subgroups_in_regular_group(c8):
     assert len(classes) == 1 and classes[0].is_translation_class
 
 
+@pytest.mark.parametrize("text", ["2^3", "3^2"])
+def test_regular_subgroups_flag_one_translation_class(text):
+    # the holomorph has a second, non-translation class of regular subgroups
+    spec = parse_group(text)
+    classes = regular_subgroups(holomorph(spec), spec)
+    assert [c.is_translation_class for c in classes] == [True, False]
+
+
 def test_regular_subgroups_sym4_oracle():
     """All regular Klein subgroups of Sym(4) are conjugate; exhaustive check."""
     import itertools
