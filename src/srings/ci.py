@@ -113,8 +113,14 @@ def _in_product(f, aut: PermGroup, aut_perms) -> bool:
 
 def is_ci(a: SRing, bounds=DEFAULT_BOUNDS) -> CIStatus:
     """Regular-subgroup criterion: the ring is CI exactly when all regular
-    subgroups of its automorphism group of the right abstract type are
-    conjugate to the translations."""
+    subgroups of its automorphism group K of the right abstract type are
+    conjugate to the translations.
+
+    Every bijection conjugating one regular subgroup onto another is a
+    map 0^(r^x) -> 0^(s^(Ax)), for an automorphism A of G, times an
+    element of the first subgroup.  So two of them are K-conjugate
+    exactly when a search over A finds such a map in K (see
+    regular_subgroups)."""
     try:
         aut = scheme_aut(a, bounds)
         classes = regular_subgroups(aut, a.spec, bounds)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .errors import ResourceBoundExceeded
+
 
 @dataclass(frozen=True)
 class Bounds:
@@ -37,6 +39,21 @@ class Bounds:
 
 
 DEFAULT_BOUNDS = Bounds()
+
+
+class _Budget:
+    """Countdown of backtracking nodes, shared by one search's branches."""
+
+    __slots__ = ("limit", "left")
+
+    def __init__(self, nodes):
+        self.limit = nodes
+        self.left = nodes
+
+    def spend(self):
+        self.left -= 1
+        if self.left < 0:
+            raise ResourceBoundExceeded("backtracking nodes", self.limit)
 
 
 def extended_bounds() -> Bounds:

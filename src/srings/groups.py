@@ -137,6 +137,19 @@ class GroupSpec:
         """Indices of the coordinate unit vectors, in coordinate order."""
         return [self._index_weights[i] for i in range(len(self.radices))]
 
+    def basis_image_candidates(self):
+        """The images an automorphism may give each coordinate basis
+        vector (the nonzero elements of its prime block, ascending), and
+        the mixed-radix weights: fixing the images of the first j basis
+        vectors fixes the automorphism on the indices below weights[j]."""
+        candidates = []
+        for _p, nn, pos in self.prime_blocks():
+            members = [v for v in range(1, self.order)
+                       if all(c == 0 for i, c in enumerate(self.coords(v))
+                              if not pos <= i < pos + nn)]
+            candidates.extend([members] * nn)
+        return candidates, self._index_weights + (self.order,)
+
     def block_element(self, pos: int, row) -> int:
         """The element with coordinates row from position pos on, zero
         elsewhere."""
@@ -510,6 +523,7 @@ class GroupAut:
     def from_images(cls, spec: GroupSpec, pairs) -> "GroupAut":
         """Automorphism sending src -> dst for (src, dst) pairs whose
         sources form a basis of the group."""
+        pairs = list(pairs)
         blocks = spec.prime_blocks()
         mats = []
         for p, n, pos in blocks:

@@ -9,7 +9,7 @@ and branch variables are chosen by smallest candidate set.
 
 from __future__ import annotations
 
-from .config import DEFAULT_BOUNDS
+from .config import DEFAULT_BOUNDS, _Budget
 from .errors import (PartitionError, ResourceBoundExceeded,
                      SectionNotPreserved, SRingsError)
 from .groups import GroupAut, Section
@@ -162,19 +162,6 @@ class _PairColoring:
             col_allowed.append(cols)
         self.row_allowed = row_allowed
         self.col_allowed = col_allowed
-
-
-class _Budget:
-    __slots__ = ("limit", "left")
-
-    def __init__(self, nodes):
-        self.limit = nodes
-        self.left = nodes
-
-    def spend(self):
-        self.left -= 1
-        if self.left < 0:
-            raise ResourceBoundExceeded("backtracking nodes", self.limit)
 
 
 def _search_maps(src: _PairColoring, dst: _PairColoring, src_colors,
@@ -348,16 +335,8 @@ def least_labeling(spec, cell_of, best=None, budget=None, on_tie=None):
     """
     n = spec.order
     add = spec.add_table()
-    candidates = []
-    for _p, nn, pos in spec.prime_blocks():
-        members = [v for v in range(1, n)
-                   if all(c == 0 for i, c in enumerate(spec.coords(v))
-                          if not pos <= i < pos + nn)]
-        candidates.extend([members] * nn)
+    candidates, weights = spec.basis_image_candidates()
     ncoords = len(candidates)
-    weights = [1]
-    for r in spec.radices:
-        weights.append(weights[-1] * r)
 
     images = None
     if best is None:

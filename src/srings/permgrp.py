@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import DEFAULT_BOUNDS
-from .errors import ResourceBoundExceeded
+from .config import DEFAULT_BOUNDS, _Budget
+from .errors import ResourceBoundExceeded, SRingsError
 
 
 def pmul(a, b):
@@ -365,11 +365,18 @@ def _commutes(a, b):
 
 def regular_subgroups(K: PermGroup, spec, bounds=DEFAULT_BOUNDS) -> list:
     """Regular subgroups of K of the same abstract type as the group spec,
-    one representative per K-conjugacy class.
+    one representative per K-conjugacy class, with the class of the
+    translations flagged.
 
     Builds commuting generator tuples (one batch of generators of order p
     per prime factor) from the fixed-point-free prime-order elements of K,
     pruning partial tuples up to K-conjugacy of the generated subgroup.
+    The regular subgroups this reaches are split into classes by a
+    transporter search: every bijection conjugating R = <r_1..r_k> onto
+    S = <s_1..s_k> is 0^(r^x) -> 0^(s^(Ax)) for an automorphism A of G,
+    times an element of R, so R and S are K-conjugate exactly when one of
+    these maps lies in K.  Each class is represented by its least sorted
+    element tuple, with the generators first found for it.
     """
     n = K.degree
     if n != spec.order:
@@ -378,65 +385,97 @@ def regular_subgroups(K: PermGroup, spec, bounds=DEFAULT_BOUNDS) -> list:
     for t in translations:
         if not K.contains(t):
             raise ValueError("K does not contain the right translations")
-    t_set = frozenset(PermGroup(n, translations).elements())
     if K.is_symmetric():
         # all regular subgroups of a fixed abstract type are conjugate in
         # the full symmetric group
+        t_set = frozenset(PermGroup(n, translations).elements())
         return [RegularClass(tuple(translations), t_set, True)]
     if K.order() > bounds.regular_element_budget:
         raise ResourceBoundExceeded("regular subgroup search",
                                     bounds.regular_element_budget, K.order())
 
+    found = _regular_extensions(K, spec, bounds)
+    budget = _Budget(bounds.backtrack_node_budget)
+    reps = []
+    for key in sorted(found):
+        elset, gens = found[key]
+        pos = _regular_positions(gens, spec)
+        if any(_transporter_exists(chain, pos, spec, budget)
+               for _elset, _gens, chain in reps):
+            continue
+        if len(orbit(0, gens)) != n or len(elset) != n:
+            raise SRingsError("each representative is regular")
+        reps.append((elset, gens, _transporter_chain(K, pos)))
+    # the translations t_x: 0 -> x put point x at position x
+    t_pos = range(n)
+    out = [RegularClass(gens, elset,
+                        _transporter_exists(chain, t_pos, spec, budget))
+           for elset, gens, chain in reps]
+    if sum(c.is_translation_class for c in out) != 1:
+        raise SRingsError("exactly one translation class")
+    return out
+
+
+def _regular_extensions(K: PermGroup, spec, bounds) -> dict:
+    """The regular subgroups of K of the abstract type of G that the
+    generator search reaches, keyed by sorted element tuple, as (element
+    set, generators in coordinate order).  Every K-conjugacy class of them
+    is reached."""
+    n = K.degree
     cands = {p: [] for p, _ in spec.factors}
     for g in K.elements():
-        if is_identity(g):
-            continue
-        for p in cands:
-            if _prime_order_fpf(g, p):
-                cands[p].append(g)
-                break
+        # a fixed-point-free element of prime order p has a p-cycle
+        # through 0; the identity's cycle has length 1
+        length = 1
+        x = g[0]
+        while x:
+            x = g[x]
+            length += 1
+        if length in cands and _prime_order_fpf(g, length):
+            cands[length].append(g)
     for p in cands:
         cands[p].sort()
 
-    ident = identity_perm(n)
     conj_pairs = [(c, pinv(c)) for c in K.reduced_generators()]
-    t_key = tuple(sorted(t_set))
-    reps = [((frozenset([ident]), ()), False)]
-    sequence = [p for p, rank in spec.factors for _ in range(rank)]
-    for prime in sequence:
-        new = {}
-        for (elset, gens), _ in reps:
-            for r in cands[prime]:
-                if any(not _commutes(r, h) for h in gens) or r in elset:
-                    continue
-                powers = [r]
-                for _ in range(prime - 2):
-                    powers.append(pmul(powers[-1], r))
-                newels = set(elset)
-                ok = True
-                for h in elset:
-                    for rp in powers:
-                        e2 = pmul(h, rp)
-                        if not is_identity(e2) and any(
-                                e2[i] == i for i in range(n)):
-                            ok = False
-                            break
-                        newels.add(e2)
-                    if not ok:
+    reps = [(frozenset([identity_perm(n)]), ())]
+    *inner, last = spec.radices
+    for prime in inner:
+        reps = _conjugacy_reps(_extend_semiregular(reps, cands[prime], prime),
+                               conj_pairs, bounds)
+    return _extend_semiregular(reps, cands[last], last)
+
+
+def _extend_semiregular(reps, cands, prime) -> dict:
+    """Every semiregular subgroup <gens, r>, for (element set, gens) in
+    reps and r in cands of order prime commuting with gens and outside the
+    subgroup, keyed by sorted element tuple; the first gens found for a
+    key are kept."""
+    new = {}
+    for elset, gens in reps:
+        for r in cands:
+            if any(not _commutes(r, h) for h in gens) or r in elset:
+                continue
+            powers = [r]
+            for _ in range(prime - 2):
+                powers.append(pmul(powers[-1], r))
+            newels = set(elset)
+            ok = True
+            for h in elset:
+                for rp in powers:
+                    e2 = pmul(h, rp)
+                    if not is_identity(e2) and any(
+                            e2[i] == i for i in range(len(e2))):
+                        ok = False
                         break
+                    newels.add(e2)
                 if not ok:
-                    continue
-                key = tuple(sorted(newels))
-                if key not in new:
-                    new[key] = (frozenset(newels), gens + (r,))
-        reps = _conjugacy_reps(new, conj_pairs, bounds, t_key)
-    out = []
-    for (elset, gens), holds_translations in reps:
-        assert len(orbit(0, gens)) == n and len(elset) == spec.order
-        out.append(RegularClass(gens, elset, holds_translations))
-    flagged = [c for c in out if c.is_translation_class]
-    assert len(flagged) == 1, "translation class must appear exactly once"
-    return out
+                    break
+            if not ok:
+                continue
+            key = tuple(sorted(newels))
+            if key not in new:
+                new[key] = (frozenset(newels), gens + (r,))
+    return new
 
 
 def _conjugate_key(key, c, cinv):
@@ -444,9 +483,9 @@ def _conjugate_key(key, c, cinv):
     return tuple(sorted(pmul(pmul(cinv, h), c) for h in key))
 
 
-def _conjugacy_reps(subgroups: dict, conj_pairs, bounds, target):
-    """One representative per conjugation orbit of the given subgroups,
-    each paired with whether its orbit holds the sorted key target."""
+def _conjugacy_reps(subgroups: dict, conj_pairs, bounds) -> list:
+    """One value of subgroups per conjugation orbit of its keys, taken at
+    the least key of the orbit that subgroups holds."""
     seen = set()
     reps = []
     budget = bounds.regular_element_budget
@@ -467,5 +506,60 @@ def _conjugacy_reps(subgroups: dict, conj_pairs, bounds, target):
                     orbit.add(k1)
                     frontier.append(k1)
         seen |= orbit
-        reps.append((subgroups[key], target in orbit))
+        reps.append(subgroups[key])
     return reps
+
+
+def _regular_positions(gens, spec) -> list:
+    """pos[x] = 0^(r_1^x_1 ... r_k^x_k), x_i the coordinates of x, for
+    generators r_i of the orders of G's coordinates: a bijection from G
+    onto the points when they generate a regular group."""
+    pos = [0]
+    for r, p in zip(gens, spec.radices):
+        w = len(pos)
+        for x in range(w, p * w):
+            pos.append(r[pos[x - w]])
+    return pos
+
+
+def _transporter_chain(K: PermGroup, pos) -> list:
+    """K's stabilizer chain on the base pos, one map per base point from
+    each point of its transversal to the inverse transversal element."""
+    chain = PermGroup(K.degree, K.strong_generators(), base_prefix=pos)
+    return [{x: pinv(u) for x, u in lvl.transversal.items()}
+            for lvl in chain._levels]
+
+
+def _transporter_exists(chain, pos, spec, budget) -> bool:
+    """Whether K holds a map pos1[x] -> pos[A x] for some automorphism A of
+    G, where chain is K's chain on the base pos1 (_transporter_chain).
+
+    Branches on A's images of the basis vectors, as least_labeling does:
+    fixing the first j of them fixes the map on the base points below
+    weights[j], and a prefix that does not sift through the chain prunes
+    the branch.  A map that is not injective never sifts."""
+    candidates, weights = spec.basis_image_candidates()
+    add = spec.add_table()
+    img = [0] * spec.order
+
+    def rec(ci, residue):
+        budget.spend()
+        if ci == len(candidates):
+            return True
+        lo, hi = weights[ci], weights[ci + 1]
+        for v in candidates[ci]:
+            h = residue
+            for x in range(lo, hi):
+                y = add[img[x - lo]][v]
+                img[x] = y
+                z = pos[y] if h is None else h[pos[y]]
+                level = chain[x]
+                if z not in level:
+                    break
+                h = pmul(h, level[z])
+            else:
+                if rec(ci + 1, h):
+                    return True
+        return False
+
+    return rec(0, None)

@@ -3,6 +3,7 @@
 The oracles deliberately avoid the library's own machinery: subgroup
 counting by subset closure, permutation-group order by naive closure,
 Cayley minimality by closing every subset-generated subgroup,
+conjugacy classes of regular subgroups by walking conjugation orbits,
 scheme automorphisms by filtering all of Sym(n), canonical labelings and
 Cayley isomorphisms by filtering all of Aut(G), and Schur ring validity
 by integer-span membership.
@@ -154,6 +155,40 @@ def cayley_minimal_by_closure(ring):
     return not any(len(sub) < len(elements)
                    and orbit_partition(sub) == target
                    for sub in subgroups)
+
+
+def regular_classes_by_orbit(K, spec):
+    """The classes of regular_subgroups by conjugation orbits: the regular
+    subgroups the generator search reaches, in sorted key order, each one
+    outside every earlier orbit starting a walk over its whole K-conjugacy
+    orbit of sorted element tuples; the class whose orbit holds the
+    translations' key is the translation class."""
+    from srings.permgrp import (PermGroup, RegularClass, _regular_extensions,
+                                pinv, pmul)
+    from srings.config import DEFAULT_BOUNDS
+
+    translations = [spec.translation(b) for b in spec.basis()]
+    t_key = tuple(sorted(PermGroup(K.degree, translations).elements()))
+    found = _regular_extensions(K, spec, DEFAULT_BOUNDS)
+    conj = [(c, pinv(c)) for c in K.gens]
+    seen = set()
+    out = []
+    for key in sorted(found):
+        if key in seen:
+            continue
+        orbit = {key}
+        frontier = [key]
+        while frontier:
+            k0 = frontier.pop()
+            for c, cinv in conj:
+                k1 = tuple(sorted(pmul(pmul(cinv, h), c) for h in k0))
+                if k1 not in orbit:
+                    orbit.add(k1)
+                    frontier.append(k1)
+        seen |= orbit
+        elset, gens = found[key]
+        out.append(RegularClass(gens, elset, t_key in orbit))
+    return out
 
 
 def op_preserving_bijections(spec):

@@ -1,12 +1,16 @@
+import dataclasses
 import random
 
 import pytest
 
+from srings.config import DEFAULT_BOUNDS
 from srings.errors import PreconditionFailed, SRingsError
 from srings.groups import Section, all_auts, parse_group, subgroup_span
 from srings.permgrp import pmul
 from srings.construct import decompositions, group_ring
-from srings.morphisms import (cayley_isos, induced_algebraic, is_cayley_minimal,
+from srings.morphisms import (algebraic_isos, cayley_isos,
+                              combinatorial_isos, has_combinatorial_iso,
+                              induced_algebraic, is_cayley_minimal,
                               is_cyclotomic, scheme_aut)
 from srings.ci import (CIDecider, CIStatus, SectionContext, ci_fastpath,
                        condition_holds, decide_ci, image_sring, is_ci,
@@ -74,6 +78,16 @@ def test_is_ci_matches_bruteforce_everywhere(catalog_c8, c8):
         fast = is_ci(ring)
         slow = is_ci_bruteforce(ring)
         assert fast.verdict == slow.verdict == "CI"
+
+
+def test_is_ci_names_the_transporter_node_bound(c8):
+    ring = group_ring(c8)
+    scheme_aut(ring)  # kept in the ring's memo: only the transporter runs
+    tiny = dataclasses.replace(DEFAULT_BOUNDS, backtrack_node_budget=2)
+    status = is_ci(ring, tiny)
+    assert status.verdict == "Undecided"
+    assert status.resource == {"what": "backtracking nodes", "limit": 2,
+                               "needed": None}
 
 
 def test_is_ci_all_p_rings_over_c27(catalog_c27_p, c27):
@@ -166,6 +180,41 @@ def test_ci2_direction_sampled(c8, catalog_c8):
                        if induced_algebraic(ring, target, c.perm).cell_map
                        == phi_f.cell_map]
             assert matches, "CI ring must admit a matching Cayley iso"
+
+
+@pytest.mark.parametrize("text, catalog", [("2^3", "catalog_c8"),
+                                           ("2^2x3", "catalog_c12")])
+def test_ci2_direction_searched_isos(text, catalog, request):
+    """Isomorphisms found by search onto a relabeled ring, not built as
+    k*sigma: each is matched by a Cayley isomorphism inducing the same
+    algebraic iso.  The search lists all |Aut(A)| maps realizing a sampled
+    algebraic iso (a single map cannot be asked for: the listing refuses
+    to return as many maps as its limit), so rings with |Aut(A)| above
+    100,000 are left out."""
+    spec = parse_group(text)
+    rng = random.Random(31)
+    auts = all_auts(spec)
+    checked = permuting = 0
+    for entry in request.getfixturevalue(catalog).entries:
+        a = entry.ring(spec)
+        order = scheme_aut(a).order()
+        if order > 100_000:
+            continue
+        b = image_sring(a, rng.choice(auts).perm)
+        phi = rng.choice(algebraic_isos(a, b))
+        if not has_combinatorial_iso(a, b, phi):
+            continue
+        maps = combinatorial_isos(a, b, phi, limit=order + 1)
+        assert len(maps) == order
+        f = rng.choice(maps)
+        phi_f = induced_algebraic(a, b, f)
+        assert phi_f is not None and phi_f.cell_map == phi.cell_map
+        assert any(induced_algebraic(a, b, c.perm).cell_map == phi.cell_map
+                   for c in cayley_isos(a, b)), \
+            "CI ring must admit a matching Cayley iso"
+        checked += 1
+        permuting += phi.cell_map != tuple(range(a.rank))
+    assert checked >= 5 and permuting >= 3
 
 
 def _random_instances(spec, seed, count, builders):

@@ -186,6 +186,17 @@ def test_aut_compose_inverse(c27):
     assert left == tuple(b.perm[a.perm[x]] for x in range(27))
 
 
+def test_aut_from_images_reads_one_shot_pairs(c12):
+    # from_images reads the pairs once per prime block; a one-shot
+    # iterator must reach the second block too
+    basis = c12.basis()
+    images = [c12.index((1, 1, 0)), c12.index((1, 0, 0)),
+              c12.index((0, 0, 2))]
+    aut = GroupAut.from_images(c12, zip(basis, images))
+    assert [aut.perm[b] for b in basis] == images
+    assert aut == GroupAut.from_images(c12, list(zip(basis, images)))
+
+
 def test_aut_from_images(c27):
     basis = c27.basis()
     images = [c27.index((1, 1, 0)), c27.index((0, 1, 1)),

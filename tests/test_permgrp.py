@@ -3,14 +3,17 @@ import random
 
 import pytest
 
-from srings.errors import ResourceBoundExceeded
+from srings.config import DEFAULT_BOUNDS, _Budget
+from srings.errors import ResourceBoundExceeded, SRingsError
 from srings.groups import aut_generators, parse_group
-from srings.permgrp import (PermGroup, from_generators, holomorph,
-                            identity_perm, orbit, orbits, pinv, pmul,
-                            regular_subgroups, right_regular,
-                            subgroups_between, two_equivalent)
+from srings.morphisms import scheme_aut
+from srings.permgrp import (PermGroup, _regular_positions,
+                            _transporter_chain, _transporter_exists,
+                            from_generators, holomorph, identity_perm, orbit,
+                            orbits, pinv, pmul, regular_subgroups,
+                            right_regular, subgroups_between, two_equivalent)
 
-from conftest import naive_perm_closure
+from conftest import naive_perm_closure, regular_classes_by_orbit
 
 
 def test_pmul_applies_left_first():
@@ -233,6 +236,100 @@ def test_symmetric_group_shortcut(c8):
     assert sym.order() == math.factorial(n)
     classes = regular_subgroups(sym, c8)
     assert len(classes) == 1 and classes[0].is_translation_class
+
+
+def _class_data(classes):
+    return [(c.gens, c.elements, c.is_translation_class) for c in classes]
+
+
+@pytest.mark.parametrize("text, flags", [("2^3", [True, False]),
+                                         ("3^2", [True, False]),
+                                         ("2^2x3", [True])])
+def test_regular_subgroups_agree_with_orbit_oracle_on_holomorphs(text, flags):
+    spec = parse_group(text)
+    hol = holomorph(spec)
+    expected = _class_data(regular_classes_by_orbit(hol, spec))
+    assert [flag for _gens, _elements, flag in expected] == flags
+    assert _class_data(regular_subgroups(hol, spec)) == expected
+
+
+def test_regular_subgroups_agree_with_orbit_oracle_on_sym4():
+    # the symmetric group is answered without a search; the oracle searches
+    c4 = parse_group("2^2")
+    sym4 = PermGroup(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
+    assert _class_data(regular_subgroups(sym4, c4)) == \
+        _class_data(regular_classes_by_orbit(sym4, c4))
+
+
+def test_regular_subgroups_agree_with_orbit_oracle_on_c12(c12, catalog_c12):
+    checked = 0
+    for entry in catalog_c12.entries:
+        K = scheme_aut(entry.ring(c12))
+        if K.order() > 100_000 or K.is_symmetric():
+            continue
+        assert _class_data(regular_subgroups(K, c12)) == \
+            _class_data(regular_classes_by_orbit(K, c12))
+        checked += 1
+    # all but the rank-2 ring (K = Sym(12)) and one with |K| = 1,036,800
+    assert checked == len(catalog_c12.entries) - 2
+
+
+def test_transporter_finds_conjugates_of_translations(c12, catalog_c12):
+    rng = random.Random(23)
+    budget = _Budget(DEFAULT_BOUNDS.backtrack_node_budget)
+    translations = [c12.translation(b) for b in c12.basis()]
+    t_pos = list(range(12))
+    moved = 0
+    for entry in catalog_c12.entries:
+        K = scheme_aut(entry.ring(c12))
+        k = K.random_element(rng)
+        conjugates = [pmul(pmul(pinv(k), t), k) for t in translations]
+        moved += conjugates != translations
+        pos = _regular_positions(conjugates, c12)
+        assert sorted(pos) == t_pos
+        assert _transporter_exists(_transporter_chain(K, t_pos), pos, c12,
+                                   budget)
+        assert _transporter_exists(_transporter_chain(K, pos), t_pos, c12,
+                                   budget)
+    assert moved > len(catalog_c12.entries) // 2
+
+
+@pytest.mark.parametrize("text", ["2^3", "3^2"])
+def test_transporter_separates_holomorph_classes(text):
+    spec = parse_group(text)
+    hol = holomorph(spec)
+    translation_class, other = regular_subgroups(hol, spec)
+    budget = _Budget(DEFAULT_BOUNDS.backtrack_node_budget)
+    chain = _transporter_chain(hol, range(spec.order))
+    assert _transporter_exists(
+        chain, _regular_positions(translation_class.gens, spec), spec, budget)
+    assert not _transporter_exists(
+        chain, _regular_positions(other.gens, spec), spec, budget)
+
+
+def test_regular_subgroups_require_one_translation_class(monkeypatch, c8):
+    # a transporter that never answers leaves no class flagged
+    monkeypatch.setattr("srings.permgrp._transporter_exists",
+                        lambda *args: False)
+    with pytest.raises(SRingsError, match="exactly one translation class"):
+        regular_subgroups(holomorph(c8), c8)
+
+
+def test_regular_subgroups_require_regular_representatives(monkeypatch, c8):
+    from srings import permgrp
+
+    real = permgrp._regular_extensions
+
+    def shrunk(K, spec, bounds):
+        found = real(K, spec, bounds)
+        key = min(found)
+        elset, gens = found[key]
+        found[key] = (elset - {max(elset)}, gens)
+        return found
+
+    monkeypatch.setattr(permgrp, "_regular_extensions", shrunk)
+    with pytest.raises(SRingsError, match="each representative is regular"):
+        regular_subgroups(holomorph(c8), c8)
 
 
 def test_random_element_is_member(c27):
