@@ -9,6 +9,8 @@ and branch variables are chosen by smallest candidate set.
 
 from __future__ import annotations
 
+import itertools
+
 from .config import DEFAULT_BOUNDS, _Budget
 from .errors import (PartitionError, ResourceBoundExceeded,
                      SectionNotPreserved, SRingsError)
@@ -165,8 +167,9 @@ class _PairColoring:
 
 
 def _search_maps(src: _PairColoring, dst: _PairColoring, src_colors,
-                 fixed, budget, find_all, limit=None):
-    """Color-preserving bijections extending the fixed partial map.
+                 fixed, budget):
+    """Color-preserving bijections extending the fixed partial map, as a
+    generator: a caller takes as many as it needs.
 
     src_colors gives the required target color of each source pair, so the
     same engine covers automorphisms (identity recoloring) and isomorphisms
@@ -209,10 +212,7 @@ def _search_maps(src: _PairColoring, dst: _PairColoring, src_colors,
             return
         stack.append((u, w, restrict(u, w)))
 
-    results = 0
-
     def dfs():
-        nonlocal results
         budget.spend()
         best_u = -1
         best_count = n + 1
@@ -230,7 +230,6 @@ def _search_maps(src: _PairColoring, dst: _PairColoring, src_colors,
                     break
         if best_u < 0:
             yield tuple(assigned)
-            results += 1
             return
         options = cand[best_u] & ~used
         while options:
@@ -238,12 +237,7 @@ def _search_maps(src: _PairColoring, dst: _PairColoring, src_colors,
             options ^= bit
             w = bit.bit_length() - 1
             touched = restrict(best_u, w)
-            for sol in dfs():
-                yield sol
-                if not find_all:
-                    return
-                if limit is not None and results >= limit:
-                    return
+            yield from dfs()
             undo(best_u, w, touched)
 
     yield from dfs()
@@ -272,7 +266,7 @@ def scheme_aut(a: SRing, bounds=DEFAULT_BOUNDS) -> PermGroup:
                 continue
             fixed = [(i, i) for i in range(k)] + [(k, y)]
             sol = next(_search_maps(coloring, coloring, coloring.colors,
-                                    fixed, budget, find_all=False), None)
+                                    fixed, budget), None)
             if sol is not None:
                 found.append(sol)
                 level_gens.append(sol)
@@ -289,13 +283,14 @@ def has_combinatorial_iso(a: SRing, b: SRing, phi: AlgebraicIso,
     dst = _PairColoring(b)
     src_colors = [tuple(phi.cell_map[c] for c in row) for row in src.colors]
     budget = _Budget(bounds.backtrack_node_budget)
-    return next(_search_maps(src, dst, src_colors, [], budget,
-                             find_all=False), None) is not None
+    return next(_search_maps(src, dst, src_colors, [], budget),
+                None) is not None
 
 
 def combinatorial_isos(a: SRing, b: SRing, phi: AlgebraicIso,
                        bounds=DEFAULT_BOUNDS, limit=None) -> list:
-    """All point bijections realizing the given algebraic iso."""
+    """All point bijections realizing the given algebraic iso; more than
+    limit of them raise ResourceBoundExceeded."""
     if phi.source.key() != a.key() or phi.target.key() != b.key():
         raise ValueError("algebraic iso does not connect these rings")
     src = _PairColoring(a)
@@ -303,12 +298,10 @@ def combinatorial_isos(a: SRing, b: SRing, phi: AlgebraicIso,
     src_colors = [tuple(phi.cell_map[c] for c in row) for row in src.colors]
     budget = _Budget(bounds.backtrack_node_budget)
     limit = bounds.iso_list_limit if limit is None else limit
-    out = []
-    for sol in _search_maps(src, dst, src_colors, [], budget, find_all=True,
-                            limit=limit):
-        out.append(sol)
-        if len(out) >= limit:
-            raise ResourceBoundExceeded("isomorphism listing", limit)
+    out = list(itertools.islice(
+        _search_maps(src, dst, src_colors, [], budget), limit + 1))
+    if len(out) > limit:
+        raise ResourceBoundExceeded("isomorphism listing", limit)
     out.sort()
     return out
 

@@ -266,7 +266,11 @@ def from_generators(perms, degree=None) -> PermGroup:
 def right_regular(spec) -> PermGroup:
     gens = [spec.translation(b) for b in spec.basis()]
     group = PermGroup(spec.order, gens)
-    assert group.order() == spec.order
+    if group.order() != spec.order:
+        raise SRingsError(
+            f"the basis translations generate a group of order "
+            f"{group.order()}, not the right regular group of order "
+            f"{spec.order}")
     return group
 
 
@@ -356,6 +360,83 @@ def _prime_order_fpf(g, p):
     return True
 
 
+def _fpf_elements(K: PermGroup, p) -> list:
+    """The fixed-point-free elements of order p of K, sorted.
+
+    A backtrack over K's stabilizer chain, without listing K.  Choosing
+    x_0..x_i at the nontrivial levels 0..i leaves the elements
+    h u_(x_i) ... u_(x_0), h in the stabilizer K_(i+1) of the first base
+    points; they all agree with q = u_(x_i) ... u_(x_0) on every point
+    K_(i+1) fixes.  The branch is pruned when that partial map has a fixed
+    point, a closed cycle whose length is not p, or an open path of p or
+    more arrows.  The base point's image is tested before q is composed;
+    each leaf is tested exactly by _prime_order_fpf."""
+    n = K.degree
+    levels = []
+    settled = set()
+    for i, lvl in enumerate(K._levels):
+        if len(lvl.transversal) == 1:
+            continue
+        below = K._levels[i + 1].gens if i + 1 < n else ()
+        # the points K_(i+1) fixes that K_(i) moves, other than the base point
+        now = [x for x in range(n) if x != lvl.point and x not in settled
+               and all(g[x] == x for g in below)]
+        settled.update(now)
+        settled.add(lvl.point)
+        levels.append((lvl.point, sorted(lvl.transversal.items()), now))
+    img = [-1] * n
+    pre = [-1] * n
+    out = []
+
+    def admissible(b, y):
+        """Whether the arrow b -> y keeps the partial map extendable; b has
+        no image yet and y no preimage."""
+        if y == b:
+            return False
+        arrows = 1
+        z = img[y]
+        while z >= 0:
+            arrows += 1
+            if z == b:
+                return arrows == p
+            z = img[z]
+        z = pre[b]
+        while z >= 0:
+            arrows += 1
+            z = pre[z]
+        return arrows < p
+
+    def rec(i, q):
+        if i == len(levels):
+            if _prime_order_fpf(q, p):
+                out.append(q)
+            return
+        b, transversal, now = levels[i]
+        for x, u in transversal:
+            y = x if q is None else q[x]
+            if not admissible(b, y):
+                continue
+            img[b], pre[y] = y, b
+            q2 = pmul(u, q)
+            done = []
+            for t in now:
+                z = q2[t]
+                if not admissible(t, z):
+                    break
+                img[t], pre[z] = z, t
+                done.append(t)
+            else:
+                rec(i + 1, q2)
+            for t in done:
+                pre[img[t]] = -1
+                img[t] = -1
+            img[b] = pre[y] = -1
+
+    rec(0, None)
+    out.sort()
+    return out
+
+
 def _commutes(a, b):
     for i in range(len(a)):
         if a[b[i]] != b[a[i]]:
@@ -371,6 +452,9 @@ def regular_subgroups(K: PermGroup, spec, bounds=DEFAULT_BOUNDS) -> list:
     Builds commuting generator tuples (one batch of generators of order p
     per prime factor) from the fixed-point-free prime-order elements of K,
     pruning partial tuples up to K-conjugacy of the generated subgroup.
+    Those elements are found by a backtrack over K's stabilizer chain
+    (_fpf_elements), which never lists K; the regular_element_budget bound
+    on |K| still applies.
     The regular subgroups this reaches are split into classes by a
     transporter search: every bijection conjugating R = <r_1..r_k> onto
     S = <s_1..s_k> is 0^(r^x) -> 0^(s^(Ax)) for an automorphism A of G,
@@ -420,22 +504,13 @@ def _regular_extensions(K: PermGroup, spec, bounds) -> dict:
     """The regular subgroups of K of the abstract type of G that the
     generator search reaches, keyed by sorted element tuple, as (element
     set, generators in coordinate order).  Every K-conjugacy class of them
-    is reached."""
-    n = K.degree
-    cands = {p: [] for p, _ in spec.factors}
-    for g in K.elements():
-        # a fixed-point-free element of prime order p has a p-cycle
-        # through 0; the identity's cycle has length 1
-        length = 1
-        x = g[0]
-        while x:
-            x = g[x]
-            length += 1
-        if length in cands and _prime_order_fpf(g, length):
-            cands[length].append(g)
-    for p in cands:
-        cands[p].sort()
+    is reached.
 
+    The candidate generators of each prime p are the fixed-point-free
+    elements of order p of K, found by _fpf_elements; each semiregular
+    level but the last keeps one subgroup per K-conjugation orbit."""
+    n = K.degree
+    cands = {p: _fpf_elements(K, p) for p, _ in spec.factors}
     conj_pairs = [(c, pinv(c)) for c in K.reduced_generators()]
     reps = [(frozenset([identity_perm(n)]), ())]
     *inner, last = spec.radices

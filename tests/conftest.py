@@ -4,6 +4,7 @@ The oracles deliberately avoid the library's own machinery: subgroup
 counting by subset closure, permutation-group order by naive closure,
 Cayley minimality by closing every subset-generated subgroup,
 conjugacy classes of regular subgroups by walking conjugation orbits,
+fixed-point-free prime-order elements by streaming every element,
 scheme automorphisms by filtering all of Sym(n), canonical labelings and
 Cayley isomorphisms by filtering all of Aut(G), and Schur ring validity
 by integer-span membership.
@@ -189,6 +190,22 @@ def regular_classes_by_orbit(K, spec):
         elset, gens = found[key]
         out.append(RegularClass(gens, elset, t_key in orbit))
     return out
+
+
+def fpf_elements_by_streaming(K, p):
+    """The fixed-point-free elements of order p of K, sorted, by streaming
+    every element of K and keeping those whose cycles all have length p."""
+    return sorted(g for g in K.elements()
+                  if all(_cycle_length(g, x) == p for x in range(len(g))))
+
+
+def _cycle_length(g, x):
+    length = 1
+    y = g[x]
+    while y != x:
+        y = g[y]
+        length += 1
+    return length
 
 
 def op_preserving_bijections(spec):

@@ -279,6 +279,23 @@ def test_combinatorial_isos_listing_bound(table_rings):
         combinatorial_isos(tower, tower, ident, limit=5)
 
 
+@pytest.mark.parametrize("ring_name", ["group ring 2^3", "wreath 3^2"])
+def test_combinatorial_isos_lists_exactly_limit_maps(ring_name, c8, c9):
+    if ring_name == "group ring 2^3":
+        ring = group_ring(c8)
+    else:
+        ring = make_plain_wreath(c9, [c9.index((1, 0))], [c9.index((1, 0))])
+    ident = next(p for p in algebraic_isos(ring, ring)
+                 if p.cell_map == tuple(range(ring.rank)))
+    # the maps realizing the identity algebraic iso are the automorphisms
+    expected = sorted(scheme_aut(ring).elements())
+    n_maps = len(expected)
+    assert combinatorial_isos(ring, ring, ident, limit=n_maps) == expected
+    with pytest.raises(ResourceBoundExceeded) as info:
+        combinatorial_isos(ring, ring, ident, limit=n_maps - 1)
+    assert info.value.limit == n_maps - 1
+
+
 def test_subgroups_between_jordan_aut(table_rings, c27):
     from srings.permgrp import right_regular, subgroups_between
 

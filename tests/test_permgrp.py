@@ -7,13 +7,14 @@ from srings.config import DEFAULT_BOUNDS, _Budget
 from srings.errors import ResourceBoundExceeded, SRingsError
 from srings.groups import aut_generators, parse_group
 from srings.morphisms import scheme_aut
-from srings.permgrp import (PermGroup, _regular_positions,
+from srings.permgrp import (PermGroup, _fpf_elements, _regular_positions,
                             _transporter_chain, _transporter_exists,
                             from_generators, holomorph, identity_perm, orbit,
                             orbits, pinv, pmul, regular_subgroups,
                             right_regular, subgroups_between, two_equivalent)
 
-from conftest import naive_perm_closure, regular_classes_by_orbit
+from conftest import (fpf_elements_by_streaming, naive_perm_closure,
+                      regular_classes_by_orbit)
 
 
 def test_pmul_applies_left_first():
@@ -27,6 +28,16 @@ def test_pmul_applies_left_first():
 def test_right_regular_orders():
     assert right_regular(parse_group("2^3")).order() == 8
     assert right_regular(parse_group("3^3")).order() == 27
+
+
+def test_right_regular_requires_the_full_group(monkeypatch, c8):
+    # translations by a basis that spans less than G generate too little
+    from srings.groups import GroupSpec
+
+    real = GroupSpec.basis
+    monkeypatch.setattr(GroupSpec, "basis", lambda self: real(self)[:1])
+    with pytest.raises(SRingsError, match="right regular group"):
+        right_regular(c8)
 
 
 def test_right_regular_fixed_point_free(c8):
@@ -272,6 +283,56 @@ def test_regular_subgroups_agree_with_orbit_oracle_on_c12(c12, catalog_c12):
         checked += 1
     # all but the rank-2 ring (K = Sym(12)) and one with |K| = 1,036,800
     assert checked == len(catalog_c12.entries) - 2
+
+
+@pytest.mark.parametrize("text", ["2^3", "3^2", "2^2x3", "2^4"])
+def test_fpf_elements_agree_with_streaming_on_holomorphs(text):
+    spec = parse_group(text)
+    hol = holomorph(spec)
+    for p, _ in spec.factors:
+        assert _fpf_elements(hol, p) == fpf_elements_by_streaming(hol, p)
+
+
+def test_fpf_elements_agree_with_streaming_on_c12(c12, catalog_c12):
+    checked = 0
+    for entry in catalog_c12.entries:
+        K = scheme_aut(entry.ring(c12))
+        if K.is_symmetric():
+            continue
+        for p, _ in c12.factors:
+            assert _fpf_elements(K, p) == fpf_elements_by_streaming(K, p)
+        checked += 1
+    # all but the rank-2 ring (K = Sym(12))
+    assert checked == len(catalog_c12.entries) - 1
+
+
+def test_fpf_elements_agree_with_streaming_on_c27_table(table_rings):
+    orders = []
+    for ring in table_rings.values():
+        K = scheme_aut(ring)
+        if K.order() > 200_000:
+            continue
+        assert _fpf_elements(K, 3) == fpf_elements_by_streaming(K, 3)
+        orders.append(K.order())
+    assert sorted(orders) == [27, 81, 243, 2187, 177147]
+
+
+def test_fpf_elements_edge_cases(c8, c12):
+    # in the translations, the elements of order p are the t_x with p x = 0
+    T = right_regular(c12)
+    for p, _ in c12.factors:
+        expected = []
+        for x in range(1, c12.order):
+            y = 0
+            for _ in range(p):
+                y = c12.add(y, x)
+            if y == 0:
+                expected.append(c12.translation(x))
+        assert _fpf_elements(T, p) == sorted(expected)
+        assert len(expected) == {2: 3, 3: 2}[p]
+    # an element of order 3 of the holomorph of 2^3 fixes a point, as 3
+    # does not divide 8
+    assert _fpf_elements(holomorph(c8), 3) == []
 
 
 def test_transporter_finds_conjugates_of_translations(c12, catalog_c12):
