@@ -10,7 +10,7 @@ from .groups import (GroupAut, GroupSpec, Section, Subgroup, aut_group,
                      make_group, parse_group, subgroup_span)
 from .permgrp import (PermGroup, from_generators, holomorph, regular_subgroups,
                       right_regular, subgroups_between, two_equivalent)
-from .sring import SRing, SubgroupChart, radical, validate_partition
+from .sring import SRing, radical, validate_partition
 from .construct import (cyclotomic, decompositions, group_ring,
                         parse_construction, quotient, recognize_construction,
                         schurian, sring_image, tensor, wreath)

@@ -10,14 +10,13 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_BOUNDS
 from .errors import (CatalogFormatError, ClassificationMismatch,
-                     EnumerationMismatch, ResourceBoundExceeded)
-from .groups import (GroupAut, GroupSpec, Section, aut_generators,
-                     enumerate_subgroups, format_group, full_subgroup,
-                     make_group, parse_group, subgroup_span)
-from .sring import (SRing, SubgroupChart, _product_counts, _split_pair,
-                    memoized, validate_partition)
-from .construct import (cyclotomic, decompositions, group_ring,
-                        recognize_construction, wreath, tensor)
+                     EnumerationMismatch, ResourceBoundExceeded, SRingsError)
+from .groups import (GroupSpec, aut_generators, enumerate_subgroups,
+                     format_group, make_group, parse_group)
+from .sring import (SRing, _product_counts, _split_pair, memoized,
+                    validate_partition)
+from .construct import (decompositions, parse_construction,
+                        recognize_construction)
 from .morphisms import least_labeling
 
 CATALOG_FORMAT = "srings-catalog"
@@ -225,7 +224,8 @@ class _Enumerator:
     def _unfix(self, journal):
         k = journal["index"]
         cell_set, _ = self.fixed.pop()
-        assert k == len(self.fixed)
+        if k != len(self.fixed):
+            raise SRingsError("enumerator undo out of order")
         for y in cell_set:
             del self.cell_of_fixed[y]
         for y in journal["forced"]:
@@ -511,50 +511,19 @@ def rank3_templates(p: int):
     construction labels, in classification order."""
     spec = make_group([(p, 3)], max_order=max(DEFAULT_BOUNDS.max_group_order,
                                               p ** 3))
-    e1 = spec.basis()[0]
-    e2 = spec.basis()[1]
-    U = subgroup_span(spec, [e1, e2])
-    L = subgroup_span(spec, [e1])
-    full = full_subgroup(spec)
-
-    def plain_wreath(top_sub, bottom_sub):
-        chart = SubgroupChart(top_sub)
-        glq = Section(full, bottom_sub)
-        return wreath(group_ring(chart.spec), group_ring(glq.quotient),
-                      Section(top_sub, bottom_sub))
-
-    z_g = group_ring(spec)
-    row2 = plain_wreath(U, U)
-    row3 = plain_wreath(L, L)
-    chart_u = SubgroupChart(U)
-    inner = subgroup_span(chart_u.spec, [chart_u.spec.basis()[0]])
-    top5 = wreath(group_ring(SubgroupChart(inner).spec),
-                  group_ring(Section(full_subgroup(chart_u.spec),
-                                     inner).quotient),
-                  Section(inner, inner))
-    glq = Section(full, L)
-    uq = subgroup_span(glq.quotient, [glq.quotient.basis()[0]])
-    quot5 = wreath(group_ring(SubgroupChart(uq).spec),
-                   group_ring(Section(full_subgroup(glq.quotient),
-                                      uq).quotient),
-                   Section(uq, uq))
-    row5 = wreath(top5, quot5, Section(U, L))
-    spec2 = make_group([(p, 2)], max_order=None)
-    u2 = subgroup_span(spec2, [spec2.basis()[0]])
-    wr2 = wreath(group_ring(SubgroupChart(u2).spec),
-                 group_ring(Section(full_subgroup(spec2), u2).quotient),
-                 Section(u2, u2))
-    row4 = tensor(wr2, group_ring(make_group([(p, 1)], max_order=None)))
-    jordan = GroupAut(spec, [((1, 1, 0), (0, 1, 1), (0, 0, 1))])
-    row6 = cyclotomic([jordan], spec)
-    return spec, [
-        ("ZG", z_g),
-        ("wr(Z(p^2),Z(p))", row2),
-        ("wr(Z(p),Z(p^2))", row3),
-        ("tensor(wr(Z(p),Z(p)),Z(p))", row4),
-        ("wr(wr(Z(p),Z(p)),wr(Z(p),Z(p)))", row5),
-        ("cyc(unitriangular)", row6),
+    wr_pp = "wr(ZG,ZG;U=[(1,0)];L=[(1,0)])"  # over the rank-2 group
+    plane, line = "[(1,0,0);(0,1,0)]", "[(1,0,0)]"
+    rows = [
+        ("ZG", "ZG"),
+        ("wr(Z(p^2),Z(p))", f"wr(ZG,ZG;U={plane};L={plane})"),
+        ("wr(Z(p),Z(p^2))", f"wr(ZG,ZG;U={line};L={line})"),
+        ("tensor(wr(Z(p),Z(p)),Z(p))", f"tensor[{p}^2,{p}]({wr_pp},ZG)"),
+        ("wr(wr(Z(p),Z(p)),wr(Z(p),Z(p)))",
+         f"wr({wr_pp},{wr_pp};U={plane};L={line})"),
+        ("cyc(unitriangular)", "cyc([(1,1,0);(0,1,1);(0,0,1)])"),
     ]
+    return spec, [(name, parse_construction(expr, spec))
+                  for name, expr in rows]
 
 
 def rank3_classification(p: int, bounds=DEFAULT_BOUNDS) -> dict:

@@ -141,11 +141,11 @@ def is_ci(a: SRing, bounds=DEFAULT_BOUNDS) -> CIStatus:
 
 
 class SectionContext:
-    """Charts tying a wreath decomposition's three quotients together.
+    """The three quotients of a wreath decomposition over the section U/L.
 
-    Holds the top ring over U's spec, the quotient ring over (G/L)'s spec,
-    the section ring over (U/L)'s spec, and the projections of both factor
-    automorphism groups onto the section.
+    top = A_U over U's chart Section(U), quot = A_{G/L} over the chart
+    G/L, and sec_ring = A_{U/L}.  A factor automorphism acts on G through
+    its chart; restricting that action to U/L gives its projection.
     """
 
     def __init__(self, a: SRing, section: Section, bounds=DEFAULT_BOUNDS):
@@ -155,40 +155,17 @@ class SectionContext:
         self.ring = a
         self.section = section
         self.bounds = bounds
-        self.top, self.chart, self.quot, self.glq = wreath_parts(a, section)
+        self.top, self.top_sec, self.quot, self.quot_sec = \
+            wreath_parts(a, section)
         self.sec_ring = quotient(a, section)
-        self.l_in_top = Subgroup.from_elements(
-            self.chart.spec, [self.chart.to_sub[x] for x in section.L.elements])
-        sq_els = {self.glq.proj[u] for u in section.U.elements}
-        self.s_in_quot = Subgroup.from_elements(self.glq.quotient, sq_els)
 
-    def project_top_aut(self, f: GroupAut):
-        """f^S for an automorphism of U fixing L, or None."""
-        perm = f.perm
-        sub_l = self.l_in_top
-        if frozenset(perm[x] for x in sub_l.elements) != sub_l.elements:
+    def on_section(self, g: GroupAut, chart: Section):
+        """g's map on U/L, for an automorphism g of chart's quotient, or
+        None when g does not stabilize U/L."""
+        try:
+            return restrict_perm(_ambient(g, chart), self.section)
+        except SectionNotPreserved:
             return None
-        section = self.section
-        out = [-1] * section.quotient.order
-        for s in range(section.quotient.order):
-            u = section.lift[s]
-            img = self.chart.from_sub[perm[self.chart.to_sub[u]]]
-            out[s] = section.proj[img]
-        return tuple(out)
-
-    def project_quot_aut(self, h: GroupAut):
-        """h^S for an automorphism of G/L fixing U/L, or None."""
-        perm = h.perm
-        sq = self.s_in_quot
-        if frozenset(perm[x] for x in sq.elements) != sq.elements:
-            return None
-        section = self.section
-        out = [-1] * section.quotient.order
-        for s in range(section.quotient.order):
-            u = section.lift[s]
-            img_q = perm[self.glq.proj[u]]
-            out[s] = section.proj[self.glq.lift[img_q]]
-        return tuple(out)
 
     def factor_aut_projections(self):
         _g, top_auts = cayley_auts(self.top, self.bounds)
@@ -196,14 +173,20 @@ class SectionContext:
         top_side = {}
         quot_side = {}
         for f in top_auts:
-            perm = self.project_top_aut(f)
+            perm = self.on_section(f, self.top_sec)
             if perm is not None:
                 top_side.setdefault(perm, f)
         for h in quot_auts:
-            perm = self.project_quot_aut(h)
+            perm = self.on_section(h, self.quot_sec)
             if perm is not None:
                 quot_side.setdefault(perm, h)
         return top_side, quot_side
+
+
+def _ambient(g: GroupAut, chart: Section):
+    """g's action on G through chart, x -> lift(g(proj x)); -1 off chart.U."""
+    perm, lift = g.perm, chart.lift
+    return tuple(-1 if q < 0 else lift[perm[q]] for q in chart.proj)
 
 
 def condition_holds(a: SRing, section: Section, bounds=DEFAULT_BOUNDS,
@@ -218,7 +201,8 @@ def condition_holds(a: SRing, section: Section, bounds=DEFAULT_BOUNDS,
     for f in top_side:
         for h in quot_side:
             product.add(pmul(f, h))
-    assert product <= target, "factor projections must act on the section ring"
+    if not product <= target:
+        raise SRingsError("factor projections do not act on the section ring")
     return frozenset(product) == target
 
 
@@ -266,12 +250,11 @@ def lift_isomorphism(a: SRing, b: SRing, f, section: Section | None = None,
     ctx = SectionContext(a, section, bounds)
 
     # stage 2: canonical Cayley isomorphisms matching both factor isos
-    top_b, _ = b1.restriction(U)
-    quot_b = quotient(b1, ctx.glq)
-    f_top = tuple(ctx.chart.to_sub[f1[ctx.chart.from_sub[x]]]
-                  for x in range(ctx.chart.spec.order))
+    top_b = quotient(b1, ctx.top_sec)
+    quot_b = quotient(b1, ctx.quot_sec)
     try:
-        f_quot = restrict_perm(f1, ctx.glq)
+        f_top = restrict_perm(f1, ctx.top_sec)
+        f_quot = restrict_perm(f1, ctx.quot_sec)
     except SectionNotPreserved:
         raise PreconditionFailed("quotient",
                                  "f does not respect the cosets") from None
@@ -279,8 +262,8 @@ def lift_isomorphism(a: SRing, b: SRing, f, section: Section | None = None,
     psi0 = _matching_cayley(ctx.quot, quot_b, f_quot, bounds, "quotient factor")
 
     # stage 3: correct so both act identically on the section
-    phi0_s = ctx.project_top_aut(phi0)
-    psi0_s = ctx.project_quot_aut(psi0)
+    phi0_s = ctx.on_section(phi0, ctx.top_sec)
+    psi0_s = ctx.on_section(psi0, ctx.quot_sec)
     if phi0_s is None or psi0_s is None:
         raise PreconditionFailed("section", "factor lifts do not fix the section")
     mismatch = pmul(phi0_s, pinv(psi0_s))
@@ -297,14 +280,14 @@ def lift_isomorphism(a: SRing, b: SRing, f, section: Section | None = None,
     sigma1, sigma2 = correction
     phi = sigma1.inverse().compose(phi0)
     psi = sigma2.compose(psi0)
-    assert ctx.project_top_aut(phi) == ctx.project_quot_aut(psi)
+    if ctx.on_section(phi, ctx.top_sec) != ctx.on_section(psi, ctx.quot_sec):
+        raise SRingsError("corrected factor lifts disagree on the section")
 
-    # stage 4: glue phi on U's basis to psi on a complement's basis
-    chart, glq = ctx.chart, ctx.glq
-    pairs = [(u, chart.from_sub[phi.perm[chart.to_sub[u]]])
-             for u in U.basis_elements()]
-    pairs += [(x, glq.lift[psi.perm[glq.proj[x]]])
-              for x in complement(U, spec).basis_elements()]
+    # stage 4: glue phi's action on U's basis to psi's on a complement's
+    phi_g = _ambient(phi, ctx.top_sec)
+    psi_g = _ambient(psi, ctx.quot_sec)
+    pairs = [(u, phi_g[u]) for u in U.basis_elements()]
+    pairs += [(x, psi_g[x]) for x in complement(U, spec).basis_elements()]
     alpha = GroupAut.from_images(spec, pairs)
 
     # verify against b1, then compose the section alignment back in
@@ -382,7 +365,7 @@ def ci_fastpath(a: SRing, ctx: SectionContext | None = None,
     if p is not None and a.is_p_sring(p):
         thin = a.thin_radical()
         if thin.order * p == spec.order:
-            _assert_thin_structure(a, thin)
+            _check_thin_structure(a, thin)
             return CIStatus("CI", "fastpath-thin")
     if ctx is None:
         return None
@@ -406,18 +389,18 @@ def ci_fastpath(a: SRing, ctx: SectionContext | None = None,
     return None
 
 
-def _assert_thin_structure(a: SRing, thin):
+def _check_thin_structure(a: SRing, thin):
     """A p-ring whose thin radical has index p must be the wreath of the
     thin group ring with a full quotient group ring."""
-    spec = a.spec
     outside = [c for c in a.cells if not c <= thin.elements]
-    assert outside, "thin radical of index p leaves cells outside"
-    L = radical(spec, outside[0])
-    section = Section(thin, L)
-    assert is_wreath_for(a, section), "expected thin-radical wreath structure"
-    top, _chart, quot, _glq = wreath_parts(a, section)
-    assert top.rank == top.spec.order, "top factor must be the group ring"
-    assert quot.rank == quot.spec.order, "quotient factor must be the group ring"
+    if not outside:
+        raise SRingsError("thin radical of index p leaves no cell outside")
+    section = Section(thin, radical(a.spec, outside[0]))
+    if not is_wreath_for(a, section):
+        raise SRingsError("expected thin-radical wreath structure")
+    top, _, quot, _ = wreath_parts(a, section)
+    if top.rank != top.spec.order or quot.rank != quot.spec.order:
+        raise SRingsError("thin-radical wreath factors must be group rings")
 
 
 # -- the full decision strategy --------------------------------------------------

@@ -4,12 +4,11 @@ quotient, generalized wreath product, and the wreath-decomposition finder."""
 from __future__ import annotations
 
 from .errors import (IncompatibleOnSection, PartitionError,
-                     ResourceBoundExceeded)
+                     ResourceBoundExceeded, SRingsError)
 from .groups import (GroupAut, GroupSpec, Section, Subgroup, full_subgroup,
                      subgroup_span, trivial_subgroup)
 from .permgrp import PermGroup, orbits
-from .sring import (SRing, SubgroupChart, memoized, radical,
-                    validate_partition)
+from .sring import SRing, memoized, radical, validate_partition
 
 
 def group_ring(spec: GroupSpec) -> SRing:
@@ -81,60 +80,45 @@ def quotient(a: SRing, section: Section) -> SRing:
 def wreath(a_top: SRing, a_quot: SRing, section: Section) -> SRing:
     """Generalized wreath product along the section U/L.
 
-    a_top lives on U's own spec, a_quot on the spec of G/L.  Inside U the
-    cells come from a_top; outside U every cell is the preimage of an
-    a_quot cell.  The two factors must agree on the common section.
+    a_top lives on U's own spec, Section(U).quotient, a_quot on the spec
+    of G/L.  Inside U the cells come from a_top; outside U every cell is
+    the preimage of an a_quot cell.  The two factors are compatible when
+    every top cell, mapped into G, projects onto a cell of a_quot: then L
+    is a union of top cells, U/L a union of quotient cells, and the two
+    factors agree on U/L.  Otherwise IncompatibleOnSection names the first
+    offending top cell, in G's coordinates.
     """
     spec = section.spec
-    U, L = section.U, section.L
-    chart = SubgroupChart(U)
-    glq = Section(full_subgroup(spec), L)
-    if a_top.spec != chart.spec:
+    u_chart = Section(section.U)
+    glq = Section(full_subgroup(spec), section.L)
+    if a_top.spec != u_chart.quotient:
         raise ValueError("top factor is not over U's spec")
     if a_quot.spec != glq.quotient:
         raise ValueError("quotient factor is not over the spec of G/L")
 
-    # compatibility: a_top's projection to U/L must match a_quot inside U/L
-    sec_in_top = Section(
-        full_subgroup(chart.spec),
-        Subgroup.from_elements(chart.spec,
-                               [chart.to_sub[x] for x in L.elements]))
-    try:
-        top_on_section = quotient(a_top, sec_in_top)
-    except PartitionError:
-        raise IncompatibleOnSection(frozenset(L.elements)) from None
-    sq_elements = sorted(glq.proj[u] for u in U.elements)
-    sq = Subgroup.from_elements(glq.quotient, set(sq_elements))
-    try:
-        quot_on_section, sq_chart = a_quot.restriction(sq)
-    except PartitionError:
-        raise IncompatibleOnSection(frozenset(sq.elements)) from None
-    # identify S = U/L computed both ways via coset representatives
-    iota = {}
-    for s in range(sec_in_top.quotient.order):
-        u_sub = sec_in_top.lift[s]
-        u_amb = chart.from_sub[u_sub]
-        iota[s] = sq_chart.to_sub[glq.proj[u_amb]]
-    for cell in top_on_section.cells:
-        image = frozenset(iota[s] for s in cell)
-        if image not in quot_on_section.cells:
-            witness = frozenset(chart.from_sub[sec_in_top.lift[s]] for s in cell)
-            raise IncompatibleOnSection(witness)
+    quot_cells = set(a_quot.cells)
+    cells = []
+    on_section = set()
+    for cell in a_top.cells:
+        ambient = frozenset(u_chart.lift[x] for x in cell)
+        image = frozenset(glq.proj[x] for x in ambient)
+        if image not in quot_cells:
+            raise IncompatibleOnSection(ambient)
+        cells.append(ambient)
+        on_section.add(image)
 
-    cells = [frozenset(chart.from_sub[x] for x in cell)
-             for cell in a_top.cells]
     preimage = {}
     for x in spec.elements():
         preimage.setdefault(glq.proj[x], []).append(x)
     for cell in a_quot.cells:
-        if not (frozenset(cell) <= sq.elements):
+        if cell not in on_section:
             members = []
             for q in cell:
                 members.extend(preimage[q])
             cells.append(frozenset(members))
     ring = validate_partition(spec, cells)
-    expected = a_top.rank + a_quot.rank - top_on_section.rank
-    assert ring.rank == expected, "wreath rank formula violated"
+    if ring.rank != a_top.rank + a_quot.rank - len(on_section):
+        raise SRingsError("wreath rank formula violated")
     return ring
 
 
@@ -179,11 +163,11 @@ def is_wreath_for(a: SRing, section: Section) -> bool:
 
 
 def wreath_parts(a: SRing, section: Section):
-    """The two factors (top ring over U's spec, quotient ring over G/L)."""
-    top, chart = a.restriction(section.U)
+    """The two factors of a wreath decomposition with their charts:
+    (quotient(a, U/1), U/1, quotient(a, G/L), G/L)."""
+    u_chart = Section(section.U)
     glq = Section(full_subgroup(a.spec), section.L)
-    quot = quotient(a, glq)
-    return top, chart, quot, glq
+    return quotient(a, u_chart), u_chart, quotient(a, glq), glq
 
 
 def sring_image(a: SRing, perm) -> SRing:
@@ -232,11 +216,8 @@ def recognize_construction(a: SRing) -> str | None:
         for K in subs:
             if H.order * K.order == spec.order and \
                     H.meet(K).order == 1:
-                try:
-                    rh, _ = a.restriction(H)
-                    rk, _ = a.restriction(K)
-                except PartitionError:
-                    continue
+                rh = quotient(a, Section(H))
+                rk = quotient(a, Section(K))
                 if tensor(rh, rk).cells == a.cells and \
                         _same_coordinate_split(spec, H, K):
                     lh = recognize_construction(rh) or "?"
@@ -246,7 +227,7 @@ def recognize_construction(a: SRing) -> str | None:
     decs = decompositions(a)
     if decs:
         sec = decs[0]
-        top, _chart, quot, _ = wreath_parts(a, sec)
+        top, _, quot, _ = wreath_parts(a, sec)
         lt = recognize_construction(top) or "?"
         lq = recognize_construction(quot) or "?"
         return (f"wr({lt},{lq};U={_format_gens(spec, sec.U)}"
@@ -312,13 +293,10 @@ def _parse_expr(text, spec):
         body, u_part, l_part = _split_wreath(inner)
         U = _parse_gens(u_part, spec)
         L = _parse_gens(l_part, spec)
-        section = Section(U, L)
-        chart = SubgroupChart(U)
-        glq = Section(full_subgroup(spec), L)
         e1, e2 = _split_top_level(body)
-        top = parse_construction(e1, chart.spec)
-        quot = parse_construction(e2, glq.quotient)
-        return wreath(top, quot, section), rest
+        top = parse_construction(e1, Section(U).quotient)
+        quot = parse_construction(e2, Section(full_subgroup(spec), L).quotient)
+        return wreath(top, quot, Section(U, L)), rest
     if text.startswith("tensor["):
         close = text.index("]")
         from .groups import parse_group
@@ -341,7 +319,8 @@ def _parse_expr(text, spec):
 
 
 def _match_paren(text):
-    assert text[0] == "("
+    if not text.startswith("("):
+        raise ValueError(f"expected '(' at {text!r}")
     depth = 0
     for i, ch in enumerate(text):
         if ch == "(":

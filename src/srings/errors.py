@@ -69,11 +69,13 @@ class SectionNotPreserved(SRingsError):
 
 
 class IncompatibleOnSection(SRingsError):
-    """Wreath factors disagree on the common section."""
+    """Wreath factors disagree on the common section: cell is a top cell,
+    in G's coordinates, that does not project onto a quotient cell."""
 
     def __init__(self, cell):
         self.cell = cell
-        super().__init__(f"factors disagree on section cell {sorted(cell)}")
+        super().__init__(f"top cell {sorted(cell)} does not project onto a "
+                         f"cell of the quotient factor")
 
 
 class PreconditionFailed(SRingsError):

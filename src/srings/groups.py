@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from functools import reduce
 
-from .errors import GroupSpecError, ResourceBoundExceeded
+from .errors import GroupSpecError, ResourceBoundExceeded, SRingsError
 
 DEFAULT_MAX_ORDER = 64
 
@@ -448,11 +448,17 @@ def flag_basis(spec: GroupSpec, chain) -> list:
 
 class Section:
     """A pair of nested subgroups L <= U with the quotient U/L realised as
-    its own GroupSpec, a projection from U, and canonical coset lifts."""
+    its own GroupSpec, a projection from U, and canonical coset lifts.
+
+    L defaults to the trivial group, and Section(U) is then U's chart: proj
+    and lift relabel U's elements as those of its own spec.
+    """
 
     __slots__ = ("spec", "U", "L", "quotient", "proj", "lift")
 
-    def __init__(self, U: Subgroup, L: Subgroup):
+    def __init__(self, U: Subgroup, L: Subgroup | None = None):
+        if L is None:
+            L = trivial_subgroup(U.spec)
         if U.spec != L.spec:
             raise GroupSpecError("subgroups of different groups")
         if not U.contains_subgroup(L):
@@ -684,7 +690,9 @@ def all_auts(spec: GroupSpec, limit: int | None = None) -> list:
         cached = [GroupAut(spec, combo)
                   for combo in itertools.product(*per_prime)]
         cached.sort(key=GroupAut.sort_key)
-        assert len(cached) == expected
+        if len(cached) != expected:
+            raise SRingsError(f"{len(cached)} automorphisms listed, "
+                              f"expected {expected}")
         _all_auts_cache[spec.factors] = cached
     return cached
 

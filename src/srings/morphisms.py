@@ -206,11 +206,10 @@ def _search_maps(src: _PairColoring, dst: _PairColoring, src_colors,
         for v, old in touched:
             cand[v] = old
 
-    stack = []
     for u, w in fixed:
         if not (cand[u] >> w & 1) or (used >> w & 1):
             return
-        stack.append((u, w, restrict(u, w)))
+        restrict(u, w)
 
     def dfs():
         budget.spend()
@@ -436,7 +435,9 @@ def cayley_auts(a: SRing, bounds=DEFAULT_BOUNDS):
             if all(cell_of[g.perm[x]] == cell_of[x]
                    for x in range(a.spec.order))]
     group = PermGroup(a.spec.order, [g.perm for g in auts])
-    assert group.order() == len(auts)
+    if group.order() != len(auts):
+        raise SRingsError(f"{len(auts)} Cayley automorphisms generate a "
+                          f"group of order {group.order()}")
     return group, tuple(auts)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 
 from .errors import (IdentityNotACell, NotAPartition, NotClosed,
-                     NotInverseClosed, PartitionError, SchurMultiplierViolation,
+                     NotInverseClosed, SchurMultiplierViolation,
                      SRingsError)
 from .groups import GroupSpec, Subgroup, enumerate_subgroups, Section
 
@@ -139,21 +139,6 @@ class SRing:
             raise ValueError(f"the group is not a {p}-group")
         return all(_is_p_power(len(c), p) for c in self.cells)
 
-    def restriction(self, U: Subgroup):
-        """The cells inside U as a Schur ring over U's own spec.
-
-        Returns (sring, chart) where chart maps between ambient indices and
-        subgroup indices.
-        """
-        chart = SubgroupChart(U)
-        cells = []
-        for cell in self.cells:
-            if cell <= U.elements:
-                cells.append(frozenset(chart.to_sub[x] for x in cell))
-            elif cell & U.elements:
-                raise PartitionError("subgroup is not a union of cells")
-        return validate_partition(chart.spec, cells), chart
-
     def key(self):
         return (self.spec.factors, self.cells)
 
@@ -166,28 +151,6 @@ class SRing:
     def __repr__(self):
         return (f"SRing(group={self.spec!r}, rank={self.rank}, "
                 f"sizes={sorted(len(c) for c in self.cells)})")
-
-
-class SubgroupChart:
-    """Relabeling between a subgroup's ambient indices and its own spec."""
-
-    __slots__ = ("subgroup", "spec", "to_sub", "from_sub")
-
-    def __init__(self, U: Subgroup):
-        self.subgroup = U
-        # With a trivial bottom the section projection is an isomorphism
-        # whose coordinates are computed against U's echelon basis, which is
-        # exactly the chart we need.
-        section = Section(U, _trivial(U.spec))
-        self.spec = section.quotient
-        self.to_sub = {u: section.proj[u] for u in U.elements}
-        self.from_sub = section.lift
-
-
-def _trivial(spec):
-    from .groups import trivial_subgroup
-
-    return trivial_subgroup(spec)
 
 
 def _is_p_power(s, p):

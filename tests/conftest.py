@@ -16,7 +16,7 @@ import pytest
 
 from srings.groups import (Section, all_auts, full_subgroup, parse_group,
                            subgroup_span)
-from srings.sring import SubgroupChart, validate_partition
+from srings.sring import validate_partition
 from srings.construct import group_ring, wreath
 from srings.catalog import enumerate_srings
 
@@ -60,9 +60,8 @@ def make_plain_wreath(spec, top_gens, bottom_gens):
     """Wreath of two group rings over span(top_gens)/span(bottom_gens)."""
     U = subgroup_span(spec, top_gens)
     L = subgroup_span(spec, bottom_gens)
-    chart = SubgroupChart(U)
     glq = Section(full_subgroup(spec), L)
-    return wreath(group_ring(chart.spec), group_ring(glq.quotient),
+    return wreath(group_ring(Section(U).quotient), group_ring(glq.quotient),
                   Section(U, L))
 
 

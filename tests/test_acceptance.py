@@ -175,8 +175,8 @@ def test_criterion_6_property_suites(catalog_c8, catalog_c12, catalog_c27_p,
         ring = entry.ring(c12)
         if not (ring.is_a_set(sub2.elements) and ring.is_a_set(sub3.elements)):
             continue
-        r2, _ = ring.restriction(sub2)
-        r3, _ = ring.restriction(sub3)
+        r2 = quotient(ring, Section(sub2))
+        r3 = quotient(ring, Section(sub3))
         if r2.rank == 4 or r3.rank == 3:
             check("tensor-forcing", tensor(r2, r3).cells == ring.cells)
 

@@ -7,11 +7,12 @@ from srings.errors import (CatalogFormatError, EnumerationMismatch,
                            ResourceBoundExceeded)
 from srings.groups import all_auts, aut_order, parse_group
 from srings.sring import validate_partition
-from srings.construct import sring_image
+from srings.construct import decompositions, sring_image
 from srings.morphisms import cayley_isos, is_cyclotomic
 from srings.catalog import (canonical_form, canonical_partition,
                             enumerate_srings, load_catalog,
-                            rank3_classification, save_catalog)
+                            rank3_classification, rank3_templates,
+                            save_catalog)
 
 from conftest import all_partitions, least_labeling_by_filter
 
@@ -223,6 +224,20 @@ def test_rank3_classification_p3(catalog_c27_p):
                                                  True, False]
     assert [r["thin_radical_order"] for r in rows] == [27, 9, 3, 9, 3, 3]
     assert [r["rank"] for r in rows] == [27, 11, 11, 15, 7, 11]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_rank3_templates_larger_primes(p):
+    """The templates carry the thin radicals and decomposable flags that
+    rank3_classification expects, beyond the p = 3 the golden run covers."""
+    spec, templates = rank3_templates(p)
+    assert spec.factors == ((p, 3),)
+    rings = [ring for _name, ring in templates]
+    assert [r.thin_radical().order for r in rings] == \
+        [p ** 3, p ** 2, p, p ** 2, p, p]
+    assert [bool(decompositions(r)) for r in rings] == \
+        [False, True, True, True, True, False]
+    assert all(r.is_p_sring(p) for r in rings)
 
 
 def test_rank3_rejects_even_prime():

@@ -105,6 +105,29 @@ def test_condition_u_equals_l(c27):
     assert condition_holds(ring, section)
 
 
+def test_condition_holds_rejects_projections_off_the_section_ring(
+        monkeypatch, table_rings):
+    """A factor projection outside Aut of the section ring is an internal
+    fault, raised whatever python -O says."""
+    ring = table_rings[5]
+    section = next(s for s in decompositions(ring)
+                   if s.U.order == 9 and s.L.order == 3)
+    # the section ring is the group ring of C_3: only the identity fixes
+    # its cells, so the swap of the two non-identity elements is foreign
+    monkeypatch.setattr(SectionContext, "factor_aut_projections",
+                        lambda self: ({(0, 2, 1): None}, {(0, 1, 2): None}))
+    with pytest.raises(SRingsError):
+        condition_holds(ring, section)
+
+
+def test_thin_fastpath_checks_its_wreath_structure(monkeypatch, table_rings):
+    ring = table_rings[2]
+    assert ci_fastpath(ring).method == "fastpath-thin"
+    monkeypatch.setattr("srings.ci.is_wreath_for", lambda a, section: False)
+    with pytest.raises(SRingsError):
+        ci_fastpath(ring)
+
+
 def test_condition_trivial_section_ring(c27, table_rings):
     ring = table_rings[5]
     section = next(s for s in decompositions(ring)

@@ -4,7 +4,7 @@ from srings.errors import IncompatibleOnSection, PartitionError
 from srings.groups import (GroupAut, Section, full_subgroup, parse_group,
                            subgroup_span, trivial_subgroup)
 from srings.permgrp import holomorph, right_regular, PermGroup
-from srings.sring import SRing, SubgroupChart, validate_partition
+from srings.sring import SRing, validate_partition
 from srings.construct import (cyclotomic, decompositions, group_ring,
                               is_wreath_for, parse_construction, quotient,
                               recognize_construction, schurian, sring_image,
@@ -73,8 +73,7 @@ def test_quotient_cases(c27, table_rings):
     ring = table_rings[5]
     assert quotient(ring, Section(U, U)).rank == 1
     restr = quotient(ring, Section(U, trivial_subgroup(c27)))
-    sub, _ = ring.restriction(U)
-    assert restr.rank == sub.rank
+    assert restr == quotient(ring, Section(U))
     L = subgroup_span(c27, [c27.index((1, 0, 0))])
     q = quotient(table_rings[2], Section(full, U))
     assert q.rank == 3  # full group ring of the quotient line
@@ -91,11 +90,11 @@ def test_wreath_rank_formula(c9, c27, table_rings):
     assert wr.rank == 5
     assert table_rings[5].rank == 7
     # degenerate: L trivial, U = G reproduces the top ring
-    chart = SubgroupChart(full_subgroup(c9))
+    chart = Section(full_subgroup(c9))
     glq = Section(full_subgroup(c9), trivial_subgroup(c9))
     ring = make_plain_wreath(c9, [c9.index((1, 0))], [c9.index((1, 0))])
-    top = validate_partition(chart.spec,
-                             [frozenset(chart.to_sub[x] for x in c)
+    top = validate_partition(chart.quotient,
+                             [frozenset(chart.proj[x] for x in c)
                               for c in ring.cells])
     quot_ring = validate_partition(glq.quotient,
                                    [frozenset(glq.proj[x] for x in c)
@@ -108,19 +107,33 @@ def test_wreath_rank_formula(c9, c27, table_rings):
 def test_wreath_incompatible_sections(c27):
     U = subgroup_span(c27, [c27.index((1, 0, 0)), c27.index((0, 1, 0))])
     L = subgroup_span(c27, [c27.index((1, 0, 0))])
-    chart = SubgroupChart(U)
+    chart = Section(U)
     glq = Section(full_subgroup(c27), L)
     # top factor fuses U minus the identity; quotient factor is the full
-    # group ring, so the two disagree on U/L
-    top_cells = [{0}, set(range(1, chart.spec.order))]
-    top_ring = validate_partition(chart.spec, top_cells)
-    with pytest.raises(IncompatibleOnSection):
+    # group ring, so the two disagree on U/L.  The witness is the top cell
+    # that straddles L, in G's coordinates.
+    top_cells = [{0}, set(range(1, chart.quotient.order))]
+    top_ring = validate_partition(chart.quotient, top_cells)
+    with pytest.raises(IncompatibleOnSection) as err:
         wreath(top_ring, group_ring(glq.quotient), Section(U, L))
-    # and a section that is not even a cell union of the quotient factor
+    assert err.value.cell == U.elements - {0}
+    # and a section that is not even a cell union of the quotient factor:
+    # the first top cell outside L projects onto a singleton, which is not
+    # a cell of the quotient factor
     quot_cells = [{0}, set(range(1, 9))]
     quot_ring = validate_partition(glq.quotient, quot_cells)
-    with pytest.raises(IncompatibleOnSection):
-        wreath(group_ring(chart.spec), quot_ring, Section(U, L))
+    with pytest.raises(IncompatibleOnSection) as err:
+        wreath(group_ring(chart.quotient), quot_ring, Section(U, L))
+    assert err.value.cell == {c27.index((0, 1, 0))}
+
+
+@pytest.mark.parametrize("text", [
+    "tensor[2^2,3]ZG", "tensor[2^2,3]", "tensor[2^2,3](ZG)",
+    "tensor[2^2](ZG,ZG)",
+    "wr", "wr(ZG,ZG;U=[(1,0)])", "cyc", "cyc([(1,0);(0,1)]", "ZGZG", ""])
+def test_parse_construction_rejects_malformed(c9, text):
+    with pytest.raises(ValueError):
+        parse_construction(text, c9)
 
 
 def test_decompositions_match_expected_flags(table_rings):
@@ -156,8 +169,8 @@ def test_tensor_product_forcing(catalog_c12, c12):
         ring = entry.ring(c12)
         if not (ring.is_a_set(sub2.elements) and ring.is_a_set(sub3.elements)):
             continue
-        r2, _ = ring.restriction(sub2)
-        r3, _ = ring.restriction(sub3)
+        r2 = quotient(ring, Section(sub2))
+        r3 = quotient(ring, Section(sub3))
         if r2.rank == 4 or r3.rank == 3:
             assert tensor(r2, r3).cells == ring.cells
             hits += 1

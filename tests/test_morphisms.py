@@ -227,9 +227,9 @@ def test_delta_section_under_section_ring(c27, table_rings):
     sec_group, _ = cayley_auts(sec_ring)
     top, chart, _, _ = wreath_parts(ring, section)
     _g, top_auts = cayley_auts(top)
-    inner = Section(full_subgroup(chart.spec),
-                    subgroup_span(chart.spec,
-                                  [chart.to_sub[x]
+    inner = Section(full_subgroup(chart.quotient),
+                    subgroup_span(chart.quotient,
+                                  [chart.proj[x]
                                    for x in section.L.elements
                                    if x != 0][:1]))
     for perm in delta_section(top_auts, inner):

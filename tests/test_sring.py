@@ -2,9 +2,9 @@ import pytest
 
 from srings.errors import (IdentityNotACell, NotAPartition, NotClosed,
                            NotInverseClosed, PartitionError)
-from srings.groups import parse_group, subgroup_span
+from srings.groups import Section, parse_group, subgroup_span
 from srings.sring import radical, validate_partition
-from srings.construct import group_ring
+from srings.construct import group_ring, quotient
 
 from conftest import make_plain_wreath, span_closure_holds
 
@@ -180,11 +180,12 @@ def test_generated_and_radical_are_a_subgroups(catalog_c12, c12):
 def test_restriction(c27, table_rings):
     row3 = table_rings[3]
     thin = row3.thin_radical()
-    sub, chart = row3.restriction(thin)
+    sub = quotient(row3, Section(thin))
     assert sub.rank == 3
     assert sub.spec.order == 3
     with pytest.raises(PartitionError):
-        table_rings[6].restriction(subgroup_span(c27, [c27.index((1, 0, 0))]))
+        quotient(table_rings[6],
+                 Section(subgroup_span(c27, [c27.index((1, 0, 0))])))
 
 
 def test_schur_multiplier_invariance_catalogs(catalog_c8, catalog_c12, c8, c12):
