@@ -8,7 +8,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .config import DEFAULT_BOUNDS
+from .config import DEFAULT_BOUNDS, _Budget
 from .errors import (CatalogFormatError, ClassificationMismatch,
                      EnumerationMismatch, ResourceBoundExceeded, SRingsError)
 from .groups import (GroupSpec, aut_generators, enumerate_subgroups,
@@ -75,8 +75,7 @@ class _Enumerator:
         self.n = spec.order
         self.add = spec.add_table()
         self.p_filter = p_filter
-        self.bounds = bounds
-        self.nodes = 0
+        self.budget = _Budget(bounds.enum_node_budget, "enumeration nodes")
         self.resume_root = resume_root
         self.on_root = on_root
         self.on_leaf = on_leaf
@@ -114,12 +113,6 @@ class _Enumerator:
         unassigned = frozenset(range(1, self.n))
         self._recurse(unassigned, depth=0)
 
-    def _spend(self):
-        self.nodes += 1
-        if self.nodes > self.bounds.enum_node_budget:
-            raise ResourceBoundExceeded("enumeration nodes",
-                                        self.bounds.enum_node_budget)
-
     def _recurse(self, unassigned, depth):
         if not unassigned:
             if self.on_leaf:
@@ -135,7 +128,7 @@ class _Enumerator:
         for count, cand in enumerate(candidates):
             if at_root and count < self.resume_root:
                 continue
-            self._spend()
+            self.budget.spend()
             rest = unassigned - frozenset(cand)
             journal = self._fix_cell(cand, check=True, unassigned=rest)
             if journal is None:

@@ -42,18 +42,20 @@ DEFAULT_BOUNDS = Bounds()
 
 
 class _Budget:
-    """Countdown of backtracking nodes, shared by one search's branches."""
+    """Countdown of one search's nodes, shared by its branches; what
+    names the bound in the error raised when it runs out."""
 
-    __slots__ = ("limit", "left")
+    __slots__ = ("limit", "left", "what")
 
-    def __init__(self, nodes):
-        self.limit = nodes
-        self.left = nodes
+    def __init__(self, limit, what="backtracking nodes"):
+        self.limit = limit
+        self.left = limit
+        self.what = what
 
     def spend(self):
         self.left -= 1
         if self.left < 0:
-            raise ResourceBoundExceeded("backtracking nodes", self.limit)
+            raise ResourceBoundExceeded(self.what, self.limit)
 
 
 def extended_bounds() -> Bounds:

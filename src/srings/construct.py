@@ -47,20 +47,21 @@ def tensor(a1: SRing, a2: SRing) -> SRing:
         merged[p] = merged.get(p, 0) + n
     spec = GroupSpec(sorted(merged.items()), max_order=None)
 
-    def embed(x1, x2):
-        blocks = []
-        done1 = {p: s1.coords(x1)[pos:pos + n]
-                 for p, n, pos in s1.prime_blocks()}
-        done2 = {p: s2.coords(x2)[pos:pos + n]
-                 for p, n, pos in s2.prime_blocks()}
-        for p, _n in spec.factors:
-            blocks.append(tuple(done1.get(p, ())) + tuple(done2.get(p, ())))
-        return spec.element_from_blocks(blocks)
+    basis = spec.basis()
+    starts = {p: pos for p, _n, pos in spec.prime_blocks()}
 
-    cells = []
-    for c1 in a1.cells:
-        for c2 in a2.cells:
-            cells.append(frozenset(embed(x1, x2) for x1 in c1 for x2 in c2))
+    def embedding(s, shift):
+        """The image in spec of each element of s, whose p-coordinates
+        start shift[p] places into spec's p-block."""
+        gens = [basis[starts[p] + shift.get(p, 0) + i]
+                for p, n in s.factors for i in range(n)]
+        return spec.combinations(gens, s.radices)
+
+    e1 = embedding(s1, {})
+    e2 = embedding(s2, dict(s1.factors))
+    add = spec.add_table()
+    cells = [frozenset(add[e1[x1]][e2[x2]] for x1 in c1 for x2 in c2)
+             for c1 in a1.cells for c2 in a2.cells]
     return validate_partition(spec, cells)
 
 

@@ -155,11 +155,18 @@ class GroupSpec:
         elsewhere."""
         return self.index([0] * pos + list(row))
 
-    def element_from_blocks(self, blocks) -> int:
-        coords = []
-        for vec in blocks:
-            coords.extend(vec)
-        return self.index(coords)
+    def combinations(self, gens, radices):
+        """x_1 g_1 + ... + x_k g_k for every x, in mixed-radix index order
+        over radices (x_1 least significant): the image table of the
+        homomorphism sending the i-th coordinate vector to gens[i]."""
+        add = self._tables()[0]
+        table = [0]
+        for g, r in zip(gens, radices):
+            step = table
+            for _ in range(r - 1):
+                step = [add[y][g] for y in step]
+                table += step
+        return table
 
     def multipliers(self):
         """Residues coprime to the exponent, one per power map."""
@@ -234,37 +241,6 @@ def rref(rows, p):
     return tuple(tuple(r) for r in mat[:pivot_row] if any(r))
 
 
-def span_vectors(rows, p, ncols):
-    """All F_p combinations of the given rows."""
-    out = []
-    for coeffs in itertools.product(range(p), repeat=len(rows)):
-        vec = [0] * ncols
-        for c, row in zip(coeffs, rows):
-            if c:
-                for i, v in enumerate(row):
-                    vec[i] = (vec[i] + c * v) % p
-        out.append(tuple(vec))
-    return sorted(set(out))
-
-
-def solve_in_basis(rows, vec, p):
-    """Coefficients expressing vec in the given independent rows, or None.
-
-    Back-substitution on the reduced echelon form of [rows^T | vec]: a
-    pivot in the last column means vec is outside the span, and otherwise
-    each pivot row gives its variable's value (free variables are 0).
-    """
-    k = len(rows)
-    aug = [[r[i] for r in rows] + [v] for i, v in enumerate(vec)]
-    coeffs = [0] * k
-    for row in rref(aug, p):
-        col = next(c for c, v in enumerate(row) if v)
-        if col == k:
-            return None
-        coeffs[col] = row[k]
-    return tuple(coeffs)
-
-
 def extend_basis(rows, candidates, p):
     """The candidates that extend the independent rows, taken in order:
     each one added lies outside the span of the rows and of the
@@ -272,7 +248,7 @@ def extend_basis(rows, candidates, p):
     rows = list(rows)
     start = len(rows)
     for c in candidates:
-        if solve_in_basis(rows, c, p) is None:
+        if len(rref(rows + [c], p)) > len(rows):
             rows.append(c)
     return rows[start:]
 
@@ -314,15 +290,10 @@ class Subgroup:
     def __init__(self, spec: GroupSpec, bases):
         self.spec = spec
         self.bases = tuple(rref(b, p) for (p, n), b in zip(spec.factors, bases))
-        order = 1
-        for (p, _n), basis in zip(spec.factors, self.bases):
-            order *= p ** len(basis)
-        self.order = order
-        blocks = [span_vectors(basis, p, n)
-                  for (p, n), basis in zip(spec.factors, self.bases)]
-        els = []
-        for combo in itertools.product(*blocks) if blocks else [()]:
-            els.append(spec.element_from_blocks(combo))
+        radices = [p for (p, _n), basis in zip(spec.factors, self.bases)
+                   for _row in basis]
+        els = spec.combinations(self.basis_elements(), radices)
+        self.order = len(els)
         self.elements = frozenset(els)
         mask = 0
         for e in els:
@@ -468,28 +439,25 @@ class Section:
         self.U = U
         self.L = L
         factors = []
-        complements = []
-        for (p, n), ubasis, lbasis in zip(spec.factors, U.bases, L.bases):
+        reps = []
+        for (p, n, pos), ubasis, lbasis in zip(spec.prime_blocks(), U.bases,
+                                               L.bases):
             w_rows = extend_basis(lbasis, ubasis, p)
-            complements.append((p, tuple(lbasis), tuple(w_rows)))
+            reps += [spec.block_element(pos, row) for row in w_rows]
             if w_rows:
                 factors.append((p, len(w_rows)))
         self.quotient = GroupSpec(factors, max_order=None)
+        # quotient element q is the coset of the q-th combination of the
+        # complement rows
+        add = spec.add_table()
         proj = [-1] * spec.order
-        blocks = spec.prime_blocks()
-        for u in sorted(U.elements):
-            digits = []
-            for (p, n, pos), (_p, lbasis, wbasis) in zip(blocks, complements):
-                vec = spec.coords(u)[pos:pos + n]
-                coeffs = solve_in_basis(list(lbasis) + list(wbasis), vec, p)
-                digits.extend(coeffs[len(lbasis):])
-            proj[u] = self.quotient.index(digits)
+        lift = []
+        for q, w in enumerate(spec.combinations(reps, self.quotient.radices)):
+            coset = [add[w][x] for x in L.elements]
+            for u in coset:
+                proj[u] = q
+            lift.append(min(coset))
         self.proj = tuple(proj)
-        lift = [-1] * self.quotient.order
-        for u in sorted(U.elements):
-            q = proj[u]
-            if lift[q] == -1:
-                lift[q] = u
         self.lift = tuple(lift)
 
     def __eq__(self, other):
@@ -528,33 +496,30 @@ class GroupAut:
     @classmethod
     def from_images(cls, spec: GroupSpec, pairs) -> "GroupAut":
         """Automorphism sending src -> dst for (src, dst) pairs whose
-        sources form a basis of the group."""
-        pairs = list(pairs)
-        blocks = spec.prime_blocks()
-        mats = []
-        for p, n, pos in blocks:
-            srcs, dsts = [], []
-            for s, d in pairs:
-                vec = spec.coords(s)[pos:pos + n]
-                if any(vec):
-                    srcs.append(vec)
-                    dsts.append(spec.coords(d)[pos:pos + n])
-            if rref(srcs, p) != unit_rows(n):
-                raise GroupSpecError("sources do not span the prime block")
-            # Solve M from srcs*M = dsts, row by row of the inverse basis.
-            mat_rows = []
-            for unit in unit_rows(n):
-                coeffs = solve_in_basis(srcs, unit, p)
-                img = [0] * n
-                for c, d in zip(coeffs, dsts):
-                    for j in range(n):
-                        img[j] = (img[j] + c * d[j]) % p
-                mat_rows.append(tuple(img))
-            mats.append(tuple(mat_rows))
-        aut = cls(spec, mats)
-        if not aut.is_invertible():
+        sources form a basis of prime-order elements; each image is read
+        in its source's prime block."""
+        srcs, dsts, radices = [], [], []
+        for s, d in pairs:
+            blocks = [(p, n, pos) for p, n, pos in spec.prime_blocks()
+                      if any(spec.coords(s)[pos:pos + n])]
+            if len(blocks) != 1:
+                raise GroupSpecError("sources are not a basis of "
+                                     "prime-order elements")
+            p, n, pos = blocks[0]
+            srcs.append(s)
+            dsts.append(spec.block_element(pos, spec.coords(d)[pos:pos + n]))
+            radices.append(p)
+        src_table = spec.combinations(srcs, radices)
+        dst_table = spec.combinations(dsts, radices)
+        if sorted(src_table) != list(spec.elements()):
+            raise GroupSpecError("sources are not a basis of "
+                                 "prime-order elements")
+        if len(set(dst_table)) != spec.order:
             raise GroupSpecError("images do not define an automorphism")
-        return aut
+        perm = [0] * spec.order
+        for x, y in zip(src_table, dst_table):
+            perm[x] = y
+        return cls.from_perm(spec, perm)
 
     @classmethod
     def from_perm(cls, spec: GroupSpec, perm) -> "GroupAut":
@@ -568,55 +533,28 @@ class GroupAut:
         aut._perm = tuple(perm)
         return aut
 
-    def is_invertible(self) -> bool:
-        for (p, n), m in zip(self.spec.factors, self.mats):
-            if len(rref(m, p)) != n:
-                return False
-        return True
-
     @property
     def perm(self):
+        """The image of every element: x * M is the combination of M's
+        rows with x's coordinates as coefficients."""
         if self._perm is None:
             spec = self.spec
-            blocks = spec.prime_blocks()
-            images = []
-            for x in range(spec.order):
-                coords = spec.coords(x)
-                out = []
-                for (p, n, pos), m in zip(blocks, self.mats):
-                    vec = coords[pos:pos + n]
-                    img = [0] * n
-                    for i, c in enumerate(vec):
-                        if c:
-                            row = m[i]
-                            for j in range(n):
-                                img[j] = (img[j] + c * row[j]) % p
-                    out.extend(img)
-                images.append(spec.index(out))
-            self._perm = tuple(images)
+            rows = [spec.block_element(pos, row)
+                    for (_p, _n, pos), m in zip(spec.prime_blocks(), self.mats)
+                    for row in m]
+            self._perm = tuple(spec.combinations(rows, spec.radices))
         return self._perm
 
     def compose(self, other: "GroupAut") -> "GroupAut":
         """Apply self first, then other."""
-        mats = []
-        for (p, n), a, b in zip(self.spec.factors, self.mats, other.mats):
-            rows = []
-            for i in range(n):
-                row = [0] * n
-                for k in range(n):
-                    if a[i][k]:
-                        for j in range(n):
-                            row[j] = (row[j] + a[i][k] * b[k][j]) % p
-                rows.append(tuple(row))
-            mats.append(tuple(rows))
-        return GroupAut(self.spec, mats)
+        after = other.perm
+        return GroupAut.from_perm(self.spec, [after[y] for y in self.perm])
 
     def inverse(self) -> "GroupAut":
-        mats = []
-        for (p, n), m in zip(self.spec.factors, self.mats):
-            red = rref([row + unit for row, unit in zip(m, unit_rows(n))], p)
-            mats.append(tuple(tuple(row[n:]) for row in red))
-        return GroupAut(self.spec, mats)
+        inv = [0] * self.spec.order
+        for x, y in enumerate(self.perm):
+            inv[y] = x
+        return GroupAut.from_perm(self.spec, inv)
 
     def sort_key(self):
         return self.mats
@@ -705,7 +643,6 @@ def aut_group(spec: GroupSpec):
     group = PermGroup(spec.order, gens)
     expected = aut_order(spec)
     if group.order() != expected:
-        raise AssertionError(
-            f"automorphism generators span order {group.order()}, "
-            f"expected {expected}")
+        raise SRingsError(f"automorphism generators span order "
+                          f"{group.order()}, expected {expected}")
     return group

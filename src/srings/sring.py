@@ -207,14 +207,10 @@ def validate_partition(spec: GroupSpec, cells) -> SRing:
     if frozenset([spec.identity]) not in cells:
         raise IdentityNotACell("the identity is not a singleton cell")
 
-    cell_of = [-1] * spec.order
-    for i, cell in enumerate(cells):
-        for x in cell:
-            cell_of[x] = i
     neg = spec.neg_table()
+    cell_set = set(cells)
     for cell in cells:
-        inv = frozenset(neg[x] for x in cell)
-        if inv not in set(cells):
+        if frozenset(neg[x] for x in cell) not in cell_set:
             raise NotInverseClosed(cell)
 
     add = spec.add_table()
@@ -243,7 +239,3 @@ def radical(spec: GroupSpec, elements) -> Subgroup:
         if all(mask >> add[x][g] & 1 for x in elements):
             stab.append(g)
     return Subgroup.from_elements(spec, stab)
-
-
-def generated_subgroup(spec: GroupSpec, elements) -> Subgroup:
-    return Subgroup.span(spec, list(elements))

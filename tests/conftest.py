@@ -6,8 +6,10 @@ Cayley minimality by closing every subset-generated subgroup,
 conjugacy classes of regular subgroups by walking conjugation orbits,
 fixed-point-free prime-order elements by streaming every element,
 scheme automorphisms by filtering all of Sym(n), canonical labelings and
-Cayley isomorphisms by filtering all of Aut(G), and Schur ring validity
-by integer-span membership.
+Cayley isomorphisms by filtering all of Aut(G), Schur ring validity
+by integer-span membership, and the groups layer's element tables
+(section projections, automorphism images, tensor embeddings) by
+coordinate linear algebra, one element at a time.
 """
 
 import itertools
@@ -340,3 +342,115 @@ def image_partition_is_sring(ring, f):
             if mapping.setdefault(src, dst) != dst:
                 return False
     return len(set(mapping.values())) == ring.rank
+
+
+# -- coordinate oracles for the groups layer's element tables ----------------
+
+
+def solve_in_basis(rows, vec, p):
+    """Coefficients expressing vec in the given independent rows, or None,
+    by back-substitution on the reduced echelon form of [rows^T | vec]."""
+    from srings.groups import rref
+
+    k = len(rows)
+    aug = [[r[i] for r in rows] + [v] for i, v in enumerate(vec)]
+    coeffs = [0] * k
+    for row in rref(aug, p):
+        col = next(c for c, v in enumerate(row) if v)
+        if col == k:
+            return None
+        coeffs[col] = row[k]
+    return tuple(coeffs)
+
+
+def section_by_solving(U, L):
+    """(proj, lift) of the section U/L by one solve per element of U: per
+    prime block, L's echelon rows are extended by U's rows that leave the
+    span, and an element's quotient digits are its coefficients on those
+    added rows; the lift of a quotient element is its least preimage."""
+    spec = U.spec
+    blocks = []
+    radices = []
+    for (p, n, pos), ubasis, lbasis in zip(spec.prime_blocks(), U.bases,
+                                           L.bases):
+        rows = list(lbasis)
+        for row in ubasis:
+            if solve_in_basis(rows, row, p) is None:
+                rows.append(row)
+        blocks.append((p, n, pos, rows, len(lbasis)))
+        radices += [p] * (len(rows) - len(lbasis))
+    proj = [-1] * spec.order
+    for u in sorted(U.elements):
+        digits = []
+        for p, n, pos, rows, skip in blocks:
+            coeffs = solve_in_basis(rows, spec.coords(u)[pos:pos + n], p)
+            digits += coeffs[skip:]
+        q, weight = 0, 1
+        for d, r in zip(digits, radices):
+            q += d * weight
+            weight *= r
+        proj[u] = q
+    lift = {}
+    for u in sorted(U.elements):
+        lift.setdefault(proj[u], u)
+    return tuple(proj), tuple(lift[q] for q in range(len(lift)))
+
+
+def aut_perm_by_matrices(aut):
+    """The image of every element as its coordinate row vector times the
+    automorphism's matrix, prime block by prime block."""
+    spec = aut.spec
+    images = []
+    for x in range(spec.order):
+        out = []
+        for (p, n, pos), m in zip(spec.prime_blocks(), aut.mats):
+            vec = spec.coords(x)[pos:pos + n]
+            out += [sum(c * m[i][j] for i, c in enumerate(vec)) % p
+                    for j in range(n)]
+        images.append(spec.index(out))
+    return tuple(images)
+
+
+def aut_mats_by_solving(spec, pairs):
+    """The per-prime matrices M with src * M = dst on each prime block, by
+    one solve per unit vector over the sources with a nonzero part in the
+    block, reading the images in that block only; None when the sources
+    do not span a block or some M is singular."""
+    from srings.groups import rref, unit_rows
+
+    mats = []
+    for p, n, pos in spec.prime_blocks():
+        srcs, dsts = [], []
+        for s, d in pairs:
+            vec = spec.coords(s)[pos:pos + n]
+            if any(vec):
+                srcs.append(vec)
+                dsts.append(spec.coords(d)[pos:pos + n])
+        if rref(srcs, p) != unit_rows(n):
+            return None
+        rows = []
+        for unit in unit_rows(n):
+            coeffs = solve_in_basis(srcs, unit, p)
+            rows.append(tuple(sum(c * d[j] for c, d in zip(coeffs, dsts)) % p
+                              for j in range(n)))
+        if len(rref(rows, p)) != n:
+            return None
+        mats.append(tuple(rows))
+    return mats
+
+
+def tensor_cells_by_coordinates(a1, a2, spec):
+    """The product cells of a1 and a2 in spec, each pair of elements
+    embedded by concatenating their coordinates prime block by prime
+    block, a1's first."""
+    def embed(x1, x2):
+        coords = []
+        for p, _n in spec.factors:
+            for s, x in ((a1.spec, x1), (a2.spec, x2)):
+                for q, n, pos in s.prime_blocks():
+                    if q == p:
+                        coords += s.coords(x)[pos:pos + n]
+        return spec.index(coords)
+
+    return {frozenset(embed(x1, x2) for x1 in c1 for x2 in c2)
+            for c1 in a1.cells for c2 in a2.cells}

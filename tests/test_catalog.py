@@ -1,8 +1,10 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from srings import catalog as catalog_module
+from srings.config import DEFAULT_BOUNDS
 from srings.errors import (CatalogFormatError, EnumerationMismatch,
                            ResourceBoundExceeded)
 from srings.groups import all_auts, aut_order, parse_group
@@ -109,6 +111,13 @@ def test_enumeration_mismatch_gate(monkeypatch, c8, copies):
     monkeypatch.setattr(catalog_module, "_Enumerator", Faulty)
     with pytest.raises(EnumerationMismatch):
         enumerate_srings(c8, "all", label=False)
+
+
+def test_enumeration_node_bound_is_named(c8):
+    bounds = replace(DEFAULT_BOUNDS, enum_node_budget=3)
+    with pytest.raises(ResourceBoundExceeded) as info:
+        enumerate_srings(c8, "all", bounds, label=False)
+    assert (info.value.what, info.value.limit) == ("enumeration nodes", 3)
 
 
 def test_enumeration_filter_validation(c12):

@@ -10,7 +10,7 @@ from srings.construct import (cyclotomic, decompositions, group_ring,
                               recognize_construction, schurian, sring_image,
                               tensor, wreath, wreath_parts)
 
-from conftest import make_plain_wreath
+from conftest import make_plain_wreath, tensor_cells_by_coordinates
 
 
 def test_group_ring_ranks(c3, c8):
@@ -65,6 +65,18 @@ def test_tensor_mixed_primes(c3):
     t = tensor(group_ring(c4), group_ring(c3))
     assert t.spec.factors == ((2, 2), (3, 1))
     assert t.rank == 12
+
+
+@pytest.mark.parametrize("g1,g2", [("2^2", "3"), ("3^2", "3"), ("3", "3^2")])
+def test_tensor_cells_match_coordinate_embedding(g1, g2):
+    from srings.catalog import enumerate_srings
+
+    rings1 = enumerate_srings(parse_group(g1), "all", label=False).rings()
+    rings2 = enumerate_srings(parse_group(g2), "all", label=False).rings()
+    for a1 in rings1:
+        for a2 in rings2:
+            t = tensor(a1, a2)
+            assert set(t.cells) == tensor_cells_by_coordinates(a1, a2, t.spec)
 
 
 def test_quotient_cases(c27, table_rings):

@@ -2,14 +2,17 @@ import random
 
 import pytest
 
-from srings.errors import GroupSpecError, ResourceBoundExceeded
+from srings import groups as groups_module
+from srings.errors import GroupSpecError, ResourceBoundExceeded, SRingsError
 from srings.groups import (GroupAut, Section, all_auts, aut_generators,
                            aut_group, aut_order, complement,
                            enumerate_subgroups, format_group, full_subgroup,
                            make_group, parse_group, subgroup_span,
                            trivial_subgroup)
 
-from conftest import closure_subgroups, op_preserving_bijections
+from conftest import (aut_mats_by_solving, aut_perm_by_matrices,
+                      closure_subgroups, op_preserving_bijections,
+                      section_by_solving, solve_in_basis)
 
 
 def test_make_group_orders():
@@ -207,3 +210,93 @@ def test_aut_from_images(c27):
     with pytest.raises(GroupSpecError):
         GroupAut.from_images(c27, [(basis[0], 0), (basis[1], basis[1]),
                                    (basis[2], basis[2])])
+
+
+def test_aut_group_rejects_a_short_generator_set(c12, monkeypatch):
+    full = aut_generators
+    monkeypatch.setattr(groups_module, "aut_generators",
+                        lambda spec: full(spec)[1:])
+    with pytest.raises(SRingsError, match="expected 12"):
+        aut_group(c12)
+
+
+def test_combinations_follow_mixed_radix_order(c12):
+    g, h = c12.index((1, 1, 0)), c12.index((0, 0, 1))
+    table = c12.combinations([g, h], [2, 3])
+    assert table == [c12.add(c12.scale(i, g), c12.scale(j, h))
+                     for j in range(3) for i in range(2)]
+    assert c12.combinations([], []) == [0]
+
+
+@pytest.mark.parametrize("text", ["2^2x3", "2x3^2", "3^3"])
+def test_section_tables_match_per_element_solve(text):
+    spec = parse_group(text)
+    subs = enumerate_subgroups(spec)
+    pairs = 0
+    for U in subs:
+        for L in subs:
+            if U.contains_subgroup(L):
+                sec = Section(U, L)
+                assert (sec.proj, sec.lift) == section_by_solving(U, L)
+                pairs += 1
+    assert pairs > len(subs)
+
+
+def test_aut_perm_matches_row_times_matrix():
+    specs = [parse_group(text) for text in ("2^2x3", "3^2", "2^4", "3^3")]
+    auts = all_auts(specs[0]) + all_auts(specs[1])
+    auts += aut_generators(specs[2]) + aut_generators(specs[3])
+    # a singular matrix, as a user's cyc(...) may give, has the same table
+    auts.append(GroupAut(specs[1], [((1, 2), (2, 1))]))
+    for aut in auts:
+        assert aut.perm == aut_perm_by_matrices(aut)
+
+
+def _random_block_pairs(spec, rng):
+    """A random basis of prime-order elements with random images: each
+    image has random coordinates in its source's block (maybe a singular
+    map) and random coordinates in every other block."""
+    pairs = []
+    for p, n, pos in spec.prime_blocks():
+        rows = []
+        while len(rows) < n:
+            row = tuple(rng.randrange(p) for _ in range(n))
+            if solve_in_basis(rows, row, p) is None:
+                rows.append(row)
+        for row in rows:
+            src = [0] * len(spec.radices)
+            src[pos:pos + n] = row
+            dst = [rng.randrange(r) for r in spec.radices]
+            pairs.append((spec.index(src), spec.index(dst)))
+    rng.shuffle(pairs)
+    return pairs
+
+
+@pytest.mark.parametrize("text", ["2^2x3", "2x3^2", "3^3", "2^4"])
+def test_aut_from_images_matches_per_block_solve(text):
+    spec = parse_group(text)
+    rng = random.Random(f"from_images {text}")
+    made = refused = 0
+    for _ in range(60):
+        pairs = _random_block_pairs(spec, rng)
+        mats = aut_mats_by_solving(spec, pairs)
+        if mats is None:
+            with pytest.raises(GroupSpecError):
+                GroupAut.from_images(spec, pairs)
+            refused += 1
+        else:
+            aut = GroupAut.from_images(spec, pairs)
+            assert aut == GroupAut(spec, mats)
+            assert aut.perm == aut_perm_by_matrices(aut)
+            made += 1
+    assert made and refused
+
+
+def test_aut_from_images_requires_prime_order_sources(c12):
+    mixed = [(c12.index((1, 0, 1)), 1), (c12.index((0, 1, 0)), 2),
+             (c12.index((0, 0, 1)), 4)]
+    short = [(c12.index((1, 0, 0)), 1), (c12.index((0, 0, 1)), 4)]
+    dependent = short + [(c12.index((1, 0, 0)), 2)]
+    for pairs in (mixed, short, dependent, short + [(0, 0)]):
+        with pytest.raises(GroupSpecError):
+            GroupAut.from_images(c12, pairs)

@@ -167,13 +167,11 @@ def test_is_p_sring(c27, table_rings):
 
 
 def test_generated_and_radical_are_a_subgroups(catalog_c12, c12):
-    from srings.sring import generated_subgroup
-
     for entry in catalog_c12.entries[:10]:
         ring = entry.ring(c12)
         keys = {h.elements for h in ring.a_subgroups()}
         for cell in ring.cells:
-            assert generated_subgroup(c12, cell).elements in keys
+            assert subgroup_span(c12, cell).elements in keys
             assert radical(c12, cell).elements in keys
 
 
