@@ -26,9 +26,8 @@ class Bounds:
     backtrack_node_budget: int = 5_000_000
     # Output cap for operations that list permutations explicitly.
     iso_list_limit: int = 200_000
-    # Element budget for streaming over a permutation group (regular
-    # subgroup search, intermediate subgroup search).
-    regular_element_budget: int = 2_000_000
+    # Element budget for listing a permutation group (intermediate
+    # subgroup search).
     between_element_budget: int = 1_000_000
     # Index cap for the intermediate-subgroup sweep used by 2-minimality.
     between_index_bound: int = 10_000
@@ -65,5 +64,4 @@ def extended_bounds() -> Bounds:
         enum_all_order=32,
         enum_node_budget=2_000_000_000,
         backtrack_node_budget=50_000_000,
-        regular_element_budget=3_000_000,
     )

@@ -9,6 +9,7 @@ a fixed order.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 from .config import DEFAULT_BOUNDS, _Budget
@@ -21,7 +22,7 @@ def pmul(a, b):
         return b
     if b is None:
         return a
-    return tuple(b[x] for x in a)
+    return tuple([b[x] for x in a])
 
 
 def pinv(a):
@@ -75,6 +76,19 @@ class _Level:
         self.gens = []
         self.transversal = {point: None}
         self.pairs_done = set()
+
+    def close_orbit(self):
+        """Extend the transversal to the orbit of the level's generators."""
+        changed = True
+        while changed:
+            changed = False
+            for x in sorted(self.transversal):
+                ux = self.transversal[x]
+                for g in self.gens:
+                    y = g[x]
+                    if y not in self.transversal:
+                        self.transversal[y] = pmul(ux, g)
+                        changed = True
 
 
 class PermGroup:
@@ -145,16 +159,7 @@ class PermGroup:
         lvl = self._levels[i]
         if not lvl.gens:
             return []
-        changed = True
-        while changed:
-            changed = False
-            for x in sorted(lvl.transversal):
-                ux = lvl.transversal[x]
-                for g in lvl.gens:
-                    y = g[x]
-                    if y not in lvl.transversal:
-                        lvl.transversal[y] = pmul(ux, g)
-                        changed = True
+        lvl.close_orbit()
         out = []
         for x in sorted(lvl.transversal):
             ux = lvl.transversal[x]
@@ -360,7 +365,7 @@ def _prime_order_fpf(g, p):
     return True
 
 
-def _fpf_elements(K: PermGroup, p) -> list:
+def _fpf_elements(K: PermGroup, p, budget=None) -> list:
     """The fixed-point-free elements of order p of K, sorted.
 
     A backtrack over K's stabilizer chain, without listing K.  Choosing
@@ -370,7 +375,9 @@ def _fpf_elements(K: PermGroup, p) -> list:
     K_(i+1) fixes.  The branch is pruned when that partial map has a fixed
     point, a closed cycle whose length is not p, or an open path of p or
     more arrows.  The base point's image is tested before q is composed;
-    each leaf is tested exactly by _prime_order_fpf."""
+    each leaf is tested exactly by _prime_order_fpf.  Each node spends one
+    of budget, by default a fresh backtrack_node_budget."""
+    budget = budget or _Budget(DEFAULT_BOUNDS.backtrack_node_budget)
     n = K.degree
     levels = []
     settled = set()
@@ -407,6 +414,7 @@ def _fpf_elements(K: PermGroup, p) -> list:
         return arrows < p
 
     def rec(i, q):
+        budget.spend()
         if i == len(levels):
             if _prime_order_fpf(q, p):
                 out.append(q)
@@ -450,17 +458,11 @@ def regular_subgroups(K: PermGroup, spec, bounds=DEFAULT_BOUNDS) -> list:
     translations flagged.
 
     Builds commuting generator tuples (one batch of generators of order p
-    per prime factor) from the fixed-point-free prime-order elements of K,
-    pruning partial tuples up to K-conjugacy of the generated subgroup.
-    Those elements are found by a backtrack over K's stabilizer chain
-    (_fpf_elements), which never lists K; the regular_element_budget bound
-    on |K| still applies.
-    The regular subgroups this reaches are split into classes by a
-    transporter search: every bijection conjugating R = <r_1..r_k> onto
-    S = <s_1..s_k> is 0^(r^x) -> 0^(s^(Ax)) for an automorphism A of G,
-    times an element of R, so R and S are K-conjugate exactly when one of
-    these maps lies in K.  Each class is represented by its least sorted
-    element tuple, with the generators first found for it.
+    per prime factor) from the fixed-point-free prime-order elements of K
+    (_fpf_elements, which never lists K), and keeps one subgroup per
+    K-conjugacy class at every level (_class_reps).  Each class is
+    represented by its least sorted element tuple, with the generators
+    first found for it.  All searches share one backtrack_node_budget.
     """
     n = K.degree
     if n != spec.order:
@@ -474,33 +476,23 @@ def regular_subgroups(K: PermGroup, spec, bounds=DEFAULT_BOUNDS) -> list:
         # the full symmetric group
         t_set = frozenset(PermGroup(n, translations).elements())
         return [RegularClass(tuple(translations), t_set, True)]
-    if K.order() > bounds.regular_element_budget:
-        raise ResourceBoundExceeded("regular subgroup search",
-                                    bounds.regular_element_budget, K.order())
 
-    found = _regular_extensions(K, spec, bounds)
     budget = _Budget(bounds.backtrack_node_budget)
-    reps = []
-    for key in sorted(found):
-        elset, gens = found[key]
-        pos = _regular_positions(gens, spec)
-        if any(_transporter_exists(chain, pos, spec, budget)
-               for _elset, _gens, chain in reps):
-            continue
+    reps = _class_reps(_regular_extensions(K, spec, budget), K, spec, budget)
+    # the translations t_x: 0 -> x put point x at position x
+    t_chain = _transporter_chain(K, range(n))
+    out = []
+    for elset, gens in reps:
         if len(orbit(0, gens)) != n or len(elset) != n:
             raise SRingsError("each representative is regular")
-        reps.append((elset, gens, _transporter_chain(K, pos)))
-    # the translations t_x: 0 -> x put point x at position x
-    t_pos = range(n)
-    out = [RegularClass(gens, elset,
-                        _transporter_exists(chain, t_pos, spec, budget))
-           for elset, gens, chain in reps]
+        out.append(RegularClass(gens, elset, _transporter_exists(
+            t_chain, _regular_positions(gens, spec), spec, budget)))
     if sum(c.is_translation_class for c in out) != 1:
         raise SRingsError("exactly one translation class")
     return out
 
 
-def _regular_extensions(K: PermGroup, spec, bounds) -> dict:
+def _regular_extensions(K: PermGroup, spec, budget) -> dict:
     """The regular subgroups of K of the abstract type of G that the
     generator search reaches, keyed by sorted element tuple, as (element
     set, generators in coordinate order).  Every K-conjugacy class of them
@@ -508,15 +500,15 @@ def _regular_extensions(K: PermGroup, spec, bounds) -> dict:
 
     The candidate generators of each prime p are the fixed-point-free
     elements of order p of K, found by _fpf_elements; each semiregular
-    level but the last keeps one subgroup per K-conjugation orbit."""
+    level but the last keeps one subgroup per K-conjugacy class
+    (_class_reps), and only those are extended."""
     n = K.degree
-    cands = {p: _fpf_elements(K, p) for p, _ in spec.factors}
-    conj_pairs = [(c, pinv(c)) for c in K.reduced_generators()]
+    cands = {p: _fpf_elements(K, p, budget) for p, _ in spec.factors}
     reps = [(frozenset([identity_perm(n)]), ())]
     *inner, last = spec.radices
     for prime in inner:
-        reps = _conjugacy_reps(_extend_semiregular(reps, cands[prime], prime),
-                               conj_pairs, bounds)
+        reps = _class_reps(_extend_semiregular(reps, cands[prime], prime),
+                           K, spec, budget)
     return _extend_semiregular(reps, cands[last], last)
 
 
@@ -524,117 +516,186 @@ def _extend_semiregular(reps, cands, prime) -> dict:
     """Every semiregular subgroup <gens, r>, for (element set, gens) in
     reps and r in cands of order prime commuting with gens and outside the
     subgroup, keyed by sorted element tuple; the first gens found for a
-    key are kept."""
+    key are kept.
+
+    An r commuting with P = <gens> permutes P's orbits, and <P, r> is
+    semiregular of order p|P| exactly when r fixes none: if r fixes an
+    orbit O, r|O centralizes the regular abelian P|O, so r|O = h|O for an
+    h in P, and h^-1 r is trivial or has a fixed point."""
     new = {}
     for elset, gens in reps:
+        n = len(next(iter(elset)))
+        orbs = [(min(o), o) for o in orbits(gens, n)]
         for r in cands:
-            if any(not _commutes(r, h) for h in gens) or r in elset:
+            if any(not _commutes(r, h) for h in gens) or any(
+                    r[x] in o for x, o in orbs):
                 continue
-            powers = [r]
-            for _ in range(prime - 2):
-                powers.append(pmul(powers[-1], r))
             newels = set(elset)
-            ok = True
-            for h in elset:
-                for rp in powers:
-                    e2 = pmul(h, rp)
-                    if not is_identity(e2) and any(
-                            e2[i] == i for i in range(len(e2))):
-                        ok = False
-                        break
-                    newels.add(e2)
-                if not ok:
-                    break
-            if not ok:
-                continue
+            rp = None
+            for _ in range(prime - 1):
+                rp = pmul(rp, r)
+                newels.update(pmul(h, rp) for h in elset)
             key = tuple(sorted(newels))
             if key not in new:
                 new[key] = (frozenset(newels), gens + (r,))
     return new
 
 
-def _conjugate_key(key, c, cinv):
-    """Image of a sorted element tuple under conjugation by c."""
-    return tuple(sorted(pmul(pmul(cinv, h), c) for h in key))
+def _class_reps(found: dict, K: PermGroup, spec, budget) -> list:
+    """One value of found per K-conjugacy class of its keys, taken at the
+    least key of the class, in key order.
 
-
-def _conjugacy_reps(subgroups: dict, conj_pairs, bounds) -> list:
-    """One value of subgroups per conjugation orbit of its keys, taken at
-    the least key of the orbit that subgroups holds."""
+    Keys that a generator of K conjugates onto each other are merged
+    first.  Then each merged set's least key is kept only if the
+    transporter finds it K-conjugate to no kept one within its bucket of a
+    K-invariant: over h in the subgroup, the multisets of K's pair orbits
+    of the pairs (x, x^h)."""
+    conj = [(c, pinv(c)) for c in K.reduced_generators()]
     seen = set()
-    reps = []
-    budget = bounds.regular_element_budget
-    for key in sorted(subgroups):
+    roots = []
+    for key in sorted(found):
         if key in seen:
             continue
-        orbit = {key}
+        roots.append(key)
+        seen.add(key)
         frontier = [key]
-        while frontier:
-            k0 = frontier.pop()
-            for c, cinv in conj_pairs:
-                k1 = _conjugate_key(k0, c, cinv)
-                if k1 not in orbit:
-                    if len(orbit) > budget:
-                        raise ResourceBoundExceeded(
-                            "conjugacy orbit of subgroups", budget,
-                            len(orbit) + 1)
-                    orbit.add(k1)
-                    frontier.append(k1)
-        seen |= orbit
-        reps.append(subgroups[key])
+        for k0 in frontier:
+            for c, cinv in conj:
+                # k0[0] is the identity, the only element that fixes 0
+                image = (k0[0],) + tuple(sorted(
+                    [tuple([c[h[y]] for y in cinv]) for h in k0[1:]]))
+                if image in found and image not in seen:
+                    seen.add(image)
+                    frontier.append(image)
+    n = K.degree
+    color = {pair: i for i, orb in enumerate(K.orbits_pairs()) for pair in orb}
+    buckets = {}
+    reps = []
+    for key in roots:
+        gens = found[key][1]
+        pos = _regular_positions(gens, spec)
+        invariant = tuple(sorted(tuple(sorted(color[x * n + h[x]]
+                                              for x in range(n)))
+                                 for h in key))
+        bucket = buckets.setdefault(invariant, [])
+        for kept in bucket:
+            if kept[1] is None:  # a kept subgroup's chain, built on first use
+                kept[1] = _transporter_chain(K, kept[0])
+            if _transporter_exists(kept[1], pos, spec, budget, len(gens)):
+                break
+        else:
+            bucket.append([pos, None])
+            reps.append(found[key])
     return reps
 
 
 def _regular_positions(gens, spec) -> list:
-    """pos[x] = 0^(r_1^x_1 ... r_k^x_k), x_i the coordinates of x, for
-    generators r_i of the orders of G's coordinates: a bijection from G
-    onto the points when they generate a regular group."""
-    pos = [0]
-    for r, p in zip(gens, spec.radices):
-        w = len(pos)
-        for x in range(w, p * w):
-            pos.append(r[pos[x - w]])
+    """pos[k m + x] = c_k^(r_1^x_1 ... r_j^x_j), x_i the coordinates of x,
+    for generators r_i of the orders of G's first j coordinates that
+    generate a semiregular group P of order m, and c_k the least point of
+    the k-th P-orbit in order of least points: a bijection from t = n/m
+    copies of C_(radices[:j]) onto the points."""
+    pos, seen = [], set()
+    for c in range(spec.order):
+        if c not in seen:
+            orb = [c]
+            for r, p in zip(gens, spec.radices):
+                w = len(orb)
+                for _ in range(p - 1):
+                    orb += [r[y] for y in orb[-w:]]
+            seen.update(orb)
+            pos += orb
     return pos
 
 
 def _transporter_chain(K: PermGroup, pos) -> list:
     """K's stabilizer chain on the base pos, one map per base point from
-    each point of its transversal to the inverse transversal element."""
-    chain = PermGroup(K.degree, K.strong_generators(), base_prefix=pos)
+    each point of its transversal to the inverse transversal element.
+
+    Unless pos is K's own base, seeded random elements of K are sifted, and
+    each residue joins the generators of its level and those above, until
+    the orbits multiply to |K|: each lies in the true one, so each is whole."""
+    chain = K
+    if K._base != tuple(pos):
+        chain = PermGroup(K.degree, base_prefix=pos)
+        rng = random.Random(0)
+        while math.prod(len(lvl.transversal)
+                        for lvl in chain._levels) < K.order():
+            h = chain._sift(K.random_element(rng))
+            if h is not None:
+                for lvl in chain._levels[:chain._depth(h) + 1]:
+                    lvl.gens.append(h)
+                    lvl.close_orbit()
     return [{x: pinv(u) for x, u in lvl.transversal.items()}
             for lvl in chain._levels]
 
 
-def _transporter_exists(chain, pos, spec, budget) -> bool:
-    """Whether K holds a map pos1[x] -> pos[A x] for some automorphism A of
-    G, where chain is K's chain on the base pos1 (_transporter_chain).
+def _transporter_exists(chain, pos, spec, budget, rank=None) -> bool:
+    """Whether K holds a map pos1[k m + x] -> pos[l_k m + (y_k + A x)], where
+    chain is K's chain on the base pos1 (_transporter_chain), pos1 and pos
+    lay out semiregular groups P and Q of order m generated by rank
+    generators (all of G's coordinates by default; _regular_positions), A
+    is an automorphism of C_(radices[:rank]), the l_k are distinct Q-orbits
+    and y_0 = 0: that is, whether P and Q are K-conjugate.  Composing a
+    conjugator with an element of Q moves the image of pos1[0] anywhere in
+    its Q-orbit, which is why y_0 = 0 may be fixed.
 
-    Branches on A's images of the basis vectors, as least_labeling does:
-    fixing the first j of them fixes the map on the base points below
-    weights[j], and a prefix that does not sift through the chain prunes
-    the branch.  A map that is not injective never sifts."""
+    Branches on l_0, then on A's images of the basis vectors, as
+    least_labeling does (fixing the first j of them fixes A below
+    weights[j]), then on (l_k, y_k) for each later P-orbit.  Each point
+    fixed is sifted through the chain, and a map that does not sift prunes
+    the branch; a map that is not injective never sifts."""
     candidates, weights = spec.basis_image_candidates()
+    rank = len(candidates) if rank is None else rank
+    m = weights[rank]
+    t = len(pos) // m
     add = spec.add_table()
-    img = [0] * spec.order
+    img = [0] * m  # A x
+    free = [True] * t  # the Q-orbits not yet images
 
-    def rec(ci, residue):
+    def sift(h, base, start, y, xs):
+        # h sifted on by the maps pos1[base + x] -> pos[start + (y + A x)],
+        # x in xs; None when one of them leaves the chain
+        row = add[y]
+        for x in xs:
+            z = h[pos[start + row[img[x]]]]
+            level = chain[base + x]
+            if z not in level:
+                return None
+            h = pmul(h, level[z])
+        return h
+
+    def rec(ci, start, h):
         budget.spend()
-        if ci == len(candidates):
-            return True
-        lo, hi = weights[ci], weights[ci + 1]
-        for v in candidates[ci]:
-            h = residue
-            for x in range(lo, hi):
-                y = add[img[x - lo]][v]
-                img[x] = y
-                z = pos[y] if h is None else h[pos[y]]
-                level = chain[x]
-                if z not in level:
+        if ci < rank:
+            lo, hi = weights[ci], weights[ci + 1]
+            for v in candidates[ci]:
+                if v >= m:  # outside C_(radices[:rank]); the rest are too
                     break
-                h = pmul(h, level[z])
-            else:
-                if rec(ci + 1, h):
+                for x in range(lo, hi):
+                    img[x] = add[img[x - lo]][v]
+                h2 = sift(h, 0, start, 0, range(lo, hi))
+                if h2 is not None and rec(ci + 1, start, h2):
                     return True
+            return False
+        k = ci - rank + 1  # the P-orbit placed next
+        if k == t:
+            return True
+        for l in range(t):
+            if free[l]:
+                free[l] = False
+                for y in range(m):
+                    h2 = sift(h, k * m, l * m, y, range(m))
+                    if h2 is not None and rec(ci + 1, start, h2):
+                        return True
+                free[l] = True
         return False
 
-    return rec(0, None)
+    for l in range(t):
+        h = sift(identity_perm(len(pos)), 0, l * m, 0, (0,))
+        if h is not None:
+            free[l] = False
+            if rec(0, l * m, h):
+                return True
+            free[l] = True
+    return False

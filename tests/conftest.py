@@ -160,22 +160,77 @@ def cayley_minimal_by_closure(ring):
 
 
 def regular_classes_by_orbit(K, spec):
-    """The classes of regular_subgroups by conjugation orbits: the regular
-    subgroups the generator search reaches, in sorted key order, each one
-    outside every earlier orbit starting a walk over its whole K-conjugacy
-    orbit of sorted element tuples; the class whose orbit holds the
-    translations' key is the translation class."""
-    from srings.permgrp import (PermGroup, RegularClass, _regular_extensions,
-                                pinv, pmul)
-    from srings.config import DEFAULT_BOUNDS
+    """The classes of regular_subgroups by conjugation orbits, built level
+    by level as the generator search builds them: each level extends the
+    subgroups kept at the level before (extend_by_element_test), and keeps
+    the subgroups, in sorted key order, that lie outside every earlier
+    one's K-conjugation orbit of sorted element tuples, each orbit walked
+    in full.  At the final level the class whose orbit holds the
+    translations' key is the translation class.  The candidate generators
+    are the library's _fpf_elements, which fpf_elements_by_streaming
+    checks."""
+    from srings.permgrp import (PermGroup, RegularClass, _fpf_elements,
+                                identity_perm, pinv)
 
     translations = [spec.translation(b) for b in spec.basis()]
     t_key = tuple(sorted(PermGroup(K.degree, translations).elements()))
-    found = _regular_extensions(K, spec, DEFAULT_BOUNDS)
     conj = [(c, pinv(c)) for c in K.gens]
+    cands = {p: _fpf_elements(K, p) for p, _ in spec.factors}
+    reps = [(frozenset([identity_perm(K.degree)]), ())]
+    *inner, last = spec.radices
+    for prime in inner:
+        found = extend_by_element_test(reps, cands[prime], prime)
+        reps = [found[key] for key, _orbit in conjugacy_orbits(found, conj)]
+    found = extend_by_element_test(reps, cands[last], last)
+    return [RegularClass(found[key][1], found[key][0], t_key in orbit)
+            for key, orbit in conjugacy_orbits(found, conj)]
+
+
+def extend_by_element_test(reps, cands, prime):
+    """Every semiregular subgroup <gens, r>, for (element set, gens) in
+    reps and r in cands of order prime commuting with gens and outside the
+    subgroup, keyed by sorted element tuple, the first gens found for a
+    key kept: every element of the extension is tested for a fixed
+    point."""
+    from srings.permgrp import is_identity, pmul
+
+    new = {}
+    for elset, gens in reps:
+        for r in cands:
+            if r in elset or any(pmul(r, h) != pmul(h, r) for h in gens):
+                continue
+            powers = [r]
+            for _ in range(prime - 2):
+                powers.append(pmul(powers[-1], r))
+            newels = set(elset)
+            ok = True
+            for h in elset:
+                for rp in powers:
+                    e2 = pmul(h, rp)
+                    if not is_identity(e2) and any(
+                            e2[i] == i for i in range(len(e2))):
+                        ok = False
+                        break
+                    newels.add(e2)
+                if not ok:
+                    break
+            if not ok:
+                continue
+            key = tuple(sorted(newels))
+            if key not in new:
+                new[key] = (frozenset(newels), gens + (r,))
+    return new
+
+
+def conjugacy_orbits(subgroups, conj):
+    """(least key, orbit) for each conjugation orbit of the keys of
+    subgroups, in key order; each orbit is walked in full over sorted
+    element tuples, also outside subgroups."""
+    from srings.permgrp import pmul
+
     seen = set()
     out = []
-    for key in sorted(found):
+    for key in sorted(subgroups):
         if key in seen:
             continue
         orbit = {key}
@@ -188,8 +243,7 @@ def regular_classes_by_orbit(K, spec):
                     orbit.add(k1)
                     frontier.append(k1)
         seen |= orbit
-        elset, gens = found[key]
-        out.append(RegularClass(gens, elset, t_key in orbit))
+        out.append((key, orbit))
     return out
 
 

@@ -96,6 +96,16 @@ def test_is_ci_all_p_rings_over_c27(catalog_c27_p, c27):
         assert status.verdict == "CI"
 
 
+def test_is_ci_searches_a_large_automorphism_group(c16):
+    # |Aut(A)| = 10,321,920: the regular-subgroup search lists no group,
+    # so no bound on |Aut(A)| applies
+    from srings.sring import validate_partition
+
+    ring = validate_partition(c16, [{0}, {15}, set(range(1, 15))])
+    assert scheme_aut(ring).order() == 10_321_920
+    assert is_ci(ring).verdict == decide_ci(ring).verdict == "CI"
+
+
 def test_condition_u_equals_l(c27):
     ring = make_plain_wreath(c27,
                              [c27.index((1, 0, 0)), c27.index((0, 1, 0))],

@@ -235,9 +235,11 @@ def test_regular_subgroups_budget():
 
     c8 = parse_group("2^3")
     hol = holomorph(c8)
-    tiny = dataclasses.replace(DEFAULT_BOUNDS, regular_element_budget=100)
-    with pytest.raises(ResourceBoundExceeded):
+    tiny = dataclasses.replace(DEFAULT_BOUNDS, backtrack_node_budget=1)
+    with pytest.raises(ResourceBoundExceeded) as info:
         regular_subgroups(hol, c8, tiny)
+    assert info.value.what == "backtracking nodes"
+    assert info.value.limit == 1
 
 
 def test_symmetric_group_shortcut(c8):

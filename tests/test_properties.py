@@ -5,7 +5,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from srings.catalog import canonical_form
 from srings.construct import sring_image
 from srings.groups import aut_generators
-from srings.permgrp import pmul
+from srings.morphisms import scheme_aut
+from srings.permgrp import pmul, regular_subgroups
 
 PROPERTY_SETTINGS = settings(
     max_examples=40, deadline=None,
@@ -47,3 +48,24 @@ def test_canonical_form_is_aut_invariant(
     for g in word:
         perm = pmul(perm, g)
     assert canonical_form(sring_image(ring, perm)) == canonical_form(ring)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_regular_subgroup_classes_are_aut_invariant(
+        data, catalog_c8, catalog_c12):
+    """Relabeling a ring by a random group automorphism, a word in the
+    generators of Aut(G), conjugates its scheme automorphism group, so the
+    regular-subgroup search finds as many classes with the same flags."""
+    ring = data.draw(st.sampled_from(catalog_c8.rings() + catalog_c12.rings()))
+    gens = [g.perm for g in aut_generators(ring.spec)]
+    word = data.draw(st.lists(st.sampled_from(gens), max_size=12))
+    perm = tuple(range(ring.spec.order))
+    for g in word:
+        perm = pmul(perm, g)
+
+    def flags(a):
+        return [c.is_translation_class
+                for c in regular_subgroups(scheme_aut(a), a.spec)]
+
+    assert flags(sring_image(ring, perm)) == flags(ring)
