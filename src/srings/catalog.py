@@ -6,13 +6,15 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .config import DEFAULT_BOUNDS, _Budget
 from .errors import (CatalogFormatError, ClassificationMismatch,
                      EnumerationMismatch, ResourceBoundExceeded, SRingsError)
-from .groups import (GroupSpec, aut_generators, enumerate_subgroups,
-                     format_group, make_group, parse_group)
+from .groups import (GroupSpec, aut_generators, aut_group,
+                     enumerate_subgroups, format_group, make_group,
+                     parse_group)
+from .permgrp import orbit
 from .sring import (SRing, _product_counts, _split_pair, memoized,
                     validate_partition)
 from .construct import (decompositions, parse_construction,
@@ -21,6 +23,8 @@ from .morphisms import least_labeling
 
 CATALOG_FORMAT = "srings-catalog"
 CATALOG_VERSION = 1
+# version 2: root branches are counted with the weight of their orbit
+CHECKPOINT_VERSION = 2
 
 
 # -- canonical form -----------------------------------------------------------
@@ -67,6 +71,15 @@ class _Enumerator:
     induce equal signatures inside any future cell; coprime power maps must
     send fixed cells onto cells, which forces future cells; in p-power
     mode a cell of size |G|/p must be a coset of an index-p subgroup.
+
+    The root fixes the cell C of the least non-identity element x, and
+    each g in H = Stab_Aut(G)(x) maps the rings whose cell of x is C one to
+    one onto those whose cell of x is gC.  So the root explores only the
+    first accepted candidate of each H-orbit and sets self.weight, the
+    number of rings each leaf below it stands for, to the orbit's size;
+    the later members of the orbit are skipped.  Accepted candidates are
+    marked as bitmasks.  A resumed run fixes the finished root candidates
+    again, without exploring them, so that their orbits are marked.
     """
 
     def __init__(self, spec, p_filter, bounds, resume_root=0, on_root=None,
@@ -79,6 +92,7 @@ class _Enumerator:
         self.resume_root = resume_root
         self.on_root = on_root
         self.on_leaf = on_leaf
+        self.weight = 1
         self.multipliers = [m for m in spec.multipliers() if m != 1]
         self.scale_rows = {m: tuple(spec.scale(m, x) for x in range(self.n))
                            for m in self.multipliers}
@@ -111,9 +125,27 @@ class _Enumerator:
         ident = self.spec.identity
         self._fix_cell((ident,), check=False)
         unassigned = frozenset(range(1, self.n))
-        self._recurse(unassigned, depth=0)
+        x = min(unassigned)
+        stab_gens = aut_group(self.spec).point_stabilizer(x).gens
+        marked = set()
+        for count, cand in enumerate(self._candidates(x, unassigned)):
+            self.budget.spend()
+            rest = unassigned - frozenset(cand)
+            journal = self._fix_cell(cand, check=True, unassigned=rest)
+            if journal is None:
+                continue
+            mask = sum(1 << y for y in cand)
+            if mask not in marked:
+                cand_orbit = orbit(mask, stab_gens, _mask_image)
+                marked |= cand_orbit
+                self.weight = len(cand_orbit)
+                if count >= self.resume_root:
+                    self._recurse(rest)
+                    if self.on_root:
+                        self.on_root(count)
+            self._unfix(journal)
 
-    def _recurse(self, unassigned, depth):
+    def _recurse(self, unassigned):
         if not unassigned:
             if self.on_leaf:
                 self.on_leaf(tuple(cell for cell, _ in self.fixed))
@@ -124,19 +156,14 @@ class _Enumerator:
             candidates = [tuple(sorted(forced_cell))]
         else:
             candidates = self._candidates(x, unassigned)
-        at_root = depth == 0
-        for count, cand in enumerate(candidates):
-            if at_root and count < self.resume_root:
-                continue
+        for cand in candidates:
             self.budget.spend()
             rest = unassigned - frozenset(cand)
             journal = self._fix_cell(cand, check=True, unassigned=rest)
             if journal is None:
                 continue
-            self._recurse(rest, depth + 1)
+            self._recurse(rest)
             self._unfix(journal)
-            if at_root and self.on_root:
-                self.on_root(count)
 
     def _candidates(self, x, unassigned):
         sig_x = tuple(self.sig[x])
@@ -231,14 +258,23 @@ class _Enumerator:
 
 @dataclass
 class Entry:
+    """One Cayley class of a catalog.  Its canonical form is computed from
+    spec and cells on first read unless it was given as _form."""
     cells: tuple
-    canonical: bytes
     rank: int
     thin_radical_order: int
     decomposable: bool
     construction: str | None = None
     ci: dict | None = None
     raw_count: int = 0
+    spec: GroupSpec | None = field(default=None, repr=False, compare=False)
+    _form: bytes | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def canonical(self) -> bytes:
+        if self._form is None:
+            self._form = canonical_partition(self.spec, self.cells)[0]
+        return self._form
 
     def ring(self, spec) -> SRing:
         return validate_partition(spec, self.cells)
@@ -265,22 +301,27 @@ def enumerate_srings(spec: GroupSpec, sring_filter: str = "all",
     """All Schur rings over the group, one canonical representative per
     Cayley isomorphism class.
 
-    Each raw ring the merge search reaches is looked up by its cell
-    labeling.  The first ring of a class pays for one canonical form, and
-    its whole Aut(G) orbit, walked with the generators of Aut(G), enters
-    the lookup table; later rings of the orbit are table hits.  An entry's
-    raw_count is the number of raw rings counted for its class, which must
-    equal the size of the walked orbit (orbit-stabilizer); a difference
-    means the search missed or repeated a ring and raises
+    The merge search explores one root branch per orbit of
+    H = Stab_Aut(G)(1) on the candidate cells of the element 1, and each
+    leaf it reaches stands for as many raw rings as that orbit has
+    members: its weight.  Each leaf is looked up by its cell labeling.
+    The first leaf of a class pays for one canonical form, and the class's
+    whole Aut(G) orbit, walked with the generators of Aut(G), enters the
+    lookup table; later leaves of the class are table hits.  raw_total
+    and an entry's raw_count sum the weights of the leaves counted, and
+    raw_count must equal the size of the walked orbit (orbit-stabilizer);
+    a difference means the search missed or repeated a leaf and raises
     EnumerationMismatch.  This catches a class whose rings are partly
     missed or repeated, but not a class the search misses entirely, which
     leaves no orbit to compare; only known raw totals catch that.
 
     sring_filter "p-srings" keeps only partitions with prime-power cell
     sizes (the group must be a p-group); "all" enumerates everything.
-    checkpoint names a progress file: finished top-level branches are
-    recorded there at most every checkpoint_interval seconds, and a fresh
-    run resumes from it.
+    progress(raw_total, classes) is called after each leaf that takes
+    raw_total past a multiple of 50.  checkpoint names a progress file:
+    finished root branches are recorded there at most every
+    checkpoint_interval seconds, and a fresh run resumes from it.  A
+    file of another group, filter or CHECKPOINT_VERSION is ignored.
     """
     import os
     import time
@@ -301,7 +342,8 @@ def enumerate_srings(spec: GroupSpec, sring_filter: str = "all",
         with open(checkpoint, encoding="utf-8") as fh:
             data = json.load(fh)
         if data.get("group") == format_group(spec) \
-                and data.get("filter") == sring_filter:
+                and data.get("filter") == sring_filter \
+                and data.get("version") == CHECKPOINT_VERSION:
             resume_root = data["root_done"]
             raw_total = data["raw_total"]
             for item in data["classes"]:
@@ -313,8 +355,10 @@ def enumerate_srings(spec: GroupSpec, sring_filter: str = "all",
     orbit_size: dict = {}
 
     def on_leaf(partition):
+        # the leaf stands for enum.weight raw rings, its root orbit's size
         nonlocal raw_total
-        raw_total += 1
+        before = raw_total
+        raw_total += enum.weight
         lab = [0] * spec.order
         for i, cell in enumerate(partition):
             for x in cell:
@@ -324,9 +368,13 @@ def enumerate_srings(spec: GroupSpec, sring_filter: str = "all",
         if key is None:
             key, cells = canonical_partition(spec, partition)
             classes.setdefault(key, [cells, 0])
-            orbit_size[key] = _walk_orbit(lab, perms, class_of, key)
-        classes[key][1] += 1
-        if progress and raw_total % 50 == 0:
+            # reading lab through g gives its image under g^-1, and the
+            # inverses generate the same group
+            lab_orbit = orbit(lab, perms, _relabeled)
+            class_of.update(dict.fromkeys(lab_orbit, key))
+            orbit_size[key] = len(lab_orbit)
+        classes[key][1] += enum.weight
+        if progress and raw_total // 50 > before // 50:
             progress(raw_total, len(classes))
 
     last_write = time.monotonic()
@@ -365,12 +413,13 @@ def enumerate_srings(spec: GroupSpec, sring_filter: str = "all",
                 construction = None
         entries.append(Entry(
             cells=ring.cells,
-            canonical=key,
             rank=ring.rank,
             thin_radical_order=ring.thin_radical().order,
             decomposable=bool(decompositions(ring)),
             construction=construction,
             raw_count=raw_count,
+            spec=spec,
+            _form=key,
         ))
     return Catalog(spec, sring_filter, entries, raw_total)
 
@@ -381,29 +430,26 @@ def _renumbered(labels) -> bytes:
     return bytes([first.setdefault(v, len(first)) for v in labels])
 
 
-def _walk_orbit(lab, perms, class_of, key):
-    """Enter every image of the labeling lab under the group generated by
-    perms into class_of under key; returns the orbit size.  Reading lab
-    through g gives its image under g^-1, and the inverses generate the
-    same group."""
-    class_of[lab] = key
-    stack = [lab]
-    size = 1
-    while stack:
-        cur = stack.pop()
-        for g in perms:
-            img = _renumbered([cur[i] for i in g])
-            if img not in class_of:
-                class_of[img] = key
-                stack.append(img)
-                size += 1
-    return size
+def _relabeled(g, lab) -> bytes:
+    """The labeling lab read through the permutation g, renumbered."""
+    return _renumbered([lab[i] for i in g])
+
+
+def _mask_image(g, mask) -> int:
+    """The image under the permutation g of the point set with bitmask
+    mask."""
+    out = 0
+    for x, y in enumerate(g):
+        if mask >> x & 1:
+            out |= 1 << y
+    return out
 
 
 def _write_checkpoint(path, spec, sring_filter, root_done, raw_total, classes):
     data = {
         "group": format_group(spec),
         "filter": sring_filter,
+        "version": CHECKPOINT_VERSION,
         "root_done": root_done,
         "raw_total": raw_total,
         "classes": [{"form": key.hex(),
@@ -483,13 +529,13 @@ def load_catalog(path, max_order=None) -> Catalog:
                                   [frozenset(c) for c in rec["cells"]])
         entries.append(Entry(
             cells=ring.cells,
-            canonical=canonical_form(ring),
             rank=rec["rank"],
             thin_radical_order=rec["thin_radical_order"],
             decomposable=rec["decomposable"],
             construction=rec.get("construction"),
             ci=rec.get("ci"),
             raw_count=rec.get("raw_count", 0),
+            spec=spec,
         ))
         if entries[-1].rank != ring.rank:
             raise CatalogFormatError("rank annotation mismatch")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import getitem
 
 from .config import DEFAULT_BOUNDS, _Budget
 from .errors import ResourceBoundExceeded, SRingsError
@@ -42,13 +43,14 @@ def is_identity(p):
     return p is None or all(i == j for i, j in enumerate(p))
 
 
-def orbit(x, gens):
-    """The orbit of the point x under the group generated by gens."""
+def orbit(x, gens, act=getitem):
+    """The orbit of x under the group generated by gens, where act(g, y)
+    is the image of y under g: by default the point g[y]."""
     seen = {x}
     frontier = [x]
     for y in frontier:
         for g in gens:
-            z = g[y]
+            z = act(g, y)
             if z not in seen:
                 seen.add(z)
                 frontier.append(z)

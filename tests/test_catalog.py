@@ -113,6 +113,93 @@ def test_enumeration_mismatch_gate(monkeypatch, c8, copies):
         enumerate_srings(c8, "all", label=False)
 
 
+def _valid_partitions(spec):
+    """Bell oracle: every partition of the non-identity elements that is
+    a Schur ring, as a frozenset of cells."""
+    from srings.errors import PartitionError
+
+    valid = set()
+    for blocks in all_partitions(range(1, spec.order)):
+        cells = [frozenset({0})] + [frozenset(b) for b in blocks]
+        try:
+            validate_partition(spec, cells)
+        except PartitionError:
+            continue
+        valid.add(frozenset(cells))
+    return valid
+
+
+@pytest.mark.parametrize("group", ["2^3", "3^2"])
+def test_leaves_cover_every_ring_once_under_root_stabilizer(monkeypatch,
+                                                            group):
+    """The merge search reaches one leaf L per ring whose cell C of the
+    element 1 is the first of its orbit under H = Stab_Aut(G)(1).  Mapping
+    each leaf by one g in H per image gC must give every valid partition
+    exactly once.  H is listed from all_auts, not from the enumerator's
+    generators and orbit walk."""
+    spec = parse_group(group)
+    leaves = []
+
+    class Recording(catalog_module._Enumerator):
+        def __init__(self, *args, on_leaf, **kwargs):
+            def recording_on_leaf(partition):
+                leaves.append(partition)
+                on_leaf(partition)
+
+            super().__init__(*args, on_leaf=recording_on_leaf, **kwargs)
+
+    monkeypatch.setattr(catalog_module, "_Enumerator", Recording)
+    catalog = enumerate_srings(spec, "all", label=False)
+    stabilizer = [a.perm for a in all_auts(spec) if a.perm[1] == 1]
+    images = []
+    for leaf in leaves:
+        root_cell = next(c for c in leaf if 1 in c)
+        seen_cells = set()
+        for g in stabilizer:
+            image_cell = frozenset(g[x] for x in root_cell)
+            if image_cell not in seen_cells:
+                seen_cells.add(image_cell)
+                images.append(frozenset(frozenset(g[x] for x in c)
+                                        for c in leaf))
+    valid = _valid_partitions(spec)
+    assert len(images) == len(set(images))
+    assert set(images) == valid
+    assert catalog.raw_total == len(valid)
+    assert len(leaves) < len(valid)
+
+
+def test_enumerate_c16_within_a_small_node_budget(c16):
+    """One root branch per orbit of Stab_Aut(G)(1) spends 59,287 nodes on
+    2^4; the unweighted search spent 329,651."""
+    bounds = replace(DEFAULT_BOUNDS, enum_node_budget=80_000)
+    catalog = enumerate_srings(c16, "all", bounds, label=False)
+    assert len(catalog) == 43
+    assert catalog.raw_total == 12_537
+
+
+def test_progress_fires_at_every_crossed_multiple_of_50(monkeypatch, c16):
+    """A leaf counts for its whole root orbit, so the raw total jumps;
+    the callback fires once for each leaf that passes a multiple of 50."""
+    totals = [0]
+
+    class Recording(catalog_module._Enumerator):
+        def __init__(self, *args, on_leaf, **kwargs):
+            def recording_on_leaf(partition):
+                on_leaf(partition)
+                totals.append(totals[-1] + self.weight)
+
+            super().__init__(*args, on_leaf=recording_on_leaf, **kwargs)
+
+    monkeypatch.setattr(catalog_module, "_Enumerator", Recording)
+    calls = []
+    catalog = enumerate_srings(c16, "all", label=False,
+                               progress=lambda raw, _: calls.append(raw))
+    assert totals[-1] == catalog.raw_total
+    assert calls == [t for s, t in zip(totals, totals[1:])
+                     if t // 50 > s // 50]
+    assert len(calls) < catalog.raw_total // 50
+
+
 def test_enumeration_node_bound_is_named(c8):
     bounds = replace(DEFAULT_BOUNDS, enum_node_budget=3)
     with pytest.raises(ResourceBoundExceeded) as info:
@@ -182,6 +269,33 @@ def test_catalog_roundtrip(tmp_path, c12, catalog_c12):
     path2 = tmp_path / "again.cat"
     save_catalog(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_loaded_canonical_form_is_computed_on_first_read(
+        monkeypatch, tmp_path, c12, catalog_c12):
+    path = tmp_path / "c12.cat"
+    save_catalog(catalog_c12, path)
+    calls = []
+    original = catalog_module.canonical_partition
+
+    def counting(spec, cells):
+        calls.append(cells)
+        return original(spec, cells)
+
+    monkeypatch.setattr(catalog_module, "canonical_partition", counting)
+    loaded = load_catalog(path)
+    assert calls == []
+    assert [e.canonical for e in loaded.entries] == \
+        [e.canonical for e in catalog_c12.entries]
+    assert len(calls) == len(loaded.entries)
+    entry = loaded.entries[-1]
+    entry.canonical
+    assert len(calls) == len(loaded.entries)
+    # a relabeled copy keeps the class, as perfbench's input catalogs do
+    perm = all_auts(c12)[-1].perm
+    moved = replace(entry, cells=tuple(frozenset(perm[x] for x in c)
+                                       for c in entry.cells))
+    assert moved.canonical == canonical_form(moved.ring(c12))
 
 
 def test_catalog_version_and_digest_errors(tmp_path, catalog_c8):
@@ -298,6 +412,24 @@ def test_checkpoint_resume_after_interrupt(tmp_path, c8, catalog_c8):
         [(e.cells, e.raw_count) for e in catalog_c8.entries]
     assert resumed.raw_total == catalog_c8.raw_total
     assert not ckpt.exists()
+
+
+def test_checkpoint_of_another_version_is_ignored(tmp_path, c8, catalog_c8):
+    """A checkpoint written before root branches were weighted counts
+    every root candidate once; resuming it would miscount, so it is
+    ignored and the run starts afresh."""
+    import json
+    from srings.catalog import _write_checkpoint
+
+    ckpt = tmp_path / "c8.ckpt"
+    _write_checkpoint(str(ckpt), c8, "all", 3, 7, {})
+    data = json.loads(ckpt.read_text())
+    del data["version"]
+    ckpt.write_text(json.dumps(data))
+    resumed = enumerate_srings(c8, "all", label=False, checkpoint=str(ckpt))
+    assert [(e.cells, e.raw_count) for e in resumed.entries] == \
+        [(e.cells, e.raw_count) for e in catalog_c8.entries]
+    assert resumed.raw_total == catalog_c8.raw_total
 
 
 def test_rank2_p_classification(c9, c3):
