@@ -6,7 +6,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import DEFAULT_BOUNDS, _Budget
 from .errors import (CatalogFormatError, ClassificationMismatch,
@@ -258,23 +258,14 @@ class _Enumerator:
 
 @dataclass
 class Entry:
-    """One Cayley class of a catalog.  Its canonical form is computed from
-    spec and cells on first read unless it was given as _form."""
     cells: tuple
+    canonical: bytes
     rank: int
     thin_radical_order: int
     decomposable: bool
     construction: str | None = None
     ci: dict | None = None
     raw_count: int = 0
-    spec: GroupSpec | None = field(default=None, repr=False, compare=False)
-    _form: bytes | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def canonical(self) -> bytes:
-        if self._form is None:
-            self._form = canonical_partition(self.spec, self.cells)[0]
-        return self._form
 
     def ring(self, spec) -> SRing:
         return validate_partition(spec, self.cells)
@@ -413,13 +404,12 @@ def enumerate_srings(spec: GroupSpec, sring_filter: str = "all",
                 construction = None
         entries.append(Entry(
             cells=ring.cells,
+            canonical=key,
             rank=ring.rank,
             thin_radical_order=ring.thin_radical().order,
             decomposable=bool(decompositions(ring)),
             construction=construction,
             raw_count=raw_count,
-            spec=spec,
-            _form=key,
         ))
     return Catalog(spec, sring_filter, entries, raw_total)
 
@@ -529,13 +519,13 @@ def load_catalog(path, max_order=None) -> Catalog:
                                   [frozenset(c) for c in rec["cells"]])
         entries.append(Entry(
             cells=ring.cells,
+            canonical=canonical_form(ring),
             rank=rec["rank"],
             thin_radical_order=rec["thin_radical_order"],
             decomposable=rec["decomposable"],
             construction=rec.get("construction"),
             ci=rec.get("ci"),
             raw_count=rec.get("raw_count", 0),
-            spec=spec,
         ))
         if entries[-1].rank != ring.rank:
             raise CatalogFormatError("rank annotation mismatch")

@@ -168,18 +168,12 @@ def test_leaves_cover_every_ring_once_under_root_stabilizer(monkeypatch,
     assert len(leaves) < len(valid)
 
 
-def test_enumerate_c16_within_a_small_node_budget(c16):
-    """One root branch per orbit of Stab_Aut(G)(1) spends 59,287 nodes on
-    2^4; the unweighted search spent 329,651."""
-    bounds = replace(DEFAULT_BOUNDS, enum_node_budget=80_000)
-    catalog = enumerate_srings(c16, "all", bounds, label=False)
-    assert len(catalog) == 43
-    assert catalog.raw_total == 12_537
-
-
 def test_progress_fires_at_every_crossed_multiple_of_50(monkeypatch, c16):
     """A leaf counts for its whole root orbit, so the raw total jumps;
-    the callback fires once for each leaf that passes a multiple of 50."""
+    the callback fires once for each leaf that passes a multiple of 50.
+    One root branch per orbit of Stab_Aut(G)(1) spends 59,287 nodes on
+    2^4, well within a budget of 80,000; the unweighted search spent
+    329,651."""
     totals = [0]
 
     class Recording(catalog_module._Enumerator):
@@ -192,8 +186,11 @@ def test_progress_fires_at_every_crossed_multiple_of_50(monkeypatch, c16):
 
     monkeypatch.setattr(catalog_module, "_Enumerator", Recording)
     calls = []
-    catalog = enumerate_srings(c16, "all", label=False,
+    bounds = replace(DEFAULT_BOUNDS, enum_node_budget=80_000)
+    catalog = enumerate_srings(c16, "all", bounds, label=False,
                                progress=lambda raw, _: calls.append(raw))
+    assert len(catalog) == 43
+    assert catalog.raw_total == 12_537
     assert totals[-1] == catalog.raw_total
     assert calls == [t for s, t in zip(totals, totals[1:])
                      if t // 50 > s // 50]
@@ -269,33 +266,6 @@ def test_catalog_roundtrip(tmp_path, c12, catalog_c12):
     path2 = tmp_path / "again.cat"
     save_catalog(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
-
-
-def test_loaded_canonical_form_is_computed_on_first_read(
-        monkeypatch, tmp_path, c12, catalog_c12):
-    path = tmp_path / "c12.cat"
-    save_catalog(catalog_c12, path)
-    calls = []
-    original = catalog_module.canonical_partition
-
-    def counting(spec, cells):
-        calls.append(cells)
-        return original(spec, cells)
-
-    monkeypatch.setattr(catalog_module, "canonical_partition", counting)
-    loaded = load_catalog(path)
-    assert calls == []
-    assert [e.canonical for e in loaded.entries] == \
-        [e.canonical for e in catalog_c12.entries]
-    assert len(calls) == len(loaded.entries)
-    entry = loaded.entries[-1]
-    entry.canonical
-    assert len(calls) == len(loaded.entries)
-    # a relabeled copy keeps the class, as perfbench's input catalogs do
-    perm = all_auts(c12)[-1].perm
-    moved = replace(entry, cells=tuple(frozenset(perm[x] for x in c)
-                                       for c in entry.cells))
-    assert moved.canonical == canonical_form(moved.ring(c12))
 
 
 def test_catalog_version_and_digest_errors(tmp_path, catalog_c8):
