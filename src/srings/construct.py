@@ -237,8 +237,7 @@ def recognize_construction(a: SRing) -> str | None:
         group, auts = morphisms.cayley_auts(a)
     except ResourceBoundExceeded:
         return None
-    orbit_ring = cyclotomic(auts, spec) if auts else group_ring(spec)
-    if orbit_ring.cells == a.cells:
+    if set(group.orbits()) == set(a.cells):
         gens = _minimal_cyclotomic_gens(a, auts)
         label = "|".join(
             "&".join("[" + ";".join(_format_vec(row) for row in mat) + "]"
@@ -265,15 +264,17 @@ def _coordinate_support(spec, sub: Subgroup):
 
 
 def _minimal_cyclotomic_gens(a: SRing, auts):
-    """A small generating subset of the Cayley automorphisms realizing the
-    same orbit partition (greedy, deterministic)."""
+    """A small generating subset of the Cayley automorphisms, given in
+    matrix order, realizing the same orbit partition (greedy,
+    deterministic)."""
+    identity = GroupAut.identity(a.spec).mats
     chosen = []
-    for aut in sorted(auts, key=lambda g: g.sort_key()):
-        if aut.mats == GroupAut.identity(a.spec).mats:
+    for aut in auts:
+        if aut.mats == identity:
             continue
         chosen.append(aut)
         if cyclotomic(chosen, a.spec).cells == a.cells:
-            return [g.mats for g in chosen]
+            break
     return [g.mats for g in chosen]
 
 

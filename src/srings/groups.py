@@ -258,27 +258,6 @@ def unit_rows(n):
     return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
 
 
-def invertible_matrices(p, n):
-    """All invertible n x n matrices over F_p, rows independent, sorted."""
-    vectors = list(itertools.product(range(p), repeat=n))
-    out = []
-
-    def grow(rows, span):
-        if len(rows) == n:
-            out.append(tuple(rows))
-            return
-        for v in vectors:
-            if v not in span:
-                new_span = set()
-                for s in span:
-                    for c in range(p):
-                        new_span.add(tuple((a + c * b) % p for a, b in zip(s, v)))
-                grow(rows + [v], new_span)
-
-    grow([], {tuple([0] * n)})
-    return out
-
-
 # -- subgroups --------------------------------------------------------------
 
 
@@ -483,11 +462,14 @@ class GroupAut:
 
     __slots__ = ("spec", "mats", "_perm")
 
-    def __init__(self, spec: GroupSpec, mats):
+    def __init__(self, spec: GroupSpec, mats, perm=None):
+        """With the image tuple perm given, mats must be nested tuples of
+        reduced residues that agree with it; neither is checked."""
         self.spec = spec
-        self.mats = tuple(tuple(tuple(v % p for v in row) for row in m)
-                          for (p, _), m in zip(spec.factors, mats))
-        self._perm = None
+        self.mats = mats if perm is not None else tuple(
+            tuple(tuple(v % p for v in row) for row in m)
+            for (p, _), m in zip(spec.factors, mats))
+        self._perm = perm
 
     @classmethod
     def identity(cls, spec: GroupSpec) -> "GroupAut":
@@ -526,12 +508,10 @@ class GroupAut:
         """The automorphism with the given image tuple, which must be the
         image tuple of an automorphism."""
         basis = spec.basis()
-        mats = [tuple(spec.coords(perm[basis[pos + i]])[pos:pos + n]
-                      for i in range(n))
-                for _p, n, pos in spec.prime_blocks()]
-        aut = cls(spec, mats)
-        aut._perm = tuple(perm)
-        return aut
+        mats = tuple(tuple(spec.coords(perm[basis[pos + i]])[pos:pos + n]
+                           for i in range(n))
+                     for _p, n, pos in spec.prime_blocks())
+        return cls(spec, mats, tuple(perm))
 
     @property
     def perm(self):
@@ -614,6 +594,49 @@ def aut_order(spec: GroupSpec) -> int:
     return total
 
 
+def cell_fixing_auts(spec: GroupSpec, cell_of, budget=None) -> list:
+    """The automorphisms sending every element x into its own cell, the
+    elements y with cell_of[y] == cell_of[x], sorted by matrix.
+
+    A backtrack over the images of the coordinate basis vectors: fixing
+    the first j of them fixes the map on the indices below the j-th
+    mixed-radix weight, and each of those must stay in its cell.  Images
+    are scanned by block coordinates, so the maps come out in matrix
+    order.  Each node spends one unit of budget, if given.
+    """
+    add = spec.add_table()
+    candidates, weights = spec.basis_image_candidates()
+    blocks = spec.prime_blocks()
+    options = [sorted((spec.coords(v)[pos:pos + nn], v)
+                      for v in candidates[ci]
+                      if cell_of[v] == cell_of[weights[ci]])
+               for _p, nn, pos in blocks for ci in range(pos, pos + nn)]
+    img = [0] * spec.order
+    out = []
+
+    def rec(ci, used_mask, rows):
+        if budget is not None:
+            budget.spend()
+        if ci == len(options):
+            mats = tuple(rows[pos:pos + nn] for _p, nn, pos in blocks)
+            out.append(GroupAut(spec, mats, tuple(img)))
+            return
+        lo, hi = weights[ci], weights[ci + 1]
+        for row, v in options[ci]:
+            new_used = used_mask
+            for x in range(lo, hi):
+                y = add[img[x - lo]][v]
+                if new_used >> y & 1 or cell_of[y] != cell_of[x]:
+                    break
+                new_used |= 1 << y
+                img[x] = y
+            else:
+                rec(ci + 1, new_used, rows + (row,))
+
+    rec(0, 1, ())
+    return out
+
+
 _all_auts_cache: dict = {}
 
 
@@ -624,10 +647,7 @@ def all_auts(spec: GroupSpec, limit: int | None = None) -> list:
         raise ResourceBoundExceeded("automorphism enumeration", limit, expected)
     cached = _all_auts_cache.get(spec.factors)
     if cached is None:
-        per_prime = [invertible_matrices(p, n) for p, n in spec.factors]
-        cached = [GroupAut(spec, combo)
-                  for combo in itertools.product(*per_prime)]
-        cached.sort(key=GroupAut.sort_key)
+        cached = cell_fixing_auts(spec, [0] * spec.order)
         if len(cached) != expected:
             raise SRingsError(f"{len(cached)} automorphisms listed, "
                               f"expected {expected}")

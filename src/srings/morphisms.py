@@ -14,8 +14,8 @@ import itertools
 from .config import DEFAULT_BOUNDS, _Budget
 from .errors import (PartitionError, ResourceBoundExceeded,
                      SectionNotPreserved, SRingsError)
-from .groups import GroupAut, Section
-from .permgrp import (PermGroup, orbit, right_regular,
+from .groups import GroupAut, Section, cell_fixing_auts
+from .permgrp import (PermGroup, group_of_listing, orbit, right_regular,
                       subgroups_between)
 from .sring import SRing, memoized
 
@@ -423,22 +423,13 @@ def cayley_isos(a: SRing, b: SRing, bounds=DEFAULT_BOUNDS) -> list:
 
 @memoized
 def cayley_auts(a: SRing, bounds=DEFAULT_BOUNDS):
-    """Group automorphisms fixing every cell setwise, i.e. the group
-    automorphisms that are scheme automorphisms.  Returns the permutation
-    group together with the matrix forms.
-
-    Note this is smaller than cayley_isos(a, a): a self Cayley isomorphism
-    may permute the cells, a Cayley automorphism may not.
-    """
-    cell_of = a.cell_of
-    auts = [g for g in cayley_isos(a, a, bounds)
-            if all(cell_of[g.perm[x]] == cell_of[x]
-                   for x in range(a.spec.order))]
-    group = PermGroup(a.spec.order, [g.perm for g in auts])
-    if group.order() != len(auts):
-        raise SRingsError(f"{len(auts)} Cayley automorphisms generate a "
-                          f"group of order {group.order()}")
-    return group, tuple(auts)
+    """The permutation group of the group automorphisms fixing every cell
+    setwise, i.e. those that are scheme automorphisms, and the maps
+    themselves, sorted by matrix.  (A self Cayley isomorphism may permute
+    the cells; a Cayley automorphism may not.)"""
+    auts = cell_fixing_auts(a.spec, a.cell_of,
+                            _Budget(bounds.backtrack_node_budget))
+    return group_of_listing(a.spec.order, [g.perm for g in auts]), tuple(auts)
 
 
 def is_cyclotomic(a: SRing, bounds=DEFAULT_BOUNDS) -> bool:

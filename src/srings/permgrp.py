@@ -221,15 +221,8 @@ class PermGroup:
     def reduced_generators(self):
         """A greedily thinned generating list with the same closure."""
         if self._reduced is None:
-            chosen = []
-            group = PermGroup(self.degree)
-            for g in self.gens:
-                if not group.contains(g):
-                    chosen.append(g)
-                    group = PermGroup(self.degree, chosen)
-                    if group.order() == self._order:
-                        break
-            self._reduced = tuple(chosen)
+            self._reduced = _greedy_group(self.degree, self.gens,
+                                          self._order).gens
         return self._reduced
 
     def orbit(self, x):
@@ -259,6 +252,29 @@ class PermGroup:
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self._order})"
+
+
+def _greedy_group(degree, perms, order) -> PermGroup:
+    """The group generated by each of perms in turn that is not yet a
+    member, until its order reaches order."""
+    group = PermGroup(degree)
+    for g in perms:
+        if group.order() >= order:
+            break
+        if not group.contains(g):
+            group = PermGroup(degree, group.gens + (g,))
+    return group
+
+
+def group_of_listing(degree, perms) -> PermGroup:
+    """The group whose elements are exactly perms; SRingsError if they
+    are not a group."""
+    group = _greedy_group(degree, perms, len(perms))
+    listed = set(perms)
+    if group.order() != len(perms) or \
+            any(g not in listed for g in group.elements()):
+        raise SRingsError(f"{len(perms)} permutations are not a group")
+    return group
 
 
 def from_generators(perms, degree=None) -> PermGroup:

@@ -6,8 +6,10 @@ Cayley minimality by closing every subset-generated subgroup,
 conjugacy classes of regular subgroups by walking conjugation orbits,
 fixed-point-free prime-order elements by streaming every element,
 scheme automorphisms by filtering all of Sym(n), canonical labelings and
-Cayley isomorphisms by filtering all of Aut(G), Schur ring validity
-by integer-span membership, and the groups layer's element tables
+Cayley isomorphisms by filtering all of Aut(G), Cayley automorphisms by
+filtering the self Cayley isomorphisms, Aut(G) itself by filtering all
+square matrices, Schur ring validity by integer-span membership, and
+the groups layer's element tables
 (section projections, automorphism images, tensor embeddings) by
 coordinate linear algebra, one element at a time.
 """
@@ -331,6 +333,16 @@ def cayley_isos_by_filter(a, b):
                    for cell in a.cells)]
 
 
+def cayley_auts_by_cell_fixing_isos(ring):
+    """The Cayley automorphisms the long way round: every self Cayley
+    isomorphism, filtered to the maps that fix every cell."""
+    from srings.morphisms import cayley_isos
+
+    cell_of = ring.cell_of
+    return [g for g in cayley_isos(ring, ring)
+            if all(cell_of[y] == cell_of[x] for x, y in enumerate(g.perm))]
+
+
 def span_closure_holds(spec, cells):
     """Integer-span closure oracle: the product of any two cell indicator
     vectors must be an integer combination of cell indicators, i.e.
@@ -448,6 +460,23 @@ def section_by_solving(U, L):
     for u in sorted(U.elements):
         lift.setdefault(proj[u], u)
     return tuple(proj), tuple(lift[q] for q in range(len(lift)))
+
+
+def aut_mats_by_filter(spec):
+    """Every automorphism's matrices, sorted: the tuples of one square
+    matrix per prime block whose map v -> vM on F_p^n is one-to-one."""
+    per_block = []
+    for p, n in spec.factors:
+        vectors = list(itertools.product(range(p), repeat=n))
+        mats = []
+        for entries in itertools.product(range(p), repeat=n * n):
+            m = tuple(entries[i * n:(i + 1) * n] for i in range(n))
+            images = {tuple(sum(v[i] * m[i][j] for i in range(n)) % p
+                            for j in range(n)) for v in vectors}
+            if len(images) == len(vectors):
+                mats.append(m)
+        per_block.append(mats)
+    return sorted(itertools.product(*per_block))
 
 
 def aut_perm_by_matrices(aut):

@@ -3,8 +3,10 @@
 Refactors must leave every catalog and report byte-identical.  The
 commands run in a temporary working directory with relative paths,
 because the ci report header echoes the catalog path.  The 3^3 p-catalog
-carries a cyc(...) label that depends on the order of cayley_auts.  The
-regular-method reports pin the regular-subgroup certificates.
+and the 2^4 catalog carry cyc(...) labels that depend on the order of
+cayley_auts; the longest, on the rank-2 ring over 2^4, picks its
+generators from all 20,160 elements of GL(4,2).  The regular-method
+reports pin the regular-subgroup certificates.
 """
 
 import hashlib
@@ -18,6 +20,8 @@ GOLDEN = {
         "7d2d7620c04df8368f26d84e1f99bb8aac4a169d8c52f5dcc62b3fd2dd5c1975",
     "enumerate 2^2x3":
         "7890e6db5bb935cb8426cab3ca620de06b2f535bf65ed05d87d4821265f190f5",
+    "enumerate 2^4":
+        "eb9afa437fbc7c985d0fe19aee8e931980d8180f37a406688508dba777f26a56",
     "enumerate 3^3 p-srings":
         "147aa8bea2a1c322dab870d5670c9be7f625f4de6851d6b3a7d10b8b2f79a1a7",
     "ci auto 2^2x3":
@@ -39,6 +43,8 @@ COMMANDS = (
      ["enumerate", "--group", "3^2", "--out", "c9.cat"], "c9.cat"),
     ("enumerate 2^2x3",
      ["enumerate", "--group", "2^2x3", "--out", "c12.cat"], "c12.cat"),
+    ("enumerate 2^4",
+     ["enumerate", "--group", "2^4", "--out", "c16.cat"], "c16.cat"),
     ("enumerate 3^3 p-srings",
      ["enumerate", "--group", "3^3", "--filter", "p-srings",
       "--out", "c27p.cat"], "c27p.cat"),

@@ -10,9 +10,10 @@ from srings.groups import (GroupAut, Section, all_auts, aut_generators,
                            make_group, parse_group, subgroup_span,
                            trivial_subgroup)
 
-from conftest import (aut_mats_by_solving, aut_perm_by_matrices,
-                      closure_subgroups, op_preserving_bijections,
-                      section_by_solving, solve_in_basis)
+from conftest import (aut_mats_by_filter, aut_mats_by_solving,
+                      aut_perm_by_matrices, closure_subgroups,
+                      op_preserving_bijections, section_by_solving,
+                      solve_in_basis)
 
 
 def test_make_group_orders():
@@ -178,6 +179,14 @@ def test_all_auts_matches_order(c12):
     auts = all_auts(c12, limit=10 ** 5)
     assert len(auts) == 12
     assert len({a.perm for a in auts}) == 12
+
+
+@pytest.mark.parametrize("text", ["2^3", "3^2", "2^2x3", "2x3^2"])
+def test_all_auts_are_the_invertible_matrices_in_order(text):
+    spec = parse_group(text)
+    auts = all_auts(spec)
+    assert [a.mats for a in auts] == aut_mats_by_filter(spec)
+    assert all(a.perm == aut_perm_by_matrices(a) for a in auts)
 
 
 def test_aut_compose_inverse(c27):

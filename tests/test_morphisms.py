@@ -17,8 +17,9 @@ from srings.morphisms import (algebraic_image, algebraic_isos, cayley_auts,
                               is_cayley_minimal, is_cyclotomic, restrict_perm,
                               scheme_aut)
 
-from conftest import (brute_scheme_aut, cayley_isos_by_filter,
-                      cayley_minimal_by_closure, make_plain_wreath)
+from conftest import (brute_scheme_aut, cayley_auts_by_cell_fixing_isos,
+                      cayley_isos_by_filter, cayley_minimal_by_closure,
+                      make_plain_wreath)
 
 
 def test_cayley_isos_group_ring(c8):
@@ -84,6 +85,23 @@ def test_cayley_auts_orders(c27, table_rings):
     assert cayley_auts(table_rings[3])[0].order() == 9
     assert cayley_auts(table_rings[5])[0].order() == 27
     assert cayley_auts(table_rings[6])[0].order() == 3
+
+
+@pytest.mark.parametrize("group, sring_filter", [
+    ("2^3", "all"), ("3^2", "all"), ("2^2x3", "all"), ("3^3", "p-srings"),
+    ("2^4", "all")])
+def test_cayley_auts_agree_with_cell_fixing_isos(group, sring_filter):
+    """Same maps in the same (matrix) order, and a group of the same
+    order, as filtering the self Cayley isomorphisms, on every catalog
+    ring and on the group ring."""
+    spec = parse_group(group)
+    rings = enumerate_srings(spec, sring_filter, label=False).rings()
+    for ring in rings + [group_ring(spec)]:
+        got_group, got = cayley_auts(ring)
+        want = cayley_auts_by_cell_fixing_isos(ring)
+        assert [g.mats for g in got] == [g.mats for g in want]
+        assert [g.perm for g in got] == [g.perm for g in want]
+        assert got_group.order() == len(want)
 
 
 def test_scheme_aut_group_ring_is_translations(c27):

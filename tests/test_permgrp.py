@@ -9,9 +9,10 @@ from srings.groups import aut_generators, parse_group
 from srings.morphisms import scheme_aut
 from srings.permgrp import (PermGroup, _fpf_elements, _regular_positions,
                             _transporter_chain, _transporter_exists,
-                            from_generators, holomorph, identity_perm, orbit,
-                            orbits, pinv, pmul, regular_subgroups,
-                            right_regular, subgroups_between, two_equivalent)
+                            from_generators, group_of_listing, holomorph,
+                            identity_perm, orbit, orbits, pinv, pmul,
+                            regular_subgroups, right_regular,
+                            subgroups_between, two_equivalent)
 
 from conftest import (fpf_elements_by_streaming, naive_perm_closure,
                       regular_classes_by_orbit)
@@ -76,6 +77,34 @@ def test_contains_and_elements(c9):
     for g in els:
         assert group.contains(g)
     assert not group.contains(tuple([1, 0] + list(range(2, 9))))
+
+
+def test_group_of_listing_fails_exactly_off_groups(c8):
+    """The check passes on a group in any order and fails on a listing
+    with an element dropped or repeated, or one that is not closed."""
+    sym3 = sorted(naive_perm_closure([(1, 0, 2), (1, 2, 0)], 3))
+    assert group_of_listing(3, sym3[::-1]).order() == 6
+    cyclic = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+    assert group_of_listing(3, cyclic).order() == 3
+    bad = [sym3[:-1], sym3[1:], sym3 + sym3[:1], cyclic[:2] + [(0, 2, 1)],
+           [(0, 1, 2), (1, 0, 2), (0, 2, 1)]]
+    for listing in bad:
+        with pytest.raises(SRingsError, match="are not a group"):
+            group_of_listing(3, listing)
+    # a big group: Aut(C_2^3) streamed, minus one element
+    autg = PermGroup(8, [a.perm for a in aut_generators(c8)])
+    elements = list(autg.elements())
+    assert group_of_listing(8, elements).order() == 168
+    with pytest.raises(SRingsError, match="are not a group"):
+        group_of_listing(8, elements[:100] + elements[101:])
+
+
+def test_reduced_generators_drop_redundant_ones(c27):
+    gens = [a.perm for a in aut_generators(c27)]
+    group = PermGroup(27, gens + [pmul(gens[0], gens[1])])
+    reduced = group.reduced_generators()
+    assert set(reduced) < set(group.gens)
+    assert PermGroup(27, reduced).order() == group.order() == 11232
 
 
 def test_aut_group_closure_small():
