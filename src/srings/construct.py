@@ -216,11 +216,12 @@ def recognize_construction(a: SRing) -> str | None:
     for H in subs:
         for K in subs:
             if H.order * K.order == spec.order and \
-                    H.meet(K).order == 1:
+                    H.meet(K).order == 1 and \
+                    _same_coordinate_split(spec, H, K):
                 rh = quotient(a, Section(H))
                 rk = quotient(a, Section(K))
-                if tensor(rh, rk).cells == a.cells and \
-                        _same_coordinate_split(spec, H, K):
+                if rh.rank * rk.rank == a.rank and \
+                        tensor(rh, rk).cells == a.cells:
                     lh = recognize_construction(rh) or "?"
                     lk = recognize_construction(rk) or "?"
                     return (f"tensor[{format_group(rh.spec)},"

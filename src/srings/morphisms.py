@@ -324,6 +324,15 @@ def least_labeling(spec, cell_of, best=None, budget=None, on_tie=None):
     beats a given best.  With on_tie, the image list (reused by the
     search) of every automorphism whose labeling equals best is passed to
     on_tie, and the search stops at the first labeling below best.
+
+    First-path pruning (McKay 1981): let a leaf g tie with a leaf g0 that
+    the search visited earlier and that reaches best.  Equal labelings
+    make sigma = g g0^-1 a group automorphism permuting the cells.  If d
+    is the first basis vector whose images differ, sigma fixes the images
+    of vectors 0..d-1 and maps g0's level-d subtree, already finished,
+    onto g's, keeping every labeling; so the search returns to level d
+    and tries the next image.  The seed's own path counts as g0 only once
+    visited.  With on_tie there is no jump, since every tie is listed.
     """
     n = spec.order
     add = spec.add_table()
@@ -337,24 +346,36 @@ def least_labeling(spec, cell_of, best=None, budget=None, on_tie=None):
         images = list(range(n))
     img = [0] * n
     labels = [0] * n
+    # the basis images on the current path, those of a visited leaf
+    # reaching best, and the level that deeper frames return to
+    choice = [0] * ncoords
+    best_choice = None
+    cut = ncoords
 
     def rec(ci, used_mask, remap, strictly_better):
-        nonlocal best, images
+        nonlocal best, images, best_choice, cut
         if budget is not None:
             budget.spend()
         if ci == ncoords:
             if strictly_better:
                 best = labels[:]
                 images = img[:]
+                best_choice = choice[:]
                 return True
             if on_tie is not None:
                 on_tie(img)
+            elif best_choice is None:
+                best_choice = choice[:]
+            else:
+                cut = next(d for d in range(ncoords)
+                           if choice[d] != best_choice[d])
             return False
         improved = False
         lo, hi = weights[ci], weights[ci + 1]
         for v in candidates[ci]:
             if used_mask >> v & 1:
                 continue
+            choice[ci] = v
             new_used = used_mask
             new_remap = dict(remap)
             better = strictly_better
@@ -385,6 +406,9 @@ def least_labeling(spec, cell_of, best=None, budget=None, on_tie=None):
                 # must be compared against it
                 improved = True
                 strictly_better = False
+            if cut < ci:
+                return improved
+            cut = ncoords
         return improved
 
     rec(0, 1, {cell_of[0]: 0}, False)

@@ -1,22 +1,26 @@
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from srings import catalog as catalog_module
-from srings.config import DEFAULT_BOUNDS
+from srings.config import DEFAULT_BOUNDS, _Budget
 from srings.errors import (CatalogFormatError, EnumerationMismatch,
                            ResourceBoundExceeded)
 from srings.groups import all_auts, aut_order, parse_group
 from srings.sring import validate_partition
-from srings.construct import decompositions, sring_image
-from srings.morphisms import cayley_isos, is_cyclotomic
+from srings.construct import decompositions, group_ring, sring_image
+from srings.morphisms import cayley_isos, is_cyclotomic, least_labeling
+from srings.permgrp import orbits
 from srings.catalog import (canonical_form, canonical_partition,
                             enumerate_srings, load_catalog,
                             rank3_classification, rank3_templates,
                             save_catalog)
 
 from conftest import all_partitions, least_labeling_by_filter
+
+PERFBENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
 
 def test_enumerate_c3_all(c3):
@@ -252,6 +256,43 @@ def test_canonical_partition_is_least_over_aut(group, max_cells, count):
         perm = rng.choice(auts).perm
         image = [{perm[x] for x in cell} for cell in cells]
         assert canonical_partition(spec, image)[0] == form
+
+
+@pytest.mark.parametrize("group, count", [("2^4", 30), ("3^3", 30),
+                                          ("2^2x3", 22)])
+def test_canonical_partition_is_least_on_symmetric_partitions(group, count):
+    """Unions of orbits of a random subgroup of Aut(G), so that many
+    automorphisms tie and the search prunes subtrees that mirror finished
+    ones; each is relabeled by a random automorphism, so its own labeling
+    is not least."""
+    spec = parse_group(group)
+    rng = random.Random(11)
+    auts = all_auts(spec)
+    for _ in range(count):
+        gens = [g.perm for g in rng.sample(auts, rng.randint(1, 2))]
+        blocks = {}
+        for orb in orbits(gens, spec.order):
+            blocks.setdefault(rng.randrange(len(blocks) + 2), set()).update(orb)
+        perm = rng.choice(auts).perm
+        cells = [{perm[x] for x in block} for block in blocks.values()]
+        assert canonical_partition(spec, cells)[0] == \
+            least_labeling_by_filter(spec, cells)
+
+
+def _labeling_nodes(ring):
+    budget = _Budget(10 ** 9)
+    least_labeling(ring.spec, ring.cell_of, budget=budget)
+    return budget.limit - budget.left
+
+
+def test_least_labeling_prunes_mirrored_subtrees(c16):
+    """Without pruning, the group ring and the rank-2 ring visit all
+    20,160 automorphisms (22,906 nodes each), and c16.cat 64,106 nodes."""
+    assert _labeling_nodes(group_ring(c16)) <= 200
+    assert _labeling_nodes(
+        validate_partition(c16, [{0}, set(range(1, c16.order))])) <= 200
+    catalog = load_catalog(PERFBENCH_DATA / "c16.cat")
+    assert sum(_labeling_nodes(e.ring(c16)) for e in catalog.entries) <= 3500
 
 
 def test_catalog_roundtrip(tmp_path, c12, catalog_c12):
