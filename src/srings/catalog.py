@@ -12,8 +12,8 @@ from .config import DEFAULT_BOUNDS, _Budget
 from .errors import (CatalogFormatError, ClassificationMismatch,
                      EnumerationMismatch, ResourceBoundExceeded, SRingsError)
 from .groups import (GroupSpec, aut_generators, aut_group,
-                     enumerate_subgroups, format_group, make_group,
-                     parse_group)
+                     cell_fixing_auts, enumerate_subgroups, format_group,
+                     make_group, parse_group)
 from .permgrp import orbit
 from .sring import (SRing, _product_counts, _split_pair, memoized,
                     validate_partition)
@@ -72,14 +72,27 @@ class _Enumerator:
     send fixed cells onto cells, which forces future cells; in p-power
     mode a cell of size |G|/p must be a coset of an index-p subgroup.
 
-    The root fixes the cell C of the least non-identity element x, and
-    each g in H = Stab_Aut(G)(x) maps the rings whose cell of x is C one to
-    one onto those whose cell of x is gC.  So the root explores only the
-    first accepted candidate of each H-orbit and sets self.weight, the
-    number of rings each leaf below it stands for, to the orbit's size;
-    the later members of the orbit are skipped.  Accepted candidates are
-    marked as bitmasks.  A resumed run fixes the finished root candidates
-    again, without exploring them, so that their orbits are marked.
+    Symmetry breaking.  The cell fixed at depth d is a candidate cell of
+    x_d, the least element not yet in a cell, so x_0 = 1.  Let K_d be the
+    automorphisms that fix every cell fixed so far setwise and
+    x_0, ..., x_d pointwise: K_0 = H = Stab_Aut(G)(1), and once a
+    candidate C is fixed, K_{d+1} = {g in K_d : gC = C, g x_{d+1} =
+    x_{d+1}}.  K_d preserves the fixed cells, hence the candidates of
+    x_d, the signatures, the forced cells and the acceptance test, and
+    each g in K_d maps the rings below C one to one onto those below gC.
+    So a node walks the K_d-orbit of each unmarked candidate before it
+    fixes it, fixes only the first candidate of each orbit (when that one
+    is rejected, the whole orbit is), and self.weight, the number of
+    rings each leaf stands for, is the product of the orbit sizes on the
+    path.  The root walks H with its generators through per-byte image
+    tables; K_1 is listed by cell_fixing_auts, and each deeper group
+    filters its parent's list.  Once K_d is trivial it stays trivial, and
+    the node fixes every candidate without walks.
+
+    A resumed run walks and marks the orbits of the root candidates before
+    resume_root without fixing them.  So root_done still counts root
+    candidates in _candidates order, and the member of each orbit that is
+    explored is still its first one.
     """
 
     def __init__(self, spec, p_filter, bounds, resume_root=0, on_root=None,
@@ -93,6 +106,7 @@ class _Enumerator:
         self.on_root = on_root
         self.on_leaf = on_leaf
         self.weight = 1
+        self.bits = tuple(1 << y for y in range(self.n))
         self.multipliers = [m for m in spec.multipliers() if m != 1]
         self.scale_rows = {m: tuple(spec.scale(m, x) for x in range(self.n))
                            for m in self.multipliers}
@@ -122,30 +136,15 @@ class _Enumerator:
         return cosets
 
     def run(self):
-        ident = self.spec.identity
-        self._fix_cell((ident,), check=False)
-        unassigned = frozenset(range(1, self.n))
-        x = min(unassigned)
-        stab_gens = aut_group(self.spec).point_stabilizer(x).gens
-        marked = set()
-        for count, cand in enumerate(self._candidates(x, unassigned)):
-            self.budget.spend()
-            rest = unassigned - frozenset(cand)
-            journal = self._fix_cell(cand, check=True, unassigned=rest)
-            if journal is None:
-                continue
-            mask = sum(1 << y for y in cand)
-            if mask not in marked:
-                cand_orbit = orbit(mask, stab_gens, _mask_image)
-                marked |= cand_orbit
-                self.weight = len(cand_orbit)
-                if count >= self.resume_root:
-                    self._recurse(rest)
-                    if self.on_root:
-                        self.on_root(count)
-            self._unfix(journal)
+        self._fix_cell((self.spec.identity,), check=False)
+        stab = aut_group(self.spec).point_stabilizer(1)
+        self._search(frozenset(range(1, self.n)),
+                     [_byte_tables(g) for g in stab.reduced_generators()])
 
-    def _recurse(self, unassigned):
+    def _search(self, unassigned, group, depth=0):
+        """Explore the rings that extend the fixed cells.  group is K_d:
+        at the root the image tables of H's generators, below it the
+        list of its elements g as bit rows, row[y] = 1 << g[y]."""
         if not unassigned:
             if self.on_leaf:
                 self.on_leaf(tuple(cell for cell, _ in self.fixed))
@@ -156,14 +155,56 @@ class _Enumerator:
             candidates = [tuple(sorted(forced_cell))]
         else:
             candidates = self._candidates(x, unassigned)
-        for cand in candidates:
+        walk = depth == 0 or len(group) > 1
+        # the members of walked orbits not yet reached; each member is a
+        # candidate exactly once, so a hit removes it
+        marked = set()
+        for count, cand in enumerate(candidates):
+            size = 1
+            if walk:
+                mask = _cell_mask(self.bits, cand)
+                if mask in marked:
+                    marked.remove(mask)
+                    continue
+                if depth == 0:
+                    cand_orbit = orbit(mask, group, _table_image)
+                else:
+                    cand_orbit = {_cell_mask(g, cand) for g in group}
+                marked |= cand_orbit
+                marked.remove(mask)
+                size = len(cand_orbit)
+                if depth == 0 and count < self.resume_root:
+                    continue
             self.budget.spend()
             rest = unassigned - frozenset(cand)
             journal = self._fix_cell(cand, check=True, unassigned=rest)
             if journal is None:
                 continue
-            self._recurse(rest)
+            child = group
+            if walk and rest:
+                child = self._child_group(group, depth, cand, mask, min(rest))
+            self.weight *= size
+            self._search(rest, child, depth + 1)
+            self.weight //= size
+            if depth == 0 and self.on_root:
+                self.on_root(count)
             self._unfix(journal)
+
+    def _child_group(self, group, depth, cell, mask, x):
+        """K_{d+1}: the elements of K_d that fix the cell and the point x,
+        as bit rows."""
+        if depth == 0:
+            # the labels of {0}, {x_0 = 1}, C - {1}, {x_1} and the rest
+            cell_of = [4] * self.n
+            cell_of[0] = 0
+            for y in cell:
+                cell_of[y] = 2
+            cell_of[1] = 1
+            cell_of[x] = 3
+            return [tuple(self.bits[y] for y in g.perm)
+                    for g in cell_fixing_auts(self.spec, cell_of)]
+        return [row for row in group if row[x] == self.bits[x]
+                and _cell_mask(row, cell) == mask]
 
     def _candidates(self, x, unassigned):
         sig_x = tuple(self.sig[x])
@@ -231,14 +272,19 @@ class _Enumerator:
 
     def _counts_ok(self, k, unassigned, journal):
         cells = [cell for _, cell in self.fixed]
-        # the group is abelian, so each unordered pair is counted once
-        for i in range(k + 1):
+        # The group is abelian, so each unordered pair is counted once.
+        # The pair with the identity cell is skipped: its counts are 0 on
+        # every unassigned element and constant on every fixed cell.  The
+        # self pair rejects most often, so it goes first.
+        pair_counts = []
+        for i in (k, *range(1, k)):
             counts = _product_counts(self.add, self.n, cells[k], cells[i])
             if _split_pair(counts, cells) is not None:
                 return False
-            for z in unassigned:
-                self.sig[z].append(counts[z])
-            journal["sig_pairs"] += 1
+            pair_counts.append(counts)
+        for z in unassigned:
+            self.sig[z].extend(counts[z] for counts in pair_counts)
+        journal["sig_pairs"] = len(pair_counts)
         return True
 
     def _unfix(self, journal):
@@ -292,19 +338,22 @@ def enumerate_srings(spec: GroupSpec, sring_filter: str = "all",
     """All Schur rings over the group, one canonical representative per
     Cayley isomorphism class.
 
-    The merge search explores one root branch per orbit of
-    H = Stab_Aut(G)(1) on the candidate cells of the element 1, and each
-    leaf it reaches stands for as many raw rings as that orbit has
-    members: its weight.  Each leaf is looked up by its cell labeling.
-    The first leaf of a class pays for one canonical form, and the class's
-    whole Aut(G) orbit, walked with the generators of Aut(G), enters the
-    lookup table; later leaves of the class are table hits.  raw_total
-    and an entry's raw_count sum the weights of the leaves counted, and
-    raw_count must equal the size of the walked orbit (orbit-stabilizer);
-    a difference means the search missed or repeated a leaf and raises
-    EnumerationMismatch.  This catches a class whose rings are partly
-    missed or repeated, but not a class the search misses entirely, which
-    leaves no orbit to compare; only known raw totals catch that.
+    The merge search explores one candidate cell per orbit of K_d at every
+    level d.  K_d is the group of automorphisms that fix the cells fixed so
+    far setwise, and pointwise the least element of each of them and of the
+    cell to be fixed (K_0 = H = Stab_Aut(G)(1); see _Enumerator).  Each leaf
+    it reaches stands for as many raw rings as the product of the orbit
+    sizes on its path: its weight.  Each leaf is looked up by its cell
+    labeling.  The first leaf of a class pays for one canonical form, and
+    the class's whole Aut(G) orbit, walked with the generators of Aut(G),
+    enters the lookup table; later leaves of the class are table hits.
+    raw_total and an entry's raw_count sum the weights of the leaves
+    counted, and raw_count must equal the size of the walked orbit
+    (orbit-stabilizer); a difference means the search missed or repeated a
+    leaf and raises EnumerationMismatch.  This catches a class whose rings
+    are partly missed or repeated, but not a class the search misses
+    entirely, which leaves no orbit to compare; only known raw totals catch
+    that.
 
     sring_filter "p-srings" keeps only partitions with prime-power cell
     sizes (the group must be a p-group); "all" enumerates everything.
@@ -425,14 +474,32 @@ def _relabeled(g, lab) -> bytes:
     return _renumbered([lab[i] for i in g])
 
 
-def _mask_image(g, mask) -> int:
-    """The image under the permutation g of the point set with bitmask
-    mask."""
+def _byte_tables(g) -> list:
+    """Image tables of the permutation g on bitmasks: entry v of table b
+    is the image of the points 8b + i for the bits i set in v."""
+    tables = []
+    for base in range(0, len(g), 8):
+        table = [0]
+        for y in g[base:base + 8]:
+            table += [t | 1 << y for t in table]
+        tables.append(table)
+    return tables
+
+
+def _table_image(tables, mask) -> int:
+    """The image of the point set with bitmask mask, through the tables
+    of _byte_tables."""
     out = 0
-    for x, y in enumerate(g):
-        if mask >> x & 1:
-            out |= 1 << y
+    for table in tables:
+        out |= table[mask & 255]
+        mask >>= 8
     return out
+
+
+def _cell_mask(row, cell) -> int:
+    """The bitmask of the image of the cell under the permutation g with
+    row[y] = 1 << g[y]."""
+    return sum(map(row.__getitem__, cell))
 
 
 def _write_checkpoint(path, spec, sring_filter, root_done, raw_total, classes):

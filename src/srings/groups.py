@@ -361,11 +361,19 @@ def enumerate_subspaces(p, n):
     return out
 
 
-def enumerate_subgroups(spec: GroupSpec) -> list:
-    """All subgroups, sorted by (order, element list)."""
-    per_prime = [enumerate_subspaces(p, n) for p, n in spec.factors]
-    subs = [Subgroup(spec, combo) for combo in itertools.product(*per_prime)]
-    subs.sort(key=Subgroup.sort_key)
+_subgroups_cache: dict = {}
+
+
+def enumerate_subgroups(spec: GroupSpec) -> tuple:
+    """All subgroups, sorted by (order, element list); listed once per
+    group."""
+    subs = _subgroups_cache.get(spec.factors)
+    if subs is None:
+        per_prime = [enumerate_subspaces(p, n) for p, n in spec.factors]
+        subs = tuple(sorted((Subgroup(spec, combo)
+                             for combo in itertools.product(*per_prime)),
+                            key=Subgroup.sort_key))
+        _subgroups_cache[spec.factors] = subs
     return subs
 
 

@@ -119,12 +119,17 @@ def test_enumeration_mismatch_gate(monkeypatch, c8, copies):
 
 def _valid_partitions(spec):
     """Bell oracle: every partition of the non-identity elements that is
-    a Schur ring, as a frozenset of cells."""
+    a Schur ring, as a frozenset of cells.  The inverse-closure axiom is
+    tested first, because it rejects most partitions cheaply."""
     from srings.errors import PartitionError
 
+    neg = spec.neg_table()
     valid = set()
     for blocks in all_partitions(range(1, spec.order)):
-        cells = [frozenset({0})] + [frozenset(b) for b in blocks]
+        cells = {frozenset(b) for b in blocks}
+        if any(frozenset(neg[x] for x in c) not in cells for c in cells):
+            continue
+        cells.add(frozenset({0}))
         try:
             validate_partition(spec, cells)
         except PartitionError:
@@ -133,38 +138,55 @@ def _valid_partitions(spec):
     return valid
 
 
-@pytest.mark.parametrize("group", ["2^3", "3^2"])
-def test_leaves_cover_every_ring_once_under_root_stabilizer(monkeypatch,
-                                                            group):
-    """The merge search reaches one leaf L per ring whose cell C of the
-    element 1 is the first of its orbit under H = Stab_Aut(G)(1).  Mapping
-    each leaf by one g in H per image gC must give every valid partition
-    exactly once.  H is listed from all_auts, not from the enumerator's
-    generators and orbit walk."""
-    spec = parse_group(group)
+def _recorded_leaves(monkeypatch, spec, bounds=DEFAULT_BOUNDS, **kwargs):
+    """Enumerate every ring over spec, recording each leaf of the merge
+    search with its weight; kwargs go to enumerate_srings."""
     leaves = []
 
     class Recording(catalog_module._Enumerator):
         def __init__(self, *args, on_leaf, **kwargs):
             def recording_on_leaf(partition):
-                leaves.append(partition)
+                leaves.append((partition, self.weight))
                 on_leaf(partition)
 
             super().__init__(*args, on_leaf=recording_on_leaf, **kwargs)
 
     monkeypatch.setattr(catalog_module, "_Enumerator", Recording)
-    catalog = enumerate_srings(spec, "all", label=False)
-    stabilizer = [a.perm for a in all_auts(spec) if a.perm[1] == 1]
+    return (enumerate_srings(spec, "all", bounds, label=False, **kwargs),
+            leaves)
+
+
+@pytest.mark.parametrize("group", ["2^3", "3^2", "2^2x3"])
+def test_leaves_cover_every_ring_once_under_stabilizer_chain(monkeypatch,
+                                                            group):
+    """A leaf lists its cells in the order they were fixed: {0}, then
+    C_0, C_1, ... with least elements x_0 = 1, x_1, ....  K_0 is the
+    stabilizer of 1 in Aut(G), and K_{i+1} the elements of K_i that fix
+    C_i setwise and x_{i+1}.  Mapping each leaf by t_0 t_1 ..., with one
+    t_i in K_i per image t_i C_i, must give every valid partition exactly
+    once, and each leaf as many images as its weight.  Each K_i is
+    filtered from all_auts, not taken from the enumerator."""
+    spec = parse_group(group)
+    catalog, leaves = _recorded_leaves(monkeypatch, spec)
+    auts = [a.perm for a in all_auts(spec)]
     images = []
-    for leaf in leaves:
-        root_cell = next(c for c in leaf if 1 in c)
-        seen_cells = set()
-        for g in stabilizer:
-            image_cell = frozenset(g[x] for x in root_cell)
-            if image_cell not in seen_cells:
-                seen_cells.add(image_cell)
-                images.append(frozenset(frozenset(g[x] for x in c)
-                                        for c in leaf))
+    for leaf, weight in leaves:
+        chain = leaf[1:]
+        group_i = [g for g in auts if g[1] == 1]
+        maps = [tuple(range(spec.order))]
+        for i, cell in enumerate(chain):
+            transversal = {}
+            for g in group_i:
+                transversal.setdefault(frozenset(g[x] for x in cell), g)
+            maps = [tuple(f[t[x]] for x in range(spec.order))
+                    for f in maps for t in transversal.values()]
+            if i + 1 < len(chain):
+                x_next = min(chain[i + 1])
+                group_i = [g for g in group_i if g[x_next] == x_next
+                           and frozenset(g[x] for x in cell) == cell]
+        assert len(maps) == weight
+        images += [frozenset(frozenset(f[x] for x in c) for c in leaf)
+                   for f in maps]
     valid = _valid_partitions(spec)
     assert len(images) == len(set(images))
     assert set(images) == valid
@@ -172,27 +194,34 @@ def test_leaves_cover_every_ring_once_under_root_stabilizer(monkeypatch,
     assert len(leaves) < len(valid)
 
 
+@pytest.mark.parametrize("group, max_nodes, max_leaves",
+                         [("2^4", 10_000, 600), ("2x3^2", 30_000, 150)],
+                         ids=["2^4", "2x3^2"])
+def test_merge_search_prunes_below_the_root(monkeypatch, group, max_nodes,
+                                           max_leaves):
+    """One candidate per orbit of K_d at every level.  With one per orbit
+    of the root stabilizer only, 2^4 spent 59,287 nodes for 1,747 leaves
+    and 2x3^2 116,768 nodes for 210 leaves."""
+    bounds = replace(DEFAULT_BOUNDS, enum_node_budget=max_nodes)
+    catalog, leaves = _recorded_leaves(monkeypatch, parse_group(group),
+                                       bounds)
+    assert len(leaves) <= max_leaves
+    assert sum(weight for _leaf, weight in leaves) == catalog.raw_total
+
+
 def test_progress_fires_at_every_crossed_multiple_of_50(monkeypatch, c16):
-    """A leaf counts for its whole root orbit, so the raw total jumps;
-    the callback fires once for each leaf that passes a multiple of 50.
-    One root branch per orbit of Stab_Aut(G)(1) spends 59,287 nodes on
-    2^4, well within a budget of 80,000; the unweighted search spent
-    329,651."""
-    totals = [0]
-
-    class Recording(catalog_module._Enumerator):
-        def __init__(self, *args, on_leaf, **kwargs):
-            def recording_on_leaf(partition):
-                on_leaf(partition)
-                totals.append(totals[-1] + self.weight)
-
-            super().__init__(*args, on_leaf=recording_on_leaf, **kwargs)
-
-    monkeypatch.setattr(catalog_module, "_Enumerator", Recording)
+    """A leaf counts for the product of its orbit sizes, so the raw total
+    jumps; the callback fires once for each leaf that passes a multiple
+    of 50.  One candidate per stabilizer orbit at every level spends
+    8,518 nodes on 2^4, well within a budget of 80,000; the unweighted
+    search spent 329,651."""
     calls = []
     bounds = replace(DEFAULT_BOUNDS, enum_node_budget=80_000)
-    catalog = enumerate_srings(c16, "all", bounds, label=False,
-                               progress=lambda raw, _: calls.append(raw))
+    catalog, leaves = _recorded_leaves(
+        monkeypatch, c16, bounds, progress=lambda raw, _: calls.append(raw))
+    totals = [0]
+    for _leaf, weight in leaves:
+        totals.append(totals[-1] + weight)
     assert len(catalog) == 43
     assert catalog.raw_total == 12_537
     assert totals[-1] == catalog.raw_total

@@ -5,8 +5,10 @@ commands run in a temporary working directory with relative paths,
 because the ci report header echoes the catalog path.  The 3^3 p-catalog
 and the 2^4 catalog carry cyc(...) labels that depend on the order of
 cayley_auts; the longest, on the rank-2 ring over 2^4, picks its
-generators from all 20,160 elements of GL(4,2).  The regular-method
-reports pin the regular-subgroup certificates.
+generators from all 20,160 elements of GL(4,2).  Over 2x3^2 the power
+maps force cells, which never happens over 2^4, so its catalog pins the
+merge search's forced-cell path.  The regular-method reports pin the
+regular-subgroup certificates.
 """
 
 import hashlib
@@ -22,6 +24,8 @@ GOLDEN = {
         "7890e6db5bb935cb8426cab3ca620de06b2f535bf65ed05d87d4821265f190f5",
     "enumerate 2^4":
         "eb9afa437fbc7c985d0fe19aee8e931980d8180f37a406688508dba777f26a56",
+    "enumerate 2x3^2":
+        "fa8bca76be1197e6b60c2755788970ec22eb115a247a23eb0db528d5092dfe05",
     "enumerate 3^3 p-srings":
         "147aa8bea2a1c322dab870d5670c9be7f625f4de6851d6b3a7d10b8b2f79a1a7",
     "ci auto 2^2x3":
@@ -45,6 +49,8 @@ COMMANDS = (
      ["enumerate", "--group", "2^2x3", "--out", "c12.cat"], "c12.cat"),
     ("enumerate 2^4",
      ["enumerate", "--group", "2^4", "--out", "c16.cat"], "c16.cat"),
+    ("enumerate 2x3^2",
+     ["enumerate", "--group", "2x3^2", "--out", "c18.cat"], "c18.cat"),
     ("enumerate 3^3 p-srings",
      ["enumerate", "--group", "3^3", "--filter", "p-srings",
       "--out", "c27p.cat"], "c27p.cat"),
