@@ -249,10 +249,15 @@ def scheme_aut(a: SRing, bounds=DEFAULT_BOUNDS) -> PermGroup:
     Builds strong generators level by level: at level k it looks for an
     automorphism fixing 0..k-1 and moving k to each candidate outside the
     orbit of the group found so far, exactly once per candidate orbit.
+    A candidate y is searched only when y > k and each pair (y, i), i < k,
+    has the color of (k, i) (then (i, y) has that of (i, k), the inverse
+    cell): every such automorphism needs that, and without it the search
+    fails before its first node.
     """
     spec = a.spec
     n = spec.order
     coloring = _PairColoring(a)
+    colors = coloring.colors
     budget = _Budget(bounds.backtrack_node_budget)
     found = [spec.translation(b) for b in spec.basis()]
 
@@ -260,12 +265,12 @@ def scheme_aut(a: SRing, bounds=DEFAULT_BOUNDS) -> PermGroup:
         level_gens = [g for g in found
                       if all(g[i] == i for i in range(k))]
         reached = orbit(k, level_gens)
-        for y in range(n):
-            if y in reached:
+        for y in range(k + 1, n):
+            if y in reached or colors[y][:k] != colors[k][:k]:
                 continue
             fixed = [(i, i) for i in range(k)] + [(k, y)]
-            sol = next(_search_maps(coloring, coloring, coloring.colors,
-                                    fixed, budget), None)
+            sol = next(_search_maps(coloring, coloring, colors, fixed,
+                                    budget), None)
             if sol is not None:
                 found.append(sol)
                 level_gens.append(sol)

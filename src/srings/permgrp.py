@@ -40,7 +40,7 @@ def identity_perm(n):
 
 
 def is_identity(p):
-    return p is None or all(i == j for i, j in enumerate(p))
+    return p is None or p == tuple(range(len(p)))
 
 
 def orbit(x, gens, act=getitem):
@@ -71,16 +71,18 @@ def orbits(gens, n):
 
 
 class _Level:
-    __slots__ = ("point", "gens", "transversal", "pairs_done")
+    __slots__ = ("point", "gens", "transversal", "inverse", "pairs_done")
 
     def __init__(self, point):
         self.point = point
         self.gens = []
         self.transversal = {point: None}
+        self.inverse = {point: None}  # x -> the inverse of transversal[x]
         self.pairs_done = set()
 
     def close_orbit(self):
-        """Extend the transversal to the orbit of the level's generators."""
+        """Extend the transversal, and its inverses, to the orbit of the
+        level's generators."""
         changed = True
         while changed:
             changed = False
@@ -89,7 +91,8 @@ class _Level:
                 for g in self.gens:
                     y = g[x]
                     if y not in self.transversal:
-                        self.transversal[y] = pmul(ux, g)
+                        self.transversal[y] = uy = pmul(ux, g)
+                        self.inverse[y] = pinv(uy)
                         changed = True
 
 
@@ -103,28 +106,28 @@ class PermGroup:
                                     if x not in seen_prefix]
         self._base = tuple(base)
         self._levels = [_Level(b) for b in base]
-        clean = []
-        seen = set()
+        self.gens = ()
+        self._order = 1
         for g in gens:
-            g = tuple(g)
-            if len(g) != self.degree:
-                raise ValueError(
-                    f"degree mismatch: permutation of length {len(g)} in a "
-                    f"group of degree {self.degree}")
-            if not is_identity(g) and g not in seen:
-                seen.add(g)
-                clean.append(g)
-        self.gens = tuple(clean)
-        for g in self.gens:
-            self._insert(g)
-        order = 1
-        for lvl in self._levels:
-            order *= len(lvl.transversal)
-        self._order = order
+            self._adjoin(g)
         self._pair_orbits = None
         self._reduced = None
 
     # -- chain construction ------------------------------------------------
+
+    def _adjoin(self, g):
+        """Append g to the generators, unless it is the identity or already
+        one, and sift it into the chain."""
+        g = tuple(g)
+        if len(g) != self.degree:
+            raise ValueError(
+                f"degree mismatch: permutation of length {len(g)} in a "
+                f"group of degree {self.degree}")
+        if not is_identity(g) and g not in self.gens:
+            self.gens += (g,)
+            self._insert(g)
+            self._order = math.prod(len(lvl.transversal)
+                                    for lvl in self._levels)
 
     def _sift(self, g):
         for lvl in self._levels:
@@ -133,10 +136,10 @@ class PermGroup:
             x = g[lvl.point]
             if x == lvl.point:
                 continue
-            u = lvl.transversal.get(x)
-            if u is None:
+            u_inv = lvl.inverse.get(x)
+            if u_inv is None:
                 return g
-            g = pmul(g, pinv(u))
+            g = pmul(g, u_inv)
         return None if is_identity(g) else g
 
     def _depth(self, g):
@@ -170,7 +173,7 @@ class PermGroup:
                     continue
                 lvl.pairs_done.add((x, gi))
                 y = g[x]
-                s = pmul(pmul(ux, g), pinv(lvl.transversal[y]))
+                s = pmul(pmul(ux, g), lvl.inverse[y])
                 if not is_identity(s):
                     out.append(s)
         return out
@@ -262,7 +265,7 @@ def _greedy_group(degree, perms, order) -> PermGroup:
         if group.order() >= order:
             break
         if not group.contains(g):
-            group = PermGroup(degree, group.gens + (g,))
+            group._adjoin(g)
     return group
 
 
@@ -522,31 +525,38 @@ def _regular_extensions(K: PermGroup, spec, budget) -> dict:
     (_class_reps), and only those are extended."""
     n = K.degree
     cands = {p: _fpf_elements(K, p, budget) for p, _ in spec.factors}
-    reps = [(frozenset([identity_perm(n)]), ())]
+    reps = [(frozenset([identity_perm(n)]), (), None)]
     *inner, last = spec.radices
     for prime in inner:
-        reps = _class_reps(_extend_semiregular(reps, cands[prime], prime),
+        reps = _class_reps(_extend_semiregular(reps, cands, prime),
                            K, spec, budget)
-    return _extend_semiregular(reps, cands[last], last)
+    return {key: value[:2] for key, value
+            in _extend_semiregular(reps, cands, last).items()}
 
 
 def _extend_semiregular(reps, cands, prime) -> dict:
-    """Every semiregular subgroup <gens, r>, for (element set, gens) in
-    reps and r in cands of order prime commuting with gens and outside the
-    subgroup, keyed by sorted element tuple; the first gens found for a
-    key are kept.
+    """Every semiregular subgroup <gens, r>, for (element set, gens, pool)
+    in reps and r in cands[prime] commuting with gens and outside the
+    subgroup, keyed by sorted element tuple, as (element set, gens + (r,),
+    (prime, the r that commute with gens)); the first gens found for a key
+    are kept.  A pool of the same prime, the candidates that commute with
+    all gens but the last, is filtered by the last one only.
 
     An r commuting with P = <gens> permutes P's orbits, and <P, r> is
     semiregular of order p|P| exactly when r fixes none: if r fixes an
     orbit O, r|O centralizes the regular abelian P|O, so r|O = h|O for an
     h in P, and h^-1 r is trivial or has a fixed point."""
     new = {}
-    for elset, gens in reps:
+    for elset, gens, pool in reps:
+        if pool is not None and pool[0] == prime:
+            pool = [r for r in pool[1] if _commutes(r, gens[-1])]
+        else:
+            pool = [r for r in cands[prime]
+                    if all(_commutes(r, h) for h in gens)]
         n = len(next(iter(elset)))
         orbs = [(min(o), o) for o in orbits(gens, n)]
-        for r in cands:
-            if any(not _commutes(r, h) for h in gens) or any(
-                    r[x] in o for x, o in orbs):
+        for r in pool:
+            if any(r[x] in o for x, o in orbs):
                 continue
             newels = set(elset)
             rp = None
@@ -555,7 +565,7 @@ def _extend_semiregular(reps, cands, prime) -> dict:
                 newels.update(pmul(h, rp) for h in elset)
             key = tuple(sorted(newels))
             if key not in new:
-                new[key] = (frozenset(newels), gens + (r,))
+                new[key] = (frozenset(newels), gens + (r,), (prime, pool))
     return new
 
 
@@ -644,8 +654,7 @@ def _transporter_chain(K: PermGroup, pos) -> list:
                 for lvl in chain._levels[:chain._depth(h) + 1]:
                     lvl.gens.append(h)
                     lvl.close_orbit()
-    return [{x: pinv(u) for x, u in lvl.transversal.items()}
-            for lvl in chain._levels]
+    return [lvl.inverse for lvl in chain._levels]
 
 
 def _transporter_exists(chain, pos, spec, budget, rank=None) -> bool:

@@ -5,11 +5,12 @@ counting by subset closure, permutation-group order by naive closure,
 Cayley minimality by closing every subset-generated subgroup,
 conjugacy classes of regular subgroups by walking conjugation orbits,
 fixed-point-free prime-order elements by streaming every element,
-scheme automorphisms by filtering all of Sym(n), canonical labelings and
-Cayley isomorphisms by filtering all of Aut(G), Cayley automorphisms by
-filtering the self Cayley isomorphisms, Aut(G) itself by filtering all
-square matrices, Schur ring validity by integer-span membership, and
-the groups layer's element tables
+scheme automorphisms by filtering all of Sym(n), and their generators by
+a search for every unreached candidate at every level, canonical
+labelings and Cayley isomorphisms by filtering all of Aut(G), Cayley
+automorphisms by filtering the self Cayley isomorphisms, Aut(G) itself
+by filtering all square matrices, Schur ring validity by integer-span
+membership, and the groups layer's element tables
 (section projections, automorphism images, tensor embeddings) by
 coordinate linear algebra, one element at a time.
 """
@@ -305,6 +306,35 @@ def brute_scheme_aut(ring):
         if good:
             out.append(f)
     return out
+
+
+def scheme_aut_by_full_level_search(ring):
+    """The strong generators scheme_aut finds, by its level loop with no
+    color test: at level k a search starts for every y outside the orbit
+    of k under the generators found so far that fix 0..k-1."""
+    from srings.config import DEFAULT_BOUNDS, _Budget
+    from srings.morphisms import _PairColoring, _search_maps
+    from srings.permgrp import orbit
+
+    spec = ring.spec
+    n = spec.order
+    coloring = _PairColoring(ring)
+    budget = _Budget(DEFAULT_BOUNDS.backtrack_node_budget)
+    found = [spec.translation(b) for b in spec.basis()]
+    for k in range(n):
+        level_gens = [g for g in found if all(g[i] == i for i in range(k))]
+        reached = orbit(k, level_gens)
+        for y in range(n):
+            if y in reached:
+                continue
+            fixed = [(i, i) for i in range(k)] + [(k, y)]
+            sol = next(_search_maps(coloring, coloring, coloring.colors,
+                                    fixed, budget), None)
+            if sol is not None:
+                found.append(sol)
+                level_gens.append(sol)
+                reached = orbit(k, level_gens)
+    return found
 
 
 def least_labeling_by_filter(spec, cells):

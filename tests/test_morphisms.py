@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +11,8 @@ from srings.groups import (GroupAut, Section, all_auts, aut_order,
 from srings.permgrp import right_regular
 from srings.sring import validate_partition
 from srings.construct import decompositions, group_ring, wreath_parts
-from srings.catalog import enumerate_srings
+from srings.catalog import enumerate_srings, load_catalog
+from srings import morphisms
 from srings.morphisms import (algebraic_image, algebraic_isos, cayley_auts,
                               cayley_isos, combinatorial_isos, delta_section,
                               induced_algebraic, is_2_minimal,
@@ -19,7 +21,9 @@ from srings.morphisms import (algebraic_image, algebraic_isos, cayley_auts,
 
 from conftest import (brute_scheme_aut, cayley_auts_by_cell_fixing_isos,
                       cayley_isos_by_filter, cayley_minimal_by_closure,
-                      make_plain_wreath)
+                      make_plain_wreath, scheme_aut_by_full_level_search)
+
+PERFBENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
 
 def test_cayley_isos_group_ring(c8):
@@ -137,6 +141,42 @@ def test_scheme_aut_against_brute_force(c8, catalog_c8):
         assert group.order() == len(brute)
         for f in brute[:200]:
             assert group.contains(f)
+
+
+def test_scheme_aut_gens_agree_with_full_level_search(c8, c9, catalog_c8,
+                                                      catalog_c12,
+                                                      catalog_c27_p):
+    c16_catalog = load_catalog(PERFBENCH_DATA / "c16.cat")
+    rings = (catalog_c8.rings()
+             + enumerate_srings(c9, "all", label=False).rings()
+             + catalog_c12.rings() + catalog_c27_p.rings()
+             + c16_catalog.rings())
+    assert len(rings) == 9 + 10 + 33 + 6 + 43
+    for ring in rings:
+        want = tuple(scheme_aut_by_full_level_search(ring))
+        assert scheme_aut(ring).gens == want
+
+
+def test_scheme_aut_starts_only_searches_that_succeed(monkeypatch,
+                                                      catalog_c12):
+    real = morphisms._search_maps
+    started, failed = [], []
+
+    def counted(*args):
+        started.append(args[3])
+        sols = real(*args)
+        first = next(sols, None)
+        if first is None:
+            failed.append(args[3])
+            return
+        yield first
+        yield from sols
+
+    monkeypatch.setattr(morphisms, "_search_maps", counted)
+    orders = [scheme_aut(ring).order() for ring in catalog_c12.rings()]
+    assert 1036800 in orders
+    assert 0 < len(started) <= 300
+    assert failed == []
 
 
 def test_scheme_aut_contains_translations_and_intersects_to_cayley(

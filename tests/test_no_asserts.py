@@ -1,6 +1,8 @@
 """The library holds no assert statement and raises no bare
 AssertionError: python -O strips asserts, and both are untyped, so every
-invariant check raises a typed error instead."""
+invariant check raises a typed error instead.  Nor does it catch every
+error at once, with a bare except or a handler for Exception or
+BaseException, which would swallow the typed ones."""
 
 import ast
 import pathlib
@@ -21,4 +23,23 @@ def test_library_has_no_assert_statements():
                   if isinstance(node, ast.Assert)
                   or isinstance(node, ast.Raise) and node.exc is not None
                   and _raises_assertion_error(node)]
+    assert found == []
+
+
+def _catches_everything(handler):
+    kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) \
+        else [handler.type]
+    return handler.type is None or any(
+        isinstance(kind, ast.Name) and kind.id in ("Exception",
+                                                   "BaseException")
+        for kind in kinds)
+
+
+def test_library_has_no_catch_all_handlers():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.ExceptHandler)
+                  and _catches_everything(node)]
     assert found == []

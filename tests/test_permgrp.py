@@ -7,8 +7,9 @@ from srings.config import DEFAULT_BOUNDS, _Budget
 from srings.errors import ResourceBoundExceeded, SRingsError
 from srings.groups import aut_generators, parse_group
 from srings.morphisms import scheme_aut
-from srings.permgrp import (PermGroup, _fpf_elements, _regular_positions,
-                            _transporter_chain, _transporter_exists,
+from srings.permgrp import (PermGroup, _fpf_elements, _greedy_group, _Level,
+                            _regular_positions, _transporter_chain,
+                            _transporter_exists,
                             from_generators, group_of_listing, holomorph,
                             identity_perm, orbit, orbits, pinv, pmul,
                             regular_subgroups, right_regular,
@@ -105,6 +106,75 @@ def test_reduced_generators_drop_redundant_ones(c27):
     reduced = group.reduced_generators()
     assert set(reduced) < set(group.gens)
     assert PermGroup(27, reduced).order() == group.order() == 11232
+
+
+def _chain_state(group):
+    return [(lvl.point, lvl.gens, lvl.transversal, lvl.inverse,
+             lvl.pairs_done) for lvl in group._levels]
+
+
+def _assert_inverses_undo_transversal(levels, degree):
+    ident = identity_perm(degree)
+    for lvl in levels:
+        assert lvl.inverse.keys() == lvl.transversal.keys()
+        for x, u in lvl.transversal.items():
+            if x == lvl.point:
+                assert u is None and lvl.inverse[x] is None
+            else:
+                assert pmul(u, lvl.inverse[x]) == ident
+
+
+def test_greedy_group_builds_the_chain_of_its_generators(c12, catalog_c12):
+    grown = 0
+    for entry in catalog_c12.entries:
+        K = scheme_aut(entry.ring(c12))
+        greedy = _greedy_group(K.degree, K.gens, K.order())
+        assert greedy.order() == K.order()
+        assert _chain_state(greedy) == _chain_state(
+            PermGroup(K.degree, greedy.gens))
+        grown += len(greedy.gens) > 1
+    assert grown > len(catalog_c12.entries) // 2
+
+
+def test_close_orbit_stores_the_inverse_of_each_transversal_element(c12):
+    # one level on its own, with no chain: with a wrong inverse, sifting
+    # into a chain (and so any PermGroup) may never finish
+    level = _Level(0)
+    level.gens = [c12.translation(b) for b in c12.basis()] + [
+        a.perm for a in aut_generators(c12)]
+    level.close_orbit()
+    assert len(level.transversal) == 12
+    _assert_inverses_undo_transversal([level], 12)
+
+
+def test_stored_inverses_undo_their_transversal_elements(monkeypatch, c12,
+                                                         catalog_c12):
+    from srings import permgrp
+
+    built = []
+
+    class Recorded(PermGroup):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(permgrp, "PermGroup", Recorded)
+    rng = random.Random(3)
+    for entry in catalog_c12.entries:
+        K = scheme_aut(entry.ring(c12))
+        _assert_inverses_undo_transversal(K._levels, 12)
+        assert _transporter_chain(K, range(12)) == [
+            lvl.inverse for lvl in K._levels]
+        pos = list(range(12))
+        while pos == sorted(pos):
+            rng.shuffle(pos)
+        built.clear()
+        chain = _transporter_chain(K, pos)
+        (grown,) = built
+        assert grown._base == tuple(pos)
+        _assert_inverses_undo_transversal(grown._levels, 12)
+        assert chain == [lvl.inverse for lvl in grown._levels]
+        assert math.prod(len(level) for level in chain) == K.order()
 
 
 def test_aut_group_closure_small():
