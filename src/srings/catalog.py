@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .config import DEFAULT_BOUNDS, _Budget
 from .errors import (CatalogFormatError, ClassificationMismatch,
@@ -403,7 +404,7 @@ def enumerate_srings(spec: GroupSpec, sring_filter: str = "all",
         for i, cell in enumerate(partition):
             for x in cell:
                 lab[x] = i
-        lab = _renumbered(lab)
+        lab = _renumbered(bytes(lab))
         key = class_of.get(lab)
         if key is None:
             key, cells = canonical_partition(spec, partition)
@@ -463,15 +464,16 @@ def enumerate_srings(spec: GroupSpec, sring_filter: str = "all",
     return Catalog(spec, sring_filter, entries, raw_total)
 
 
-def _renumbered(labels) -> bytes:
+def _renumbered(labels: bytes) -> bytes:
     """The labeling with its labels renumbered by first occurrence."""
-    first: dict = {}
-    return bytes([first.setdefault(v, len(first)) for v in labels])
+    first = bytes(dict.fromkeys(labels))
+    return labels.translate(bytes.maketrans(first, bytes(range(len(first)))))
 
 
-def _relabeled(g, lab) -> bytes:
-    """The labeling lab read through the permutation g, renumbered."""
-    return _renumbered([lab[i] for i in g])
+def _relabeled(g, lab: bytes) -> bytes:
+    """The labeling lab read through the permutation g, renumbered (on one
+    point, itemgetter returns the label itself, not a tuple)."""
+    return _renumbered(bytes(itemgetter(*g)(lab)) if len(g) > 1 else lab)
 
 
 def _byte_tables(g) -> list:

@@ -235,48 +235,25 @@ def recognize_construction(a: SRing) -> str | None:
         return (f"wr({lt},{lq};U={_format_gens(spec, sec.U)}"
                 f";L={_format_gens(spec, sec.L)})")
     try:
-        group, auts = morphisms.cayley_auts(a)
+        gens = morphisms.cyclotomic_generators(a)
     except ResourceBoundExceeded:
         return None
-    if set(group.orbits()) == set(a.cells):
-        gens = _minimal_cyclotomic_gens(a, auts)
-        label = "|".join(
-            "&".join("[" + ";".join(_format_vec(row) for row in mat) + "]"
-                     for mat in mats)
-            for mats in gens)
-        return f"cyc({label})"
-    return None
+    if gens is None:
+        return None
+    label = "|".join(
+        "&".join("[" + ";".join(_format_vec(row) for row in mat) + "]"
+                 for mat in mats)
+        for mats in gens)
+    return f"cyc({label})"
 
 
 def _same_coordinate_split(spec, H, K):
     """True if H and K are spanned by disjoint coordinate blocks."""
-    used_h = _coordinate_support(spec, H)
-    used_k = _coordinate_support(spec, K)
-    return not (used_h & used_k)
+    return not (_coordinate_support(spec, H) & _coordinate_support(spec, K))
 
 
 def _coordinate_support(spec, sub: Subgroup):
-    support = set()
-    for x in sub.elements:
-        for i, c in enumerate(spec.coords(x)):
-            if c:
-                support.add(i)
-    return support
-
-
-def _minimal_cyclotomic_gens(a: SRing, auts):
-    """A small generating subset of the Cayley automorphisms, given in
-    matrix order, realizing the same orbit partition (greedy,
-    deterministic)."""
-    identity = GroupAut.identity(a.spec).mats
-    chosen = []
-    for aut in auts:
-        if aut.mats == identity:
-            continue
-        chosen.append(aut)
-        if cyclotomic(chosen, a.spec).cells == a.cells:
-            break
-    return [g.mats for g in chosen]
+    return {i for x in sub.elements for i, c in enumerate(spec.coords(x)) if c}
 
 
 def parse_construction(text: str, spec: GroupSpec) -> SRing:

@@ -602,15 +602,15 @@ def aut_order(spec: GroupSpec) -> int:
     return total
 
 
-def cell_fixing_auts(spec: GroupSpec, cell_of, budget=None) -> list:
+def cell_fixing_auts(spec: GroupSpec, cell_of, budget=None):
     """The automorphisms sending every element x into its own cell, the
-    elements y with cell_of[y] == cell_of[x], sorted by matrix.
+    elements y with cell_of[y] == cell_of[x], yielded in matrix order.
 
-    A backtrack over the images of the coordinate basis vectors: fixing
-    the first j of them fixes the map on the indices below the j-th
-    mixed-radix weight, and each of those must stay in its cell.  Images
-    are scanned by block coordinates, so the maps come out in matrix
-    order.  Each node spends one unit of budget, if given.
+    A lazy backtrack over the images of the coordinate basis vectors:
+    fixing the first j of them fixes the map on the indices below the
+    j-th mixed-radix weight, and each of those must stay in its cell.
+    Images are scanned by block coordinates, so the maps come out in
+    matrix order.  Each node reached spends one unit of budget, if given.
     """
     add = spec.add_table()
     candidates, weights = spec.basis_image_candidates()
@@ -620,14 +620,13 @@ def cell_fixing_auts(spec: GroupSpec, cell_of, budget=None) -> list:
                       if cell_of[v] == cell_of[weights[ci]])
                for _p, nn, pos in blocks for ci in range(pos, pos + nn)]
     img = [0] * spec.order
-    out = []
 
     def rec(ci, used_mask, rows):
         if budget is not None:
             budget.spend()
         if ci == len(options):
             mats = tuple(rows[pos:pos + nn] for _p, nn, pos in blocks)
-            out.append(GroupAut(spec, mats, tuple(img)))
+            yield GroupAut(spec, mats, tuple(img))
             return
         lo, hi = weights[ci], weights[ci + 1]
         for row, v in options[ci]:
@@ -639,10 +638,9 @@ def cell_fixing_auts(spec: GroupSpec, cell_of, budget=None) -> list:
                 new_used |= 1 << y
                 img[x] = y
             else:
-                rec(ci + 1, new_used, rows + (row,))
+                yield from rec(ci + 1, new_used, rows + (row,))
 
-    rec(0, 1, ())
-    return out
+    return rec(0, 1, ())
 
 
 _all_auts_cache: dict = {}
@@ -655,7 +653,7 @@ def all_auts(spec: GroupSpec, limit: int | None = None) -> list:
         raise ResourceBoundExceeded("automorphism enumeration", limit, expected)
     cached = _all_auts_cache.get(spec.factors)
     if cached is None:
-        cached = cell_fixing_auts(spec, [0] * spec.order)
+        cached = list(cell_fixing_auts(spec, [0] * spec.order))
         if len(cached) != expected:
             raise SRingsError(f"{len(cached)} automorphisms listed, "
                               f"expected {expected}")

@@ -15,8 +15,8 @@ from .config import DEFAULT_BOUNDS, _Budget
 from .errors import (PartitionError, ResourceBoundExceeded,
                      SectionNotPreserved, SRingsError)
 from .groups import GroupAut, Section, cell_fixing_auts
-from .permgrp import (PermGroup, group_of_listing, orbit, right_regular,
-                      subgroups_between)
+from .permgrp import (PermGroup, group_of_listing, is_identity, orbit,
+                      right_regular, subgroups_between)
 from .sring import SRing, memoized
 
 
@@ -456,15 +456,35 @@ def cayley_auts(a: SRing, bounds=DEFAULT_BOUNDS):
     setwise, i.e. those that are scheme automorphisms, and the maps
     themselves, sorted by matrix.  (A self Cayley isomorphism may permute
     the cells; a Cayley automorphism may not.)"""
-    auts = cell_fixing_auts(a.spec, a.cell_of,
-                            _Budget(bounds.backtrack_node_budget))
-    return group_of_listing(a.spec.order, [g.perm for g in auts]), tuple(auts)
+    auts = tuple(cell_fixing_auts(a.spec, a.cell_of,
+                                  _Budget(bounds.backtrack_node_budget)))
+    return group_of_listing(a.spec.order, [g.perm for g in auts]), auts
+
+
+@memoized
+def cyclotomic_generators(a: SRing, bounds=DEFAULT_BOUNDS):
+    """The matrices of the shortest prefix of the non-identity Cayley
+    automorphisms, in matrix order, whose orbits are the cells; None if
+    no prefix has them.  Orbits of cell-fixing maps refine the cells, so
+    the stream is read only until the orbits, merged map by map, are as
+    many as the cells."""
+    orbit_of, chosen = list(range(a.spec.order)), []
+    for g in cell_fixing_auts(a.spec, a.cell_of,
+                              _Budget(bounds.backtrack_node_budget)):
+        if not is_identity(g.perm):
+            chosen.append(g.mats)
+        for x, y in enumerate(g.perm):
+            keep, drop = orbit_of[x], orbit_of[y]
+            if keep != drop:
+                orbit_of = [keep if o == drop else o for o in orbit_of]
+        if len(set(orbit_of)) == a.rank:
+            return tuple(chosen)
+    return None
 
 
 def is_cyclotomic(a: SRing, bounds=DEFAULT_BOUNDS) -> bool:
     """Whether the cells are exactly the orbits of the Cayley automorphisms."""
-    group, _auts = cayley_auts(a, bounds)
-    return set(group.orbits()) == set(a.cells)
+    return cyclotomic_generators(a, bounds) is not None
 
 
 def algebraic_isos(a: SRing, b: SRing, bounds=DEFAULT_BOUNDS) -> list:

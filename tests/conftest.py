@@ -8,7 +8,9 @@ fixed-point-free prime-order elements by streaming every element,
 scheme automorphisms by filtering all of Sym(n), and their generators by
 a search for every unreached candidate at every level, canonical
 labelings and Cayley isomorphisms by filtering all of Aut(G), Cayley
-automorphisms by filtering the self Cayley isomorphisms, Aut(G) itself
+automorphisms by filtering the self Cayley isomorphisms, the generators
+of a cyclotomic label by a greedy pass over their full listing, the
+relabeling of an enumeration leaf one label at a time, Aut(G) itself
 by filtering all square matrices, Schur ring validity by integer-span
 membership, and the groups layer's element tables
 (section projections, automorphism images, tensor embeddings) by
@@ -371,6 +373,41 @@ def cayley_auts_by_cell_fixing_isos(ring):
     cell_of = ring.cell_of
     return [g for g in cayley_isos(ring, ring)
             if all(cell_of[y] == cell_of[x] for x, y in enumerate(g.perm))]
+
+
+def cyclotomic_generators_by_listing(ring):
+    """The cyclotomic label's generators the long way round: list every
+    Cayley automorphism and, when their orbits are the cells, add the
+    non-identity maps in matrix order, rebuilding the orbit ring after
+    each, until it is the ring; None when the orbits are not the cells."""
+    from srings.construct import cyclotomic
+    from srings.groups import GroupAut
+    from srings.morphisms import cayley_auts
+
+    group, auts = cayley_auts(ring)
+    if set(group.orbits()) != set(ring.cells):
+        return None
+    identity = GroupAut.identity(ring.spec).mats
+    chosen = []
+    for aut in auts:
+        if aut.mats == identity:
+            continue
+        chosen.append(aut)
+        if cyclotomic(chosen, ring.spec).cells == ring.cells:
+            break
+    return tuple(g.mats for g in chosen)
+
+
+def renumbered_by_first_occurrence(labels):
+    """The labeling with its labels renumbered by first occurrence, one
+    label at a time."""
+    first = {}
+    return bytes([first.setdefault(v, len(first)) for v in labels])
+
+
+def relabeled_by_list(g, lab):
+    """The labeling lab read through the permutation g, renumbered."""
+    return renumbered_by_first_occurrence([lab[i] for i in g])
 
 
 def span_closure_holds(spec, cells):

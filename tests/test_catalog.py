@@ -18,7 +18,8 @@ from srings.catalog import (canonical_form, canonical_partition,
                             rank3_classification, rank3_templates,
                             save_catalog)
 
-from conftest import all_partitions, least_labeling_by_filter
+from conftest import (all_partitions, least_labeling_by_filter,
+                      relabeled_by_list, renumbered_by_first_occurrence)
 
 PERFBENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
@@ -115,6 +116,29 @@ def test_enumeration_mismatch_gate(monkeypatch, c8, copies):
     monkeypatch.setattr(catalog_module, "_Enumerator", Faulty)
     with pytest.raises(EnumerationMismatch):
         enumerate_srings(c8, "all", label=False)
+
+
+@pytest.mark.parametrize("group", ["2", "2^4", "2x3^2"])
+def test_relabeled_matches_relabeling_by_list(group):
+    """Random labelings read through random automorphisms; over the group
+    of order 2, every permutation of its points, and one point alone."""
+    spec = parse_group(group)
+    rng = random.Random(f"relabel-{group}")
+    auts = all_auts(spec)
+    cases = []
+    for _ in range(300):
+        labels = rng.randint(1, spec.order)
+        lab = renumbered_by_first_occurrence(
+            rng.randrange(labels) for _ in range(spec.order))
+        cases.append((rng.choice(auts).perm, lab))
+    if spec.order == 2:
+        cases += [(g, lab) for g in [(0, 1), (1, 0)]
+                  for lab in (b"\0\0", b"\0\1")]
+        cases.append(((0,), b"\0"))
+    for g, lab in cases:
+        assert catalog_module._relabeled(g, lab) == relabeled_by_list(g, lab)
+        assert catalog_module._renumbered(lab[::-1]) == \
+            renumbered_by_first_occurrence(lab[::-1])
 
 
 def _valid_partitions(spec):

@@ -1,12 +1,16 @@
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
 from srings.config import DEFAULT_BOUNDS
-from srings.errors import PreconditionFailed, SRingsError
+from srings.errors import (PreconditionFailed, ResourceBoundExceeded,
+                           SRingsError)
 from srings.groups import Section, all_auts, parse_group, subgroup_span
 from srings.permgrp import pmul
+from srings.sring import validate_partition
+from srings.catalog import load_catalog
 from srings.construct import decompositions, group_ring
 from srings.morphisms import (algebraic_isos, cayley_isos,
                               combinatorial_isos, has_combinatorial_iso,
@@ -18,6 +22,8 @@ from srings.ci import (CIDecider, CIStatus, SectionContext, ci_fastpath,
                        verify_criterion, verify_lift)
 
 from conftest import image_partition_is_sring, make_plain_wreath
+
+PERFBENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
 
 def test_cistatus_invariants():
@@ -180,6 +186,28 @@ def test_fastpath_min(c27, table_rings):
     section = next(s for s in decompositions(ring) if s.U.order == 9)
     status = ci_fastpath(ring, SectionContext(ring, section))
     assert status is not None and status.verdict == "CI"
+
+
+@pytest.mark.parametrize("index, method", [(23, "fastpath-min"),
+                                           (24, "fastpath-easy")])
+def test_cyclotomic_fastpaths_pass_an_overrun_on(index, method):
+    """These fast paths ask whether the whole ring is cyclotomic.  Under
+    one backtracking node that question raises, and the fast path must
+    raise too, not read the overrun as "not cyclotomic"."""
+    catalog = load_catalog(PERFBENCH_DATA / "c16.cat")
+    cells = catalog.entries[index].cells
+    tight = dataclasses.replace(DEFAULT_BOUNDS, backtrack_node_budget=1)
+    checked = 0
+    for section in decompositions(validate_partition(catalog.spec, cells)):
+        a = validate_partition(catalog.spec, cells)
+        ctx = SectionContext(a, section, DEFAULT_BOUNDS)
+        if ctx.sec_ring.rank == ctx.sec_ring.spec.order:
+            continue
+        with pytest.raises(ResourceBoundExceeded):
+            ci_fastpath(a, ctx, tight)
+        assert ci_fastpath(a, ctx).method == method
+        checked += 1
+    assert checked
 
 
 def test_decider_strategies(c27, table_rings, catalog_c27_p):

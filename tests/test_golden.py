@@ -3,12 +3,13 @@
 Refactors must leave every catalog and report byte-identical.  The
 commands run in a temporary working directory with relative paths,
 because the ci report header echoes the catalog path.  The 3^3 p-catalog
-and the 2^4 catalog carry cyc(...) labels that depend on the order of
-cayley_auts; the longest, on the rank-2 ring over 2^4, picks its
-generators from all 20,160 elements of GL(4,2).  Over 2x3^2 the power
+and the 2^4 catalog carry cyc(...) labels that depend on the matrix order
+of the Cayley automorphisms; the longest, on the rank-2 ring over 2^4,
+is the first 9 non-identity elements of GL(4,2).  Over 2x3^2 the power
 maps force cells, which never happens over 2^4, so its catalog pins the
 merge search's forced-cell path.  The regular-method reports pin the
-regular-subgroup certificates.
+regular-subgroup certificates, and the auto report over 2^4 the fast
+paths that ask whether a ring is cyclotomic.
 """
 
 import hashlib
@@ -30,6 +31,8 @@ GOLDEN = {
         "147aa8bea2a1c322dab870d5670c9be7f625f4de6851d6b3a7d10b8b2f79a1a7",
     "ci auto 2^2x3":
         "d5ddda9bf6c9c3ab56f59f53fca8797117338fd43216fa74bd879e195de96225",
+    "ci auto 2^4":
+        "981db8f0a16741ad84f1b0c3194a337c9a1fb754d67e11e008f982418190be55",
     "ci regular 2^3":
         "9437d41c7bdbf0f1b623b8d06acc45a24a66ea93b61d2379ecff9321d395d0c5",
     "ci regular 3^2":
@@ -57,6 +60,9 @@ COMMANDS = (
     ("ci auto 2^2x3",
      ["ci", "--catalog", "c12.cat", "--method", "auto", "--out", "ci.txt"],
      "ci.txt"),
+    ("ci auto 2^4",
+     ["ci", "--catalog", "c16.cat", "--method", "auto", "--out", "ci16.txt"],
+     "ci16.txt"),
     ("ci regular 2^3",
      ["ci", "--catalog", "c8.cat", "--method", "regular", "--out", "ci8.txt"],
      "ci8.txt"),

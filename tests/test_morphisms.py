@@ -1,26 +1,30 @@
 import random
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from srings.config import DEFAULT_BOUNDS
+from srings.config import DEFAULT_BOUNDS, _Budget
 from srings.errors import ResourceBoundExceeded, SectionNotPreserved
 from srings.groups import (GroupAut, Section, all_auts, aut_order,
                            full_subgroup, parse_group, subgroup_span)
 from srings.permgrp import right_regular
 from srings.sring import validate_partition
-from srings.construct import decompositions, group_ring, wreath_parts
+from srings.construct import (decompositions, group_ring,
+                              recognize_construction, wreath_parts)
 from srings.catalog import enumerate_srings, load_catalog
 from srings import morphisms
 from srings.morphisms import (algebraic_image, algebraic_isos, cayley_auts,
-                              cayley_isos, combinatorial_isos, delta_section,
+                              cayley_isos, combinatorial_isos,
+                              cyclotomic_generators, delta_section,
                               induced_algebraic, is_2_minimal,
                               is_cayley_minimal, is_cyclotomic, restrict_perm,
                               scheme_aut)
 
 from conftest import (brute_scheme_aut, cayley_auts_by_cell_fixing_isos,
                       cayley_isos_by_filter, cayley_minimal_by_closure,
+                      cyclotomic_generators_by_listing,
                       make_plain_wreath, scheme_aut_by_full_level_search)
 
 PERFBENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
@@ -418,6 +422,68 @@ def test_cayley_minimality_agrees_with_closure_oracle(group, sring_filter):
 def test_is_cyclotomic(c27, table_rings):
     for i in (1, 2, 3, 4, 5, 6):
         assert is_cyclotomic(table_rings[i])
+
+
+@pytest.mark.parametrize("group, sring_filter, unlabeled", [
+    ("2^3", "all", []), ("3^2", "all", []), ("2^2x3", "all", [0, 22]),
+    ("2^4", "all", []), ("2x3^2", "all", [0, 5, 6]),
+    ("3^3", "p-srings", [])])
+def test_cyclotomic_generators_agree_with_greedy_listing(group, sring_filter,
+                                                         unlabeled):
+    """The same generators, or None, as the greedy pass over the full
+    listing, on every ring; the indecomposable rings that are not
+    cyclotomic keep no label."""
+    spec = parse_group(group)
+    catalog = enumerate_srings(spec, sring_filter, label=False)
+    missing = []
+    for i, ring in enumerate(catalog.rings()):
+        expected = cyclotomic_generators_by_listing(ring)
+        assert cyclotomic_generators(ring) == expected, i
+        assert is_cyclotomic(ring) == (expected is not None), i
+        if expected is None and not decompositions(ring):
+            missing.append(i)
+    assert missing == unlabeled
+
+
+def test_cyclotomic_generators_stop_early_in_the_stream(monkeypatch, c16):
+    """The rank-2 ring over 2^4 is the orbit ring of its first 9
+    non-identity Cayley automorphisms; all 20,160 elements of GL(4,2)
+    are Cayley automorphisms."""
+    yielded = []
+    original = morphisms.cell_fixing_auts
+
+    def counting(*args, **kwargs):
+        for g in original(*args, **kwargs):
+            yielded.append(g)
+            yield g
+
+    monkeypatch.setattr(morphisms, "cell_fixing_auts", counting)
+    ring = validate_partition(c16, [{0}, set(range(1, 16))])
+    assert is_cyclotomic(ring)
+    assert len(yielded) <= 10
+
+
+def test_rank2_ring_over_2_5_gets_a_cyclotomic_label():
+    spec = parse_group("2^5")
+    ring = validate_partition(spec, [{0}, set(range(1, 32))])
+    start = time.process_time()
+    label = recognize_construction(ring)
+    assert time.process_time() - start < 2
+    assert label.startswith("cyc(") and label.count("|") == 384
+
+
+def test_cyclotomic_overrun_raises_and_drops_the_label(monkeypatch, c16):
+    """The prefix of the rank-2 ring over 2^4 costs 14 nodes.  One node
+    less raises, caches nothing, and leaves the ring unlabeled."""
+    ring = validate_partition(c16, [{0}, set(range(1, 16))])
+    for budget in (1, 13):
+        with pytest.raises(ResourceBoundExceeded):
+            is_cyclotomic(ring, replace(DEFAULT_BOUNDS,
+                                        backtrack_node_budget=budget))
+    monkeypatch.setattr(morphisms, "_Budget", lambda limit: _Budget(13))
+    assert recognize_construction(ring) is None
+    monkeypatch.setattr(morphisms, "_Budget", lambda limit: _Budget(14))
+    assert len(cyclotomic_generators(ring)) == 9
 
 
 def test_induced_algebraic_rejects_non_isos(c8):
