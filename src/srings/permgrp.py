@@ -479,9 +479,9 @@ def regular_subgroups(K: PermGroup, spec, bounds=DEFAULT_BOUNDS) -> list:
     translations flagged.
 
     Builds commuting generator tuples (one batch of generators of order p
-    per prime factor) from the fixed-point-free prime-order elements of K
-    (_fpf_elements, which never lists K), and keeps one subgroup per
-    K-conjugacy class at every level (_class_reps).  Each class is
+    per prime factor) from fixed-point-free prime-order elements of K,
+    found without listing K (_regular_extensions), and keeps one subgroup
+    per K-conjugacy class at every level (_class_reps).  Each class is
     represented by its least sorted element tuple, with the generators
     first found for it.  All searches share one backtrack_node_budget.
     """
@@ -503,7 +503,7 @@ def regular_subgroups(K: PermGroup, spec, bounds=DEFAULT_BOUNDS) -> list:
     # the translations t_x: 0 -> x put point x at position x
     t_chain = _transporter_chain(K, range(n))
     out = []
-    for elset, gens in reps:
+    for elset, gens, _ in reps:
         if len(orbit(0, gens)) != n or len(elset) != n:
             raise SRingsError("each representative is regular")
         out.append(RegularClass(gens, elset, _transporter_exists(
@@ -519,42 +519,43 @@ def _regular_extensions(K: PermGroup, spec, budget) -> dict:
     set, generators in coordinate order).  Every K-conjugacy class of them
     is reached.
 
-    The candidate generators of each prime p are the fixed-point-free
-    elements of order p of K, found by _fpf_elements; each semiregular
+    The candidate generators are fixed-point-free elements of prime order
+    of K that commute with the generators so far (_extend_semiregular):
+    only those of the first prime are listed in full.  Each semiregular
     level but the last keeps one subgroup per K-conjugacy class
     (_class_reps), and only those are extended."""
-    n = K.degree
-    cands = {p: _fpf_elements(K, p, budget) for p, _ in spec.factors}
-    reps = [(frozenset([identity_perm(n)]), (), None)]
+    reps = [(frozenset([identity_perm(K.degree)]), (), None, None)]
     *inner, last = spec.radices
     for prime in inner:
-        reps = _class_reps(_extend_semiregular(reps, cands, prime),
+        reps = _class_reps(_extend_semiregular(reps, K, spec, prime, budget),
                            K, spec, budget)
     return {key: value[:2] for key, value
-            in _extend_semiregular(reps, cands, last).items()}
+            in _extend_semiregular(reps, K, spec, last, budget).items()}
 
 
-def _extend_semiregular(reps, cands, prime) -> dict:
-    """Every semiregular subgroup <gens, r>, for (element set, gens, pool)
-    in reps and r in cands[prime] commuting with gens and outside the
-    subgroup, keyed by sorted element tuple, as (element set, gens + (r,),
-    (prime, the r that commute with gens)); the first gens found for a key
-    are kept.  A pool of the same prime, the candidates that commute with
-    all gens but the last, is filtered by the last one only.
+def _extend_semiregular(reps, K, spec, prime, budget) -> dict:
+    """Every semiregular subgroup <gens, r>, for (element set, gens, pool,
+    bucket entry) in reps and r in K fixed-point-free of order prime,
+    commuting with gens and outside the subgroup, keyed by sorted element
+    tuple, as (element set, gens + (r,), (prime, the r that commute with
+    gens)); the first gens found for a key are kept.  The r of the pool's
+    own prime are filtered from it by the last generator (cheaper than a
+    chain search); a new prime's come from _centralizer_fpf, on the
+    entry's chain if _class_reps built it; with no gens, _fpf_elements.
 
     An r commuting with P = <gens> permutes P's orbits, and <P, r> is
     semiregular of order p|P| exactly when r fixes none: if r fixes an
     orbit O, r|O centralizes the regular abelian P|O, so r|O = h|O for an
     h in P, and h^-1 r is trivial or has a fixed point."""
     new = {}
-    for elset, gens, pool in reps:
-        if pool is not None and pool[0] == prime:
+    for elset, gens, pool, entry in reps:
+        if not gens:
+            pool = _fpf_elements(K, prime, budget)
+        elif pool[0] == prime:
             pool = [r for r in pool[1] if _commutes(r, gens[-1])]
         else:
-            pool = [r for r in cands[prime]
-                    if all(_commutes(r, h) for h in gens)]
-        n = len(next(iter(elset)))
-        orbs = [(min(o), o) for o in orbits(gens, n)]
+            pool = _centralizer_fpf(K, gens, spec, prime, budget, entry[1])
+        orbs = [(min(o), o) for o in orbits(gens, K.degree)]
         for r in pool:
             if any(r[x] in o for x, o in orbs):
                 continue
@@ -571,7 +572,8 @@ def _extend_semiregular(reps, cands, prime) -> dict:
 
 def _class_reps(found: dict, K: PermGroup, spec, budget) -> list:
     """One value of found per K-conjugacy class of its keys, taken at the
-    least key of the class, in key order.
+    least key of the class, in key order, with its bucket entry appended:
+    [positions, K's chain on them or None if it was not built].
 
     Keys that a generator of K conjugates onto each other are merged
     first.  Then each merged set's least key is kept only if the
@@ -613,7 +615,7 @@ def _class_reps(found: dict, K: PermGroup, spec, budget) -> list:
                 break
         else:
             bucket.append([pos, None])
-            reps.append(found[key])
+            reps.append(found[key] + (bucket[-1],))
     return reps
 
 
@@ -670,8 +672,8 @@ def _transporter_exists(chain, pos, spec, budget, rank=None) -> bool:
     Branches on l_0, then on A's images of the basis vectors, as
     least_labeling does (fixing the first j of them fixes A below
     weights[j]), then on (l_k, y_k) for each later P-orbit.  Each point
-    fixed is sifted through the chain, and a map that does not sift prunes
-    the branch; a map that is not injective never sifts."""
+    fixed is sifted through the chain (_sift_images), and a map that does
+    not sift prunes the branch; a map that is not injective never sifts."""
     candidates, weights = spec.basis_image_candidates()
     rank = len(candidates) if rank is None else rank
     m = weights[rank]
@@ -681,16 +683,7 @@ def _transporter_exists(chain, pos, spec, budget, rank=None) -> bool:
     free = [True] * t  # the Q-orbits not yet images
 
     def sift(h, base, start, y, xs):
-        # h sifted on by the maps pos1[base + x] -> pos[start + (y + A x)],
-        # x in xs; None when one of them leaves the chain
-        row = add[y]
-        for x in xs:
-            z = h[pos[start + row[img[x]]]]
-            level = chain[base + x]
-            if z not in level:
-                return None
-            h = pmul(h, level[z])
-        return h
+        return _sift_images(chain, pos, h, base, start, add[y], img, xs)
 
     def rec(ci, start, h):
         budget.spend()
@@ -726,3 +719,69 @@ def _transporter_exists(chain, pos, spec, budget, rank=None) -> bool:
                 return True
             free[l] = True
     return False
+
+
+def _sift_images(chain, pos, h, base, start, row, img, xs):
+    """h sifted on by the maps pos1[base + x] -> pos[start + row[img[x]]],
+    x in xs, in base order, through chain, K's chain on the base pos1
+    (_transporter_chain); None when one of them leaves the chain."""
+    for x in xs:
+        z = h[pos[start + row[img[x]]]]
+        level = chain[base + x]
+        if z not in level:
+            return None
+        h = pmul(h, level[z])
+    return h
+
+
+def _centralizer_fpf(K, gens, spec, p, budget=None, chain=None) -> list:
+    """The fixed-point-free elements of order p of K, sorted, that commute
+    with P = <gens> (_regular_positions lays it out as pos).  Each maps
+    pos[k m + x] -> pos[l_k m + (y_k + x)]: the search branches on
+    (l_k, y_k) for each P-orbit k in turn, sifting through chain, K's
+    chain on the base pos (built unless given).  The cycles of k -> l_k
+    have length 1 or p: an open path of p arrows prunes, a fixed orbit
+    needs a shift of order p, and the shifts of a p-cycle sum to 0.
+    Each leaf is tested by _prime_order_fpf; each node spends one of
+    budget, by default a fresh backtrack_node_budget."""
+    budget = budget or _Budget(DEFAULT_BOUNDS.backtrack_node_budget)
+    pos = _regular_positions(gens, spec)
+    chain = chain or _transporter_chain(K, pos)
+    m = math.prod(spec.radices[:len(gens)])
+    t = len(pos) // m
+    add, neg, xs = spec.add_table(), spec.neg_table(), range(m)
+    of_order_p = [y for y in xs if y and not spec.scale(p, y)]
+    img, pre, shift = [-1] * t, [-1] * t, [0] * t
+    out = []
+
+    def shifts(k, l):
+        # the y_k that keep k -> l extendable; k has no image, l no preimage
+        if l == k:
+            return of_order_p
+        arrows, total, z = 1, 0, l
+        while img[z] >= 0:
+            arrows, total, z = arrows + 1, add[total][shift[z]], img[z]
+        if z == k:
+            return [neg[total]] if arrows == p else []
+        z = pre[k]
+        while z >= 0:
+            arrows, z = arrows + 1, pre[z]
+        return xs if arrows < p else []
+
+    def rec(k, h):
+        budget.spend()
+        if k == t:
+            out.append(pinv(h))
+            return
+        for l in range(t):
+            if pre[l] >= 0:
+                continue
+            for y in shifts(k, l):
+                h2 = _sift_images(chain, pos, h, k * m, l * m, add[y], xs, xs)
+                if h2 is not None:
+                    img[k], pre[l], shift[k] = l, k, y
+                    rec(k + 1, h2)
+                    img[k] = pre[l] = -1
+
+    rec(0, identity_perm(len(pos)))
+    return sorted(c for c in out if _prime_order_fpf(c, p))

@@ -96,6 +96,16 @@ def catalog_c27_p(c27):
     return enumerate_srings(c27, "p-srings", label=False)
 
 
+@pytest.fixture(scope="session")
+def catalog_c16(c16):
+    return enumerate_srings(c16, "all", label=False)
+
+
+@pytest.fixture(scope="session")
+def catalog_c18():
+    return enumerate_srings(parse_group("2x3^2"), "all", label=False)
+
+
 # -- independent oracles -----------------------------------------------------
 
 
@@ -250,6 +260,16 @@ def conjugacy_orbits(subgroups, conj):
         seen |= orbit
         out.append((key, orbit))
     return out
+
+
+def centralizer_fpf_by_filter(K, gens, p):
+    """The fixed-point-free elements of order p of K that commute with
+    every one of gens, sorted: the library's _fpf_elements, which
+    fpf_elements_by_streaming checks, filtered one by one."""
+    from srings.permgrp import _fpf_elements, pmul
+
+    return [r for r in _fpf_elements(K, p)
+            if all(pmul(r, h) == pmul(h, r) for h in gens)]
 
 
 def fpf_elements_by_streaming(K, p):

@@ -107,6 +107,21 @@ def test_criterion_4_extended(group_text):
             f"{len(report['undecided_entries'])} undecided")
 
 
+@pytest.mark.skipif(not EXTENDED, reason="25-s run; set SRINGS_EXTENDED=1 "
+                                         "to enable")
+def test_ci_of_the_largest_2x3_2_group():
+    # |Aut(A)| = 263,363,788,800, decided under the default bounds
+    t0 = time.time()
+    spec = parse_group("2x3^2")
+    catalog = enumerate_srings(spec, "all", label=False)
+    status = is_ci(catalog.entries[7].ring(spec))
+    translations = tuple(spec.translation(b) for b in spec.basis())
+    ok = (status.verdict == "CI"
+          and status.witness == {"classes": [translations]})
+    _report("2x3^2 entry 7", ok,
+            f"{status.verdict} in {time.time() - t0:.1f}s")
+
+
 def test_criterion_5_oracle_equivalence(catalog_c8, c8):
     t0 = time.time()
     agreements = 0

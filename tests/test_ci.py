@@ -112,6 +112,21 @@ def test_is_ci_searches_a_large_automorphism_group(c16):
     assert is_ci(ring).verdict == decide_ci(ring).verdict == "CI"
 
 
+@pytest.mark.parametrize("entry, order", [(3, 2_239_488_000),
+                                          (4, 1_119_744_000)])
+def test_is_ci_decides_2x3_2_rings_with_huge_groups(catalog_c18, entry,
+                                                    order):
+    # only the elements of order 2 are listed; those of order 3 come from
+    # the centralizer of each representative in K
+    spec = catalog_c18.spec
+    ring = catalog_c18.entries[entry].ring(spec)
+    assert scheme_aut(ring).order() == order
+    status = is_ci(ring)
+    assert (status.verdict, status.method) == ("CI", "regular-subgroups")
+    translations = tuple(spec.translation(b) for b in spec.basis())
+    assert status.witness == {"classes": [translations]}
+
+
 def test_condition_u_equals_l(c27):
     ring = make_plain_wreath(c27,
                              [c27.index((1, 0, 0)), c27.index((0, 1, 0))],

@@ -7,7 +7,8 @@ from srings.config import DEFAULT_BOUNDS, _Budget
 from srings.errors import ResourceBoundExceeded, SRingsError
 from srings.groups import aut_generators, parse_group
 from srings.morphisms import scheme_aut
-from srings.permgrp import (PermGroup, _fpf_elements, _greedy_group, _Level,
+from srings.permgrp import (PermGroup, _centralizer_fpf, _fpf_elements,
+                            _greedy_group, _Level,
                             _regular_positions, _transporter_chain,
                             _transporter_exists,
                             from_generators, group_of_listing, holomorph,
@@ -15,8 +16,8 @@ from srings.permgrp import (PermGroup, _fpf_elements, _greedy_group, _Level,
                             regular_subgroups, right_regular,
                             subgroups_between, two_equivalent)
 
-from conftest import (fpf_elements_by_streaming, naive_perm_closure,
-                      regular_classes_by_orbit)
+from conftest import (centralizer_fpf_by_filter, fpf_elements_by_streaming,
+                      naive_perm_closure, regular_classes_by_orbit)
 
 
 def test_pmul_applies_left_first():
@@ -434,6 +435,90 @@ def test_fpf_elements_edge_cases(c8, c12):
     # an element of order 3 of the holomorph of 2^3 fixes a point, as 3
     # does not divide 8
     assert _fpf_elements(holomorph(c8), 3) == []
+
+
+def _recorded_searches(monkeypatch, spec, groups):
+    """Run regular_subgroups over groups.  Returns (K, gens, p, pool) for
+    each _centralizer_fpf call, and for each group the primes that
+    _fpf_elements was called with."""
+    from srings import permgrp
+
+    calls, listed = [], []
+    real_centralizer = permgrp._centralizer_fpf
+    real_fpf = permgrp._fpf_elements
+
+    def centralizer(K, gens, spec, p, budget=None, chain=None):
+        pool = real_centralizer(K, gens, spec, p, budget, chain)
+        calls.append((K, gens, p, pool))
+        return pool
+
+    def fpf(K, p, budget=None):
+        listed[-1].append(p)
+        return real_fpf(K, p, budget)
+
+    monkeypatch.setattr(permgrp, "_centralizer_fpf", centralizer)
+    monkeypatch.setattr(permgrp, "_fpf_elements", fpf)
+    for K in groups:
+        listed.append([])
+        regular_subgroups(K, spec)
+    return calls, listed
+
+
+def test_new_prime_pools_over_c12_come_from_the_centralizer(
+        monkeypatch, c12, catalog_c12):
+    groups = [K for K in (scheme_aut(entry.ring(c12))
+                          for entry in catalog_c12.entries)
+              if not K.is_symmetric()]
+    calls, listed = _recorded_searches(monkeypatch, c12, groups)
+    # only the elements of order 2 are listed, once per search
+    assert listed == [[2]] * 32
+    # one pool per representative of the last 2-level
+    assert len(calls) == 95
+    for K, gens, p, pool in calls:
+        assert (p, len(gens)) == (3, 2)
+        assert pool == centralizer_fpf_by_filter(K, gens, p)
+
+
+def test_new_prime_pools_over_small_c18_groups_come_from_the_centralizer(
+        monkeypatch, catalog_c18):
+    spec = catalog_c18.spec
+    groups = [K for K in map(scheme_aut, catalog_c18.rings())
+              if K.order() <= 100_000 and not K.is_symmetric()]
+    calls, listed = _recorded_searches(monkeypatch, spec, groups)
+    assert listed == [[2]] * 43
+    assert len(calls) == 90
+    assert sum(bool(pool) for *_, pool in calls) == 72
+    for K, gens, p, pool in calls:
+        assert (p, len(gens)) == (3, 1)
+        assert pool == centralizer_fpf_by_filter(K, gens, p)
+
+
+@pytest.mark.parametrize("catalog, bound", [("catalog_c16", 10 ** 7),
+                                            ("catalog_c27_p", 200_000)])
+def test_centralizer_fpf_agrees_with_filter_on_same_prime_gens(
+        request, catalog, bound):
+    """gens of the pool's own prime: the elements that map a P-orbit onto
+    itself, by a shift of order p, are reached only here."""
+    catalog = request.getfixturevalue(catalog)
+    spec = catalog.spec
+    p = spec.radices[0]
+    rng = random.Random(31)
+    checked = fixing = 0
+    for ring in catalog.rings():
+        K = scheme_aut(ring)
+        if K.order() > bound or K.is_symmetric():
+            continue
+        k = K.random_element(rng)
+        conjugates = [pmul(pmul(pinv(k), spec.translation(b)), k)
+                      for b in spec.basis()]
+        for j in range(1, len(conjugates)):
+            gens = conjugates[:j]
+            pool = _centralizer_fpf(K, gens, spec, p)
+            assert pool == centralizer_fpf_by_filter(K, gens, p)
+            orbs = orbits(gens, spec.order)
+            fixing += any(r[min(o)] in o for r in pool for o in orbs)
+            checked += 1
+    assert checked and fixing == checked
 
 
 def test_transporter_finds_conjugates_of_translations(c12, catalog_c12):
