@@ -253,6 +253,11 @@ def scheme_aut(a: SRing, bounds=DEFAULT_BOUNDS) -> PermGroup:
     has the color of (k, i) (then (i, y) has that of (i, k), the inverse
     cell): every such automorphism needs that, and without it the search
     fails before its first node.
+
+    So the maps found that fix 0..k-1 reach the whole orbit of k under
+    the pointwise stabilizer of 0..k-1, and by downward induction on k
+    they generate it: the maps found are a strong generating set for the
+    base 0..n-1, and the chain is built from them with no sifting.
     """
     spec = a.spec
     n = spec.order
@@ -275,7 +280,7 @@ def scheme_aut(a: SRing, bounds=DEFAULT_BOUNDS) -> PermGroup:
                 found.append(sol)
                 level_gens.append(sol)
                 reached = orbit(k, level_gens)
-    return PermGroup(n, found)
+    return PermGroup.from_strong_generators(n, found)
 
 
 def has_combinatorial_iso(a: SRing, b: SRing, phi: AlgebraicIso,

@@ -4,14 +4,21 @@ Permutations are image tuples acting on the right: the image of x under g
 is g[x], and pmul(a, b) applies a first, then b.  PermGroup keeps a
 deterministic stabilizer chain whose base is always the full point set in
 a fixed order.
+
+Inside the regular-subgroup search a permutation of degree n <= 256 is a
+256-byte table, the identity beyond n, so that the loops run in C:
+a.translate(b) applies a, then b; bytes.maketrans(a, IDENT) inverts a;
+a.translate(b) == b.translate(a) tests that they commute.  Tables sort in
+tuple order and cache their hash.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
-from operator import getitem
+from operator import eq, getitem
 
 from .config import DEFAULT_BOUNDS, _Budget
 from .errors import ResourceBoundExceeded, SRingsError
@@ -35,12 +42,21 @@ def pinv(a):
     return tuple(out)
 
 
+@functools.cache
 def identity_perm(n):
     return tuple(range(n))
 
 
 def is_identity(p):
-    return p is None or p == tuple(range(len(p)))
+    return p is None or p == identity_perm(len(p))
+
+
+IDENT = bytes(range(256))
+
+
+def _table(g):
+    """The table of a permutation tuple; None is the identity."""
+    return IDENT if g is None else bytes(g) + IDENT[len(g):]
 
 
 def orbit(x, gens, act=getitem):
@@ -112,6 +128,24 @@ class PermGroup:
             self._adjoin(g)
         self._pair_orbits = None
         self._reduced = None
+        self._inverses = None
+
+    @classmethod
+    def from_strong_generators(cls, degree, gens) -> "PermGroup":
+        """The group of gens, a strong generating set for the base
+        0..degree-1: for each k, the gens that fix 0..k-1 generate the
+        pointwise stabilizer of those points.  Each chain level is those
+        gens with its orbit closed; no Schreier generator is sifted."""
+        group = cls(degree)
+        group.gens = tuple(gens)
+        for g in group.gens:
+            for lvl in group._levels[:group._depth(g) + 1]:
+                lvl.gens.append(g)
+        for lvl in group._levels:
+            lvl.close_orbit()
+        group._order = math.prod(len(lvl.transversal)
+                                 for lvl in group._levels)
+        return group
 
     # -- chain construction ------------------------------------------------
 
@@ -227,6 +261,14 @@ class PermGroup:
             self._reduced = _greedy_group(self.degree, self.gens,
                                           self._order).gens
         return self._reduced
+
+    def _inverse_tables(self):
+        """Each level's inverse transversal as tables, converted once: the
+        chain as the regular-subgroup search sifts through it."""
+        if self._inverses is None:
+            self._inverses = [{x: _table(u) for x, u in lvl.inverse.items()}
+                              for lvl in self._levels]
+        return self._inverses
 
     def orbit(self, x):
         return orbit(x, self.gens)
@@ -367,27 +409,17 @@ class RegularClass:
     is_translation_class: bool
 
 
-def _prime_order_fpf(g, p):
-    """True if g has order exactly p and no fixed point (all cycles length p)."""
-    n = len(g)
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 1
-        x = g[start]
-        seen[start] = True
-        while x != start:
-            seen[x] = True
-            x = g[x]
-            length += 1
-        if length != p:
-            return False
-    return True
+def _prime_order_fpf(g, p, n):
+    """True if the table g has order exactly p and no fixed point below n
+    (all its cycles on 0..n-1 have length p, for the prime p)."""
+    power = g
+    for _ in range(p - 1):
+        power = power.translate(g)
+    return power == IDENT and not any(map(eq, g[:n], range(n)))
 
 
 def _fpf_elements(K: PermGroup, p, budget=None) -> list:
-    """The fixed-point-free elements of order p of K, sorted.
+    """The fixed-point-free elements of order p of K, sorted, as tables.
 
     A backtrack over K's stabilizer chain, without listing K.  Choosing
     x_0..x_i at the nontrivial levels 0..i leaves the elements
@@ -411,7 +443,8 @@ def _fpf_elements(K: PermGroup, p, budget=None) -> list:
                and all(g[x] == x for g in below)]
         settled.update(now)
         settled.add(lvl.point)
-        levels.append((lvl.point, sorted(lvl.transversal.items()), now))
+        levels.append((lvl.point, sorted(
+            (x, _table(u)) for x, u in lvl.transversal.items()), now))
     img = [-1] * n
     pre = [-1] * n
     out = []
@@ -437,16 +470,16 @@ def _fpf_elements(K: PermGroup, p, budget=None) -> list:
     def rec(i, q):
         budget.spend()
         if i == len(levels):
-            if _prime_order_fpf(q, p):
+            if _prime_order_fpf(q, p, n):
                 out.append(q)
             return
         b, transversal, now = levels[i]
         for x, u in transversal:
-            y = x if q is None else q[x]
+            y = q[x]
             if not admissible(b, y):
                 continue
             img[b], pre[y] = y, b
-            q2 = pmul(u, q)
+            q2 = u.translate(q)
             done = []
             for t in now:
                 z = q2[t]
@@ -461,16 +494,9 @@ def _fpf_elements(K: PermGroup, p, budget=None) -> list:
                 img[t] = -1
             img[b] = pre[y] = -1
 
-    rec(0, None)
+    rec(0, IDENT)
     out.sort()
     return out
-
-
-def _commutes(a, b):
-    for i in range(len(a)):
-        if a[b[i]] != b[a[i]]:
-            return False
-    return True
 
 
 def regular_subgroups(K: PermGroup, spec, bounds=DEFAULT_BOUNDS) -> list:
@@ -484,8 +510,13 @@ def regular_subgroups(K: PermGroup, spec, bounds=DEFAULT_BOUNDS) -> list:
     per K-conjugacy class at every level (_class_reps).  Each class is
     represented by its least sorted element tuple, with the generators
     first found for it.  All searches share one backtrack_node_budget.
+    The search runs on tables, built once from K's chain, so the degree
+    is at most 256; the classes it returns hold tuples.
     """
     n = K.degree
+    if n > len(IDENT):
+        raise ValueError(f"degree {n} is above {len(IDENT)}, the most a "
+                         f"permutation table holds")
     if n != spec.order:
         raise ValueError("degree does not match the group order")
     translations = [spec.translation(b) for b in spec.basis()]
@@ -506,8 +537,11 @@ def regular_subgroups(K: PermGroup, spec, bounds=DEFAULT_BOUNDS) -> list:
     for elset, gens, _ in reps:
         if len(orbit(0, gens)) != n or len(elset) != n:
             raise SRingsError("each representative is regular")
-        out.append(RegularClass(gens, elset, _transporter_exists(
-            t_chain, _regular_positions(gens, spec), spec, budget)))
+        out.append(RegularClass(
+            tuple(tuple(g[:n]) for g in gens),
+            frozenset(tuple(h[:n]) for h in elset),
+            _transporter_exists(t_chain, _regular_positions(gens, spec),
+                                spec, budget)))
     if sum(c.is_translation_class for c in out) != 1:
         raise SRingsError("exactly one translation class")
     return out
@@ -524,7 +558,7 @@ def _regular_extensions(K: PermGroup, spec, budget) -> dict:
     only those of the first prime are listed in full.  Each semiregular
     level but the last keeps one subgroup per K-conjugacy class
     (_class_reps), and only those are extended."""
-    reps = [(frozenset([identity_perm(K.degree)]), (), None, None)]
+    reps = [(frozenset([IDENT]), (), None, None)]
     *inner, last = spec.radices
     for prime in inner:
         reps = _class_reps(_extend_semiregular(reps, K, spec, prime, budget),
@@ -546,24 +580,35 @@ def _extend_semiregular(reps, K, spec, prime, budget) -> dict:
     An r commuting with P = <gens> permutes P's orbits, and <P, r> is
     semiregular of order p|P| exactly when r fixes none: if r fixes an
     orbit O, r|O centralizes the regular abelian P|O, so r|O = h|O for an
-    h in P, and h^-1 r is trivial or has a fixed point."""
+    h in P, and h^-1 r is trivial or has a fixed point.
+
+    With no gens (level 1) the orbits are points, which no r fixes, and
+    only the r with r[0] least in its Stab_K(0)-orbit get a key, though
+    the whole pool is carried: conjugating by h in Stab_K(0) sends r[0] to
+    h(r[0]), so the least key of each K-class of <r>, whose first
+    generator is its least element, is among them, with that generator."""
     new = {}
     for elset, gens, pool, entry in reps:
         if not gens:
             pool = _fpf_elements(K, prime, budget)
-        elif pool[0] == prime:
-            pool = [r for r in pool[1] if _commutes(r, gens[-1])]
+            least = _stabilizer_orbit_minima(K)
+            extending = [r for r in pool if least[r[0]] == r[0]]
         else:
-            pool = _centralizer_fpf(K, gens, spec, prime, budget, entry[1])
-        orbs = [(min(o), o) for o in orbits(gens, K.degree)]
-        for r in pool:
-            if any(r[x] in o for x, o in orbs):
-                continue
+            if pool[0] == prime:
+                g = gens[-1]
+                pool = [r for r in pool[1] if r.translate(g) == g.translate(r)]
+            else:
+                pool = _centralizer_fpf(K, gens, spec, prime, budget,
+                                        entry[1])
+            orbs = [(min(o), o) for o in orbits(gens, K.degree)]
+            extending = [r for r in pool
+                         if not any(r[x] in o for x, o in orbs)]
+        for r in extending:
             newels = set(elset)
-            rp = None
+            rp = r
             for _ in range(prime - 1):
-                rp = pmul(rp, r)
-                newels.update(pmul(h, rp) for h in elset)
+                newels.update([h.translate(rp) for h in elset])
+                rp = rp.translate(r)
             key = tuple(sorted(newels))
             if key not in new:
                 new[key] = (frozenset(newels), gens + (r,), (prime, pool))
@@ -579,8 +624,11 @@ def _class_reps(found: dict, K: PermGroup, spec, budget) -> list:
     first.  Then each merged set's least key is kept only if the
     transporter finds it K-conjugate to no kept one within its bucket of a
     K-invariant: over h in the subgroup, the multisets of K's pair orbits
-    of the pairs (x, x^h)."""
-    conj = [(c, pinv(c)) for c in K.reduced_generators()]
+    of the pairs (x, x^h).  K holds the translations, so the pair (x, z)
+    lies in the K-orbit of (0, z - x): K's pair orbits are the
+    Stab_K(0)-orbits of z - x, named by their least point."""
+    conj = [(c, bytes.maketrans(c, IDENT))
+            for c in map(_table, K.reduced_generators())]
     seen = set()
     roots = []
     for key in sorted(found):
@@ -593,19 +641,21 @@ def _class_reps(found: dict, K: PermGroup, spec, budget) -> list:
             for c, cinv in conj:
                 # k0[0] is the identity, the only element that fixes 0
                 image = (k0[0],) + tuple(sorted(
-                    [tuple([c[h[y]] for y in cinv]) for h in k0[1:]]))
+                    [cinv.translate(h).translate(c) for h in k0[1:]]))
                 if image in found and image not in seen:
                     seen.add(image)
                     frontier.append(image)
-    n = K.degree
-    color = {pair: i for i, orb in enumerate(K.orbits_pairs()) for pair in orb}
+    least = _stabilizer_orbit_minima(K)
+    add, neg = spec.add_table(), spec.neg_table()
+    # color[x][z]: the pair orbit of (x, z)
+    color = [[least[add[z][neg[x]]] for z in range(K.degree)]
+             for x in range(K.degree)]
     buckets = {}
     reps = []
     for key in roots:
         gens = found[key][1]
         pos = _regular_positions(gens, spec)
-        invariant = tuple(sorted(tuple(sorted(color[x * n + h[x]]
-                                              for x in range(n)))
+        invariant = tuple(sorted(tuple(sorted(map(getitem, color, h)))
                                  for h in key))
         bucket = buckets.setdefault(invariant, [])
         for kept in bucket:
@@ -617,6 +667,21 @@ def _class_reps(found: dict, K: PermGroup, spec, budget) -> list:
             bucket.append([pos, None])
             reps.append(found[key] + (bucket[-1],))
     return reps
+
+
+def _stabilizer_orbit_minima(K: PermGroup) -> list:
+    """least[x]: the least point of x's orbit under Stab_K(0), which level 1
+    of K's chain generates when the base starts at 0."""
+    if K._base[0] == 0 and K.degree > 1:
+        stabilizer = K._levels[1].gens
+    else:
+        stabilizer = K.point_stabilizer(0).gens
+    least = list(range(K.degree))
+    for orb in orbits(stabilizer, K.degree):
+        low = min(orb)
+        for x in orb:
+            least[x] = low
+    return least
 
 
 def _regular_positions(gens, spec) -> list:
@@ -640,7 +705,8 @@ def _regular_positions(gens, spec) -> list:
 
 def _transporter_chain(K: PermGroup, pos) -> list:
     """K's stabilizer chain on the base pos, one map per base point from
-    each point of its transversal to the inverse transversal element.
+    each point of its transversal to the inverse transversal element, a
+    table (PermGroup._inverse_tables; K's own if pos is K's base).
 
     Unless pos is K's own base, seeded random elements of K are sifted, and
     each residue joins the generators of its level and those above, until
@@ -656,7 +722,7 @@ def _transporter_chain(K: PermGroup, pos) -> list:
                 for lvl in chain._levels[:chain._depth(h) + 1]:
                     lvl.gens.append(h)
                     lvl.close_orbit()
-    return [lvl.inverse for lvl in chain._levels]
+    return chain._inverse_tables()
 
 
 def _transporter_exists(chain, pos, spec, budget, rank=None) -> bool:
@@ -712,7 +778,7 @@ def _transporter_exists(chain, pos, spec, budget, rank=None) -> bool:
         return False
 
     for l in range(t):
-        h = sift(identity_perm(len(pos)), 0, l * m, 0, (0,))
+        h = sift(IDENT, 0, l * m, 0, (0,))
         if h is not None:
             free[l] = False
             if rec(0, l * m, h):
@@ -730,14 +796,14 @@ def _sift_images(chain, pos, h, base, start, row, img, xs):
         level = chain[base + x]
         if z not in level:
             return None
-        h = pmul(h, level[z])
+        h = h.translate(level[z])
     return h
 
 
 def _centralizer_fpf(K, gens, spec, p, budget=None, chain=None) -> list:
-    """The fixed-point-free elements of order p of K, sorted, that commute
-    with P = <gens> (_regular_positions lays it out as pos).  Each maps
-    pos[k m + x] -> pos[l_k m + (y_k + x)]: the search branches on
+    """The fixed-point-free elements of order p of K, sorted, as tables,
+    that commute with P = <gens> (_regular_positions lays it out as pos).
+    Each maps pos[k m + x] -> pos[l_k m + (y_k + x)]: the search branches on
     (l_k, y_k) for each P-orbit k in turn, sifting through chain, K's
     chain on the base pos (built unless given).  The cycles of k -> l_k
     have length 1 or p: an open path of p arrows prunes, a fixed orbit
@@ -771,7 +837,7 @@ def _centralizer_fpf(K, gens, spec, p, budget=None, chain=None) -> list:
     def rec(k, h):
         budget.spend()
         if k == t:
-            out.append(pinv(h))
+            out.append(bytes.maketrans(h, IDENT))
             return
         for l in range(t):
             if pre[l] >= 0:
@@ -783,5 +849,5 @@ def _centralizer_fpf(K, gens, spec, p, budget=None, chain=None) -> list:
                     rec(k + 1, h2)
                     img[k] = pre[l] = -1
 
-    rec(0, identity_perm(len(pos)))
-    return sorted(c for c in out if _prime_order_fpf(c, p))
+    rec(0, IDENT)
+    return sorted(c for c in out if _prime_order_fpf(c, p, len(pos)))

@@ -190,7 +190,8 @@ def regular_classes_by_orbit(K, spec):
     translations = [spec.translation(b) for b in spec.basis()]
     t_key = tuple(sorted(PermGroup(K.degree, translations).elements()))
     conj = [(c, pinv(c)) for c in K.gens]
-    cands = {p: _fpf_elements(K, p) for p, _ in spec.factors}
+    cands = {p: as_tuples(_fpf_elements(K, p), K.degree)
+             for p, _ in spec.factors}
     reps = [(frozenset([identity_perm(K.degree)]), ())]
     *inner, last = spec.radices
     for prime in inner:
@@ -264,12 +265,20 @@ def conjugacy_orbits(subgroups, conj):
 
 def centralizer_fpf_by_filter(K, gens, p):
     """The fixed-point-free elements of order p of K that commute with
-    every one of gens, sorted: the library's _fpf_elements, which
-    fpf_elements_by_streaming checks, filtered one by one."""
+    every one of gens (tuples or tables), sorted, as tuples: the library's
+    _fpf_elements, which fpf_elements_by_streaming checks, filtered one by
+    one."""
     from srings.permgrp import _fpf_elements, pmul
 
-    return [r for r in _fpf_elements(K, p)
+    gens = as_tuples(gens, K.degree)
+    return [r for r in as_tuples(_fpf_elements(K, p), K.degree)
             if all(pmul(r, h) == pmul(h, r) for h in gens)]
+
+
+def as_tuples(perms, n):
+    """Permutations of degree n, as image tuples or as the 256-byte tables
+    of the regular-subgroup search, as image tuples."""
+    return [tuple(g[:n]) for g in perms]
 
 
 def fpf_elements_by_streaming(K, p):

@@ -9,7 +9,9 @@ is the first 9 non-identity elements of GL(4,2).  Over 2x3^2 the power
 maps force cells, which never happens over 2^4, so its catalog pins the
 merge search's forced-cell path.  The regular-method reports pin the
 regular-subgroup certificates, and the auto report over 2^4 the fast
-paths that ask whether a ring is cyclotomic.
+paths that ask whether a ring is cyclotomic.  Over 2^2x3 the regular
+method runs two primes, so its report pins the search that draws the
+second prime's candidates from a representative's centralizer.
 """
 
 import hashlib
@@ -37,6 +39,8 @@ GOLDEN = {
         "9437d41c7bdbf0f1b623b8d06acc45a24a66ea93b61d2379ecff9321d395d0c5",
     "ci regular 3^2":
         "2a81c1c3fa6cacce72cadbc5423fb3a1f922db273fca256dbd6c5a508f00f624",
+    "ci regular 2^2x3":
+        "69571558ae6d10f8cf85cfa828f84ab83b923cb1a3bb2feae326664bffeeea69",
     "classify 3":
         "f7dd44ff6ec79ee838b7630e63572d5e8141b081e529928ca581a461521df0d2",
     "criterion 2^3":
@@ -69,6 +73,9 @@ COMMANDS = (
     ("ci regular 3^2",
      ["ci", "--catalog", "c9.cat", "--method", "regular", "--out", "ci9.txt"],
      "ci9.txt"),
+    ("ci regular 2^2x3",
+     ["ci", "--catalog", "c12.cat", "--method", "regular", "--out",
+      "ci12.txt"], "ci12.txt"),
     ("classify 3", ["classify", "--p", "3", "--out", "rows.txt"], "rows.txt"),
     ("criterion 2^3",
      ["criterion", "--group", "2^3", "--out", "crit.txt"], "crit.txt"),

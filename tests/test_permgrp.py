@@ -1,23 +1,30 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from srings.catalog import enumerate_srings, load_catalog
 from srings.config import DEFAULT_BOUNDS, _Budget
 from srings.errors import ResourceBoundExceeded, SRingsError
 from srings.groups import aut_generators, parse_group
 from srings.morphisms import scheme_aut
-from srings.permgrp import (PermGroup, _centralizer_fpf, _fpf_elements,
-                            _greedy_group, _Level,
-                            _regular_positions, _transporter_chain,
-                            _transporter_exists,
+from srings.permgrp import (IDENT, PermGroup, _centralizer_fpf,
+                            _fpf_elements, _greedy_group, _Level,
+                            _prime_order_fpf, _regular_positions,
+                            _stabilizer_orbit_minima, _table,
+                            _transporter_chain, _transporter_exists,
                             from_generators, group_of_listing, holomorph,
                             identity_perm, orbit, orbits, pinv, pmul,
                             regular_subgroups, right_regular,
                             subgroups_between, two_equivalent)
 
-from conftest import (centralizer_fpf_by_filter, fpf_elements_by_streaming,
-                      naive_perm_closure, regular_classes_by_orbit)
+from conftest import (as_tuples, centralizer_fpf_by_filter,
+                      fpf_elements_by_streaming, naive_perm_closure,
+                      regular_classes_by_orbit)
+
+PERFBENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
 
 def test_pmul_applies_left_first():
@@ -26,6 +33,53 @@ def test_pmul_applies_left_first():
     assert pmul(a, b) == (2, 0, 1)
     assert pmul(a, None) == a
     assert pinv((1, 2, 0)) == (2, 0, 1)
+
+
+def _cycle_lengths(g):
+    return {_cycle_length(g, x) for x in range(len(g))}
+
+
+def _cycle_length(g, x):
+    length, y = 1, g[x]
+    while y != x:
+        length, y = length + 1, g[y]
+    return length
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.sampled_from([1, 2, 16, 64]))
+def test_table_kernel_agrees_with_tuples(data, n):
+    a, b, c = (tuple(data.draw(st.permutations(range(n)))) for _ in "abc")
+    if data.draw(st.booleans()):
+        b = pmul(a, a)  # commutes with a
+    ta, tb, tc = map(_table, (a, b, c))
+    assert len(ta) == 256 and ta[:n] == bytes(a) and ta[n:] == IDENT[n:]
+    assert _table(None) == IDENT
+    assert ta.translate(tb) == _table(pmul(a, b))
+    assert bytes.maketrans(ta, IDENT) == _table(pinv(a))
+    assert (ta.translate(tb) == tb.translate(ta)) == \
+        (pmul(a, b) == pmul(b, a))
+    cinv = bytes.maketrans(tc, IDENT)
+    assert cinv.translate(ta).translate(tc) == \
+        _table(pmul(pmul(pinv(c), a), c))
+    # the least-key contract: tables sort in tuple order
+    assert sorted([ta, tb, tc]) == [_table(g) for g in sorted([a, b, c])]
+    for p in (2, 3):
+        assert _prime_order_fpf(ta, p, n) == (_cycle_lengths(a) == {p})
+        if n % p == 0:
+            # a product of n / p disjoint p-cycles
+            cycles = list(a)
+            r = list(range(n))
+            for i in range(0, n, p):
+                for j in range(p):
+                    r[cycles[i + j]] = cycles[i + (j + 1) % p]
+            assert _prime_order_fpf(_table(r), p, n)
+
+
+def test_regular_subgroups_refuse_degree_above_256():
+    spec = parse_group("2^9", max_order=512)
+    with pytest.raises(ValueError, match="above 256"):
+        regular_subgroups(PermGroup(512), spec)
 
 
 def test_right_regular_orders():
@@ -114,6 +168,10 @@ def _chain_state(group):
              lvl.pairs_done) for lvl in group._levels]
 
 
+def _inverse_tables(levels):
+    return [{x: _table(u) for x, u in lvl.inverse.items()} for lvl in levels]
+
+
 def _assert_inverses_undo_transversal(levels, degree):
     ident = identity_perm(degree)
     for lvl in levels:
@@ -164,8 +222,7 @@ def test_stored_inverses_undo_their_transversal_elements(monkeypatch, c12,
     for entry in catalog_c12.entries:
         K = scheme_aut(entry.ring(c12))
         _assert_inverses_undo_transversal(K._levels, 12)
-        assert _transporter_chain(K, range(12)) == [
-            lvl.inverse for lvl in K._levels]
+        assert _transporter_chain(K, range(12)) == _inverse_tables(K._levels)
         pos = list(range(12))
         while pos == sorted(pos):
             rng.shuffle(pos)
@@ -174,7 +231,7 @@ def test_stored_inverses_undo_their_transversal_elements(monkeypatch, c12,
         (grown,) = built
         assert grown._base == tuple(pos)
         _assert_inverses_undo_transversal(grown._levels, 12)
-        assert chain == [lvl.inverse for lvl in grown._levels]
+        assert chain == _inverse_tables(grown._levels)
         assert math.prod(len(level) for level in chain) == K.order()
 
 
@@ -387,12 +444,95 @@ def test_regular_subgroups_agree_with_orbit_oracle_on_c12(c12, catalog_c12):
     assert checked == len(catalog_c12.entries) - 2
 
 
+@pytest.fixture(scope="module")
+def scheme_auts(c9, catalog_c8, catalog_c12, catalog_c18, catalog_c27_p):
+    """(spec, scheme_aut) for every ring of the 2^3, 3^2, 2^2x3 and 2x3^2
+    catalogs, perfbench's 2^4 catalog and the 3^3 p-srings."""
+    catalogs = [catalog_c8, enumerate_srings(c9, "all", label=False),
+                catalog_c12, catalog_c18,
+                load_catalog(PERFBENCH_DATA / "c16.cat"), catalog_c27_p]
+    out = [(catalog.spec, scheme_aut(ring)) for catalog in catalogs
+           for ring in catalog.rings()]
+    assert len(out) == 9 + 10 + 33 + 59 + 43 + 6
+    return out
+
+
+def test_scheme_aut_chain_agrees_with_schreier_sims(scheme_auts):
+    """The chain built from scheme_aut's strong generators, against
+    Schreier-Sims on the same generators: the same order and basic orbits,
+    and each level's generators fix the points above it and lie in the
+    other group."""
+    for _spec, K in scheme_auts:
+        ref = PermGroup(K.degree, K.gens)
+        assert ref.gens == K.gens and ref.order() == K.order()
+        for i, (lvl, ref_lvl) in enumerate(zip(K._levels, ref._levels)):
+            assert lvl.point == ref_lvl.point == i
+            assert lvl.transversal.keys() == ref_lvl.transversal.keys()
+            for g, other in ([(g, ref) for g in lvl.gens]
+                             + [(g, K) for g in ref_lvl.gens]):
+                assert all(g[j] == j for j in range(i))
+                assert other.contains(g)
+        _assert_inverses_undo_transversal(K._levels, K.degree)
+
+
+def test_pair_orbits_are_stabilizer_orbits_of_differences(scheme_auts):
+    # K holds the translations, so (x, z) is in the K-orbit of (0, z - x)
+    for spec, K in scheme_auts:
+        n = K.degree
+        least = _stabilizer_orbit_minima(K)
+        cells = {}
+        for x in range(n):
+            for z in range(n):
+                cells.setdefault(least[spec.sub(z, x)], set()).add(x * n + z)
+        assert set(map(frozenset, cells.values())) == K.orbits_pairs()
+
+
+def test_stabilizer_orbit_minima_on_any_base(c12):
+    hol = holomorph(c12)
+    moved = PermGroup(12, hol.gens, base_prefix=(5, 0))
+    least = [min(hol.point_stabilizer(0).orbit(x)) for x in range(12)]
+    assert _stabilizer_orbit_minima(hol) == \
+        _stabilizer_orbit_minima(moved) == least
+    assert least != list(range(12))
+
+
+def test_level_one_keys_over_c12_are_stabilizer_orbit_minima(
+        monkeypatch, c12, catalog_c12):
+    """Level 1 builds a key only for the r with r[0] least in its
+    Stab_K(0)-orbit, and keeps the same classes as a key for every r."""
+    from srings import permgrp
+
+    level_one = []
+    real = permgrp._class_reps
+
+    def spy(found, K, spec, budget):
+        reps = real(found, K, spec, budget)
+        if all(len(value[1]) == 1 for value in found.values()):
+            level_one.append((K, found, reps))
+        return reps
+
+    monkeypatch.setattr(permgrp, "_class_reps", spy)
+    for entry in catalog_c12.entries:
+        K = scheme_aut(entry.ring(c12))
+        if not K.is_symmetric():
+            regular_subgroups(K, c12)
+    assert len(level_one) == 32
+    # a key for every fixed-point-free involution would be 2,588
+    assert sum(len(found) for _K, found, _reps in level_one) <= 800
+    assert sum(len(reps) for _K, _found, reps in level_one) == 119
+    for K, found, _reps in level_one:
+        least = _stabilizer_orbit_minima(K)
+        for _elset, (r,), _pool in found.values():
+            assert least[r[0]] == r[0]
+
+
 @pytest.mark.parametrize("text", ["2^3", "3^2", "2^2x3", "2^4"])
 def test_fpf_elements_agree_with_streaming_on_holomorphs(text):
     spec = parse_group(text)
     hol = holomorph(spec)
     for p, _ in spec.factors:
-        assert _fpf_elements(hol, p) == fpf_elements_by_streaming(hol, p)
+        assert as_tuples(_fpf_elements(hol, p), hol.degree) == \
+            fpf_elements_by_streaming(hol, p)
 
 
 def test_fpf_elements_agree_with_streaming_on_c12(c12, catalog_c12):
@@ -402,7 +542,8 @@ def test_fpf_elements_agree_with_streaming_on_c12(c12, catalog_c12):
         if K.is_symmetric():
             continue
         for p, _ in c12.factors:
-            assert _fpf_elements(K, p) == fpf_elements_by_streaming(K, p)
+            assert as_tuples(_fpf_elements(K, p), 12) == \
+                fpf_elements_by_streaming(K, p)
         checked += 1
     # all but the rank-2 ring (K = Sym(12))
     assert checked == len(catalog_c12.entries) - 1
@@ -414,7 +555,8 @@ def test_fpf_elements_agree_with_streaming_on_c27_table(table_rings):
         K = scheme_aut(ring)
         if K.order() > 200_000:
             continue
-        assert _fpf_elements(K, 3) == fpf_elements_by_streaming(K, 3)
+        assert as_tuples(_fpf_elements(K, 3), 27) == \
+            fpf_elements_by_streaming(K, 3)
         orders.append(K.order())
     assert sorted(orders) == [27, 81, 243, 2187, 177147]
 
@@ -430,7 +572,7 @@ def test_fpf_elements_edge_cases(c8, c12):
                 y = c12.add(y, x)
             if y == 0:
                 expected.append(c12.translation(x))
-        assert _fpf_elements(T, p) == sorted(expected)
+        assert as_tuples(_fpf_elements(T, p), 12) == sorted(expected)
         assert len(expected) == {2: 3, 3: 2}[p]
     # an element of order 3 of the holomorph of 2^3 fixes a point, as 3
     # does not divide 8
@@ -476,7 +618,8 @@ def test_new_prime_pools_over_c12_come_from_the_centralizer(
     assert len(calls) == 95
     for K, gens, p, pool in calls:
         assert (p, len(gens)) == (3, 2)
-        assert pool == centralizer_fpf_by_filter(K, gens, p)
+        assert as_tuples(pool, K.degree) == \
+            centralizer_fpf_by_filter(K, gens, p)
 
 
 def test_new_prime_pools_over_small_c18_groups_come_from_the_centralizer(
@@ -490,7 +633,8 @@ def test_new_prime_pools_over_small_c18_groups_come_from_the_centralizer(
     assert sum(bool(pool) for *_, pool in calls) == 72
     for K, gens, p, pool in calls:
         assert (p, len(gens)) == (3, 1)
-        assert pool == centralizer_fpf_by_filter(K, gens, p)
+        assert as_tuples(pool, K.degree) == \
+            centralizer_fpf_by_filter(K, gens, p)
 
 
 @pytest.mark.parametrize("catalog, bound", [("catalog_c16", 10 ** 7),
@@ -514,7 +658,8 @@ def test_centralizer_fpf_agrees_with_filter_on_same_prime_gens(
         for j in range(1, len(conjugates)):
             gens = conjugates[:j]
             pool = _centralizer_fpf(K, gens, spec, p)
-            assert pool == centralizer_fpf_by_filter(K, gens, p)
+            assert as_tuples(pool, K.degree) == \
+                centralizer_fpf_by_filter(K, gens, p)
             orbs = orbits(gens, spec.order)
             fixing += any(r[min(o)] in o for r in pool for o in orbs)
             checked += 1
