@@ -6,7 +6,7 @@ from __future__ import annotations
 from .errors import (IncompatibleOnSection, PartitionError,
                      ResourceBoundExceeded, SRingsError)
 from .groups import (GroupAut, GroupSpec, Section, Subgroup, full_subgroup,
-                     subgroup_span, trivial_subgroup)
+                     group_spec, subgroup_span, trivial_subgroup)
 from .permgrp import PermGroup, orbits
 from .sring import SRing, memoized, radical, validate_partition
 
@@ -45,7 +45,7 @@ def tensor(a1: SRing, a2: SRing) -> SRing:
         merged[p] = merged.get(p, 0) + n
     for p, n in s2.factors:
         merged[p] = merged.get(p, 0) + n
-    spec = GroupSpec(sorted(merged.items()), max_order=None)
+    spec = group_spec(merged.items(), max_order=None)
 
     basis = spec.basis()
     starts = {p: pos for p, _n, pos in spec.prime_blocks()}

@@ -5,6 +5,13 @@ GroupSpec.  Elements are plain integers in ``range(order)``: the coordinate
 vector lists one residue per coordinate, least significant first, so the
 prefix ``range(p1**k)`` is exactly the span of the first k basis vectors.
 Subgroups, sections and automorphisms are all built on this encoding.
+
+Specs and subgroups are shared: group_spec (and so make_group,
+parse_group and every Section's quotient) hands out one GroupSpec per
+factor tuple, and Subgroup.from_elements one Subgroup per element set of
+a spec.  Each spec holds the tables and listings derived from it, built
+on first use, so each runs once per process.  Neither kind of object, nor
+any table or listing it hands out, may be mutated.
 """
 
 from __future__ import annotations
@@ -24,10 +31,13 @@ def _is_prime(p: int) -> bool:
 
 
 class GroupSpec:
-    """A direct product of elementary abelian groups, elements as ints."""
+    """A direct product of elementary abelian groups, elements as ints.
+
+    Built only by group_spec, which keeps one spec per factor tuple."""
 
     __slots__ = ("factors", "order", "radices", "exponent", "_coords", "_add",
-                 "_neg", "_index_weights")
+                 "_neg", "_index_weights", "_candidates", "_subgroups",
+                 "_subgroup_of_mask", "_auts")
 
     def __init__(self, factors, max_order=DEFAULT_MAX_ORDER):
         factors = tuple((int(p), int(n)) for p, n in factors)
@@ -64,6 +74,10 @@ class GroupSpec:
         self._coords = tuple(coords)
         self._add = None
         self._neg = None
+        self._candidates = None
+        self._subgroups = None
+        self._subgroup_of_mask = {}
+        self._auts = None
 
     # -- basic arithmetic ------------------------------------------------
 
@@ -141,14 +155,19 @@ class GroupSpec:
         """The images an automorphism may give each coordinate basis
         vector (the nonzero elements of its prime block, ascending), and
         the mixed-radix weights: fixing the images of the first j basis
-        vectors fixes the automorphism on the indices below weights[j]."""
-        candidates = []
-        for _p, nn, pos in self.prime_blocks():
-            members = [v for v in range(1, self.order)
-                       if all(c == 0 for i, c in enumerate(self.coords(v))
-                              if not pos <= i < pos + nn)]
-            candidates.extend([members] * nn)
-        return candidates, self._index_weights + (self.order,)
+        vectors fixes the automorphism on the indices below weights[j].
+        Tuples, built once per spec."""
+        if self._candidates is None:
+            candidates = []
+            for _p, nn, pos in self.prime_blocks():
+                members = tuple(v for v in range(1, self.order)
+                                if all(c == 0 for i, c in
+                                       enumerate(self.coords(v))
+                                       if not pos <= i < pos + nn))
+                candidates += [members] * nn
+            self._candidates = (tuple(candidates),
+                                self._index_weights + (self.order,))
+        return self._candidates
 
     def block_element(self, pos: int, row) -> int:
         """The element with coordinates row from position pos on, zero
@@ -185,10 +204,26 @@ class GroupSpec:
         return f"GroupSpec({format_group(self)!r})"
 
 
+_specs: dict = {}
+
+
+def group_spec(factors, max_order=DEFAULT_MAX_ORDER) -> GroupSpec:
+    """The one spec of the group with these (prime, rank) factors, in any
+    order; no factors give the trivial group.  max_order is checked on
+    every call, and a spec is kept only once its factors are valid."""
+    key = tuple(sorted((int(p), int(n)) for p, n in factors))
+    spec = _specs.get(key)
+    if spec is None:
+        spec = _specs[key] = GroupSpec(key, max_order=max_order)
+    elif max_order is not None and spec.order > max_order:
+        raise ResourceBoundExceeded("group order", max_order, spec.order)
+    return spec
+
+
 def make_group(factors, max_order=DEFAULT_MAX_ORDER) -> GroupSpec:
     if not factors:
         raise GroupSpecError("at least one factor required")
-    return GroupSpec(factors, max_order=max_order)
+    return group_spec(factors, max_order=max_order)
 
 
 def parse_group(text: str, max_order=DEFAULT_MAX_ORDER) -> GroupSpec:
@@ -290,9 +325,17 @@ class Subgroup:
 
     @classmethod
     def from_elements(cls, spec: GroupSpec, elements) -> "Subgroup":
-        sub = cls.span(spec, list(elements))
-        if sub.elements != frozenset(elements):
-            raise ValueError("element set is not a subgroup")
+        """The one subgroup of spec with exactly these elements; a set that
+        is not a subgroup raises ValueError and is not kept."""
+        mask = 0
+        for e in elements:
+            mask |= 1 << e
+        sub = spec._subgroup_of_mask.get(mask)
+        if sub is None:
+            sub = cls.span(spec, list(elements))
+            if sub.mask != mask:
+                raise ValueError("element set is not a subgroup")
+            spec._subgroup_of_mask[mask] = sub
         return sub
 
     def basis_elements(self) -> list:
@@ -361,20 +404,18 @@ def enumerate_subspaces(p, n):
     return out
 
 
-_subgroups_cache: dict = {}
-
-
 def enumerate_subgroups(spec: GroupSpec) -> tuple:
     """All subgroups, sorted by (order, element list); listed once per
-    group."""
-    subs = _subgroups_cache.get(spec.factors)
-    if subs is None:
+    group, as the objects Subgroup.from_elements hands out."""
+    if spec._subgroups is None:
         per_prime = [enumerate_subspaces(p, n) for p, n in spec.factors]
-        subs = tuple(sorted((Subgroup(spec, combo)
-                             for combo in itertools.product(*per_prime)),
-                            key=Subgroup.sort_key))
-        _subgroups_cache[spec.factors] = subs
-    return subs
+        shared = spec._subgroup_of_mask
+        subs = (Subgroup(spec, combo)
+                for combo in itertools.product(*per_prime))
+        spec._subgroups = tuple(sorted(
+            (shared.setdefault(sub.mask, sub) for sub in subs),
+            key=Subgroup.sort_key))
+    return spec._subgroups
 
 
 def complement(U: Subgroup, spec: GroupSpec) -> Subgroup:
@@ -433,7 +474,7 @@ class Section:
             reps += [spec.block_element(pos, row) for row in w_rows]
             if w_rows:
                 factors.append((p, len(w_rows)))
-        self.quotient = GroupSpec(factors, max_order=None)
+        self.quotient = group_spec(factors, max_order=None)
         # quotient element q is the coset of the q-th combination of the
         # complement rows
         add = spec.add_table()
@@ -643,22 +684,19 @@ def cell_fixing_auts(spec: GroupSpec, cell_of, budget=None):
     return rec(0, 1, ())
 
 
-_all_auts_cache: dict = {}
-
-
 def all_auts(spec: GroupSpec, limit: int | None = None) -> list:
-    """Every automorphism, sorted by matrix entries.  Guarded by limit."""
+    """Every automorphism, sorted by matrix entries, listed once per group.
+    Guarded by limit."""
     expected = aut_order(spec)
     if limit is not None and expected > limit:
         raise ResourceBoundExceeded("automorphism enumeration", limit, expected)
-    cached = _all_auts_cache.get(spec.factors)
-    if cached is None:
-        cached = list(cell_fixing_auts(spec, [0] * spec.order))
-        if len(cached) != expected:
-            raise SRingsError(f"{len(cached)} automorphisms listed, "
+    if spec._auts is None:
+        auts = list(cell_fixing_auts(spec, [0] * spec.order))
+        if len(auts) != expected:
+            raise SRingsError(f"{len(auts)} automorphisms listed, "
                               f"expected {expected}")
-        _all_auts_cache[spec.factors] = cached
-    return cached
+        spec._auts = auts
+    return spec._auts
 
 
 def aut_group(spec: GroupSpec):

@@ -18,7 +18,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from operator import eq, getitem
+from operator import eq, getitem, itemgetter
 
 from .config import DEFAULT_BOUNDS, _Budget
 from .errors import ResourceBoundExceeded, SRingsError
@@ -600,9 +600,13 @@ def _extend_semiregular(reps, K, spec, prime, budget) -> dict:
             else:
                 pool = _centralizer_fpf(K, gens, spec, prime, budget,
                                         entry[1])
-            orbs = [(min(o), o) for o in orbits(gens, K.degree)]
-            extending = [r for r in pool
-                         if not any(r[x] in o for x, o in orbs)]
+            # r fixes the P-orbit with least point x iff lab[r[x]] == x;
+            # P has at least two orbits, so at_lows gives a tuple
+            lab = bytes(_orbit_minima(gens, K.degree)) + IDENT[K.degree:]
+            lows = sorted(set(lab[:K.degree]))
+            at_lows = itemgetter(*lows)
+            extending = [r for r in pool if not any(
+                map(eq, at_lows(r.translate(lab)), lows))]
         for r in extending:
             newels = set(elset)
             rp = r
@@ -676,8 +680,13 @@ def _stabilizer_orbit_minima(K: PermGroup) -> list:
         stabilizer = K._levels[1].gens
     else:
         stabilizer = K.point_stabilizer(0).gens
-    least = list(range(K.degree))
-    for orb in orbits(stabilizer, K.degree):
+    return _orbit_minima(stabilizer, K.degree)
+
+
+def _orbit_minima(gens, n) -> list:
+    """least[x]: the least point of x's orbit under gens."""
+    least = list(range(n))
+    for orb in orbits(gens, n):
         low = min(orb)
         for x in orb:
             least[x] = low

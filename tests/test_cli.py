@@ -1,8 +1,10 @@
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
-from srings import cli
+from srings import cli, groups
 from srings.cli import main
 from srings.errors import EnumerationMismatch
 from srings.catalog import load_catalog
@@ -122,3 +124,24 @@ def test_enumeration_mismatch_exits_4(tmp_path, monkeypatch):
     cat = tmp_path / "c8.cat"
     assert main(["enumerate", "--group", "2^3", "--out", str(cat)]) == 4
     assert not cat.exists()
+
+
+def test_ci_auto_builds_each_group_once(tmp_path, monkeypatch):
+    """`ci --method auto` over the 2^4 catalog of perfbench builds one
+    GroupSpec per group it meets (2^4 and the quotients 2^3, 2^2, 2 and
+    1), starting from no specs, not one per section and entry."""
+    built = []
+    real = groups.GroupSpec.__init__
+
+    def spy(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        built.append(self.factors)
+
+    monkeypatch.setattr(groups.GroupSpec, "__init__", spy)
+    monkeypatch.setattr(groups, "_specs", {}, raising=False)
+    cat = tmp_path / "c16.cat"
+    shutil.copy(Path(__file__).resolve().parent.parent / "perfbench" /
+                "data" / "c16.cat", cat)
+    assert main(["ci", "--catalog", str(cat), "--method", "auto",
+                 "--out", str(tmp_path / "ci.txt"), "--workers", "1"]) == 0
+    assert len(built) == len(set(built)) <= 5

@@ -4,8 +4,8 @@ import pytest
 
 from srings import groups as groups_module
 from srings.errors import GroupSpecError, ResourceBoundExceeded, SRingsError
-from srings.groups import (GroupAut, Section, all_auts, aut_generators,
-                           aut_group, aut_order, complement,
+from srings.groups import (GroupAut, Section, Subgroup, all_auts,
+                           aut_generators, aut_group, aut_order, complement,
                            enumerate_subgroups, format_group, full_subgroup,
                            make_group, parse_group, subgroup_span,
                            trivial_subgroup)
@@ -47,6 +47,81 @@ def test_parse_rejects_whitespace_and_junk():
     for bad in ("3 ^3", " 3^3", "3^3 ", "3^^3", "q", "3x3"):
         with pytest.raises(GroupSpecError):
             parse_group(bad)
+
+
+def test_one_spec_per_group():
+    spec = parse_group("2^4")
+    assert spec is make_group([(2, 4)])
+    assert parse_group("2^2x3") is make_group([(3, 1), (2, 2)])
+    c32 = parse_group("2^5")
+    line = subgroup_span(c32, [c32.basis()[0]])
+    assert Section(full_subgroup(c32), line).quotient is spec
+    # the trivial quotient U/U is accepted, and shared too
+    trivial = Section(line, line).quotient
+    assert trivial.factors == () and trivial.order == 1
+    assert Section(full_subgroup(c32), full_subgroup(c32)).quotient is trivial
+
+
+def test_max_order_is_checked_on_every_call():
+    spec = parse_group("2^7", max_order=None)
+    assert spec.order == 128
+    for _ in range(2):
+        with pytest.raises(ResourceBoundExceeded):
+            parse_group("2^7")
+        with pytest.raises(ResourceBoundExceeded):
+            make_group([(2, 7)], max_order=100)
+    assert make_group([(2, 7)], max_order=None) is spec
+
+
+@pytest.mark.parametrize("text,key", [("4^2", ((4, 2),)),
+                                      ("2x3x2", ((2, 1), (2, 1), (3, 1)))])
+def test_invalid_specs_raise_every_time_and_are_not_kept(text, key):
+    before = dict(groups_module._specs)
+    for _ in range(2):
+        with pytest.raises(GroupSpecError):
+            parse_group(text)
+        with pytest.raises(GroupSpecError):
+            make_group(key)
+    assert key not in groups_module._specs
+    assert groups_module._specs == before
+
+
+def test_group_data_is_built_once_per_spec(c12):
+    assert c12.add_table() is parse_group("2^2x3").add_table()
+    candidates, _weights = c12.basis_image_candidates()
+    assert isinstance(candidates, tuple)
+    assert all(isinstance(c, tuple) for c in candidates)
+    assert c12.basis_image_candidates() is c12.basis_image_candidates()
+    assert enumerate_subgroups(c12) is enumerate_subgroups(c12)
+    assert all_auts(c12) is all_auts(parse_group("2^2x3"))
+
+
+def test_one_subgroup_per_element_set(c12):
+    sub = subgroup_span(c12, [c12.index((1, 0, 1))])
+    a = Subgroup.from_elements(c12, sorted(sub.elements))
+    assert a == sub
+    assert Subgroup.from_elements(c12, set(sub.elements)) is a
+    assert a.meet(full_subgroup(c12)) is a
+    assert full_subgroup(c12).meet(a) is a
+    for listed in enumerate_subgroups(c12):
+        assert Subgroup.from_elements(c12, listed.elements) is listed
+    bad = [0, c12.index((1, 0, 0)), c12.index((0, 1, 0))]
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            Subgroup.from_elements(c12, bad)
+    assert 0b111 not in c12._subgroup_of_mask
+
+
+def test_equality_and_hash_follow_values(c12):
+    assert c12 == make_group([(3, 1), (2, 2)])
+    assert hash(c12) == hash(((2, 2), (3, 1)))
+    assert c12 != parse_group("2^2") and c12 != parse_group("2x3")
+    g = c12.index((1, 0, 1))
+    fresh = Subgroup.span(c12, [g])
+    interned = Subgroup.from_elements(c12, fresh.elements)
+    assert fresh == interned and hash(fresh) == hash(interned)
+    assert hash(fresh) == hash((c12.factors, fresh.bases))
+    assert fresh != subgroup_span(c12, [c12.index((1, 0, 0))])
 
 
 def test_arithmetic_c27(c27):

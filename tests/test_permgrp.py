@@ -526,6 +526,28 @@ def test_level_one_keys_over_c12_are_stabilizer_orbit_minima(
             assert least[r[0]] == r[0]
 
 
+def test_transporter_candidates_are_built_once_over_c12(
+        monkeypatch, c12, catalog_c12):
+    """Every transporter test of the searches over c12 reads the same
+    candidate tuples: the coordinate scan runs once per group."""
+    from srings.groups import GroupSpec
+
+    results = []
+    real = GroupSpec.basis_image_candidates
+
+    def spy(spec):
+        results.append(real(spec))
+        return results[-1]
+
+    monkeypatch.setattr(GroupSpec, "basis_image_candidates", spy)
+    for entry in catalog_c12.entries:
+        K = scheme_aut(entry.ring(c12))
+        if not K.is_symmetric():
+            regular_subgroups(K, c12)
+    assert len(results) > 300
+    assert len({id(r) for r in results}) == 1
+
+
 @pytest.mark.parametrize("text", ["2^3", "3^2", "2^2x3", "2^4"])
 def test_fpf_elements_agree_with_streaming_on_holomorphs(text):
     spec = parse_group(text)
