@@ -48,7 +48,7 @@ def _write_report(path, header, records):
 def _bounds(args):
     bounds = extended_bounds() if getattr(args, "extended", False) \
         else DEFAULT_BOUNDS
-    if getattr(args, "max_order", None):
+    if getattr(args, "max_order", None) is not None:
         bounds = dataclasses.replace(bounds, max_group_order=args.max_order,
                                      enum_all_order=args.max_order,
                                      enum_p_order=args.max_order)
@@ -202,11 +202,14 @@ def cmd_criterion(args) -> int:
     return EXIT_OK
 
 
-def _seconds(text):
-    value = float(text)
-    if not value >= 0:  # also rejects nan
-        raise argparse.ArgumentTypeError(f"{text!r} is not a time >= 0")
-    return value
+def _at_least(kind, low):
+    """An argparse type: a kind (int or float) of value >= low."""
+    def number(text):
+        value = kind(text)
+        if not value >= low:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"{text!r} is not >= {low}")
+        return value
+    return number
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="skip construction labels (faster)")
     p_enum.add_argument("--extended", action="store_true",
                         help="hours-scale bounds")
-    p_enum.add_argument("--max-order", type=int, default=None)
+    p_enum.add_argument("--max-order", type=_at_least(int, 1), default=None)
     p_enum.add_argument("--checkpoint", action="store_true",
                         help="write/resume <out>.ckpt during long runs")
     p_enum.add_argument("--checkpoint-interval", type=float, default=60.0)
@@ -244,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ci.add_argument("--method", choices=("auto", "regular", "bruteforce"),
                       default="auto")
     p_ci.add_argument("--out", default=None)
-    p_ci.add_argument("--workers", type=int, default=1)
-    p_ci.add_argument("--time-limit", type=_seconds, default=None,
+    p_ci.add_argument("--workers", type=_at_least(int, 1), default=1)
+    p_ci.add_argument("--time-limit", type=_at_least(float, 0), default=None,
                       help="soft wall clock limit in seconds; 0 decides "
                            "no entry")
     p_ci.add_argument("--update-catalog", action="store_true",
@@ -258,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cr.add_argument("--group", required=True)
     p_cr.add_argument("--out", default=None)
     p_cr.add_argument("--extended", action="store_true")
-    p_cr.add_argument("--max-order", type=int, default=None)
+    p_cr.add_argument("--max-order", type=_at_least(int, 1), default=None)
     p_cr.set_defaults(func=cmd_criterion)
 
     return parser

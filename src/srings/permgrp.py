@@ -128,7 +128,7 @@ class PermGroup:
             self._adjoin(g)
         self._pair_orbits = None
         self._reduced = None
-        self._inverses = None
+        self._tables = {}
 
     @classmethod
     def from_strong_generators(cls, degree, gens) -> "PermGroup":
@@ -262,13 +262,14 @@ class PermGroup:
                                           self._order).gens
         return self._reduced
 
-    def _inverse_tables(self):
-        """Each level's inverse transversal as tables, converted once: the
-        chain as the regular-subgroup search sifts through it."""
-        if self._inverses is None:
-            self._inverses = [{x: _table(u) for x, u in lvl.inverse.items()}
-                              for lvl in self._levels]
-        return self._inverses
+    def _level_tables(self, which):
+        """Each level's "transversal" or "inverse" as tables, converted
+        once: the chain as the regular-subgroup search walks it."""
+        if which not in self._tables:
+            self._tables[which] = [
+                {x: _table(u) for x, u in getattr(lvl, which).items()}
+                for lvl in self._levels]
+        return self._tables[which]
 
     def orbit(self, x):
         return orbit(x, self.gens)
@@ -409,92 +410,113 @@ class RegularClass:
     is_translation_class: bool
 
 
-def _prime_order_fpf(g, p, n):
-    """True if the table g has order exactly p and no fixed point below n
-    (all its cycles on 0..n-1 have length p, for the prime p)."""
-    power = g
-    for _ in range(p - 1):
-        power = power.translate(g)
-    return power == IDENT and not any(map(eq, g[:n], range(n)))
+def _fpf_search(K, gens, spec, p, budget, chain) -> list:
+    """The fixed-point-free elements of order p of K that commute with
+    P = <gens>, sorted, as tables.  chain is K's chain on P's layout pos
+    (_regular_positions), built from K if None; with no gens, P = 1.
 
-
-def _fpf_elements(K: PermGroup, p, budget=None) -> list:
-    """The fixed-point-free elements of order p of K, sorted, as tables.
-
-    A backtrack over K's stabilizer chain, without listing K.  Choosing
-    x_0..x_i at the nontrivial levels 0..i leaves the elements
-    h u_(x_i) ... u_(x_0), h in the stabilizer K_(i+1) of the first base
-    points; they all agree with q = u_(x_i) ... u_(x_0) on every point
-    K_(i+1) fixes.  The branch is pruned when that partial map has a fixed
-    point, a closed cycle whose length is not p, or an open path of p or
-    more arrows.  The base point's image is tested before q is composed;
-    each leaf is tested exactly by _prime_order_fpf.  Each node spends one
-    of budget, by default a fresh backtrack_node_budget."""
-    budget = budget or _Budget(DEFAULT_BOUNDS.backtrack_node_budget)
-    n = K.degree
-    levels = []
-    settled = set()
-    for i, lvl in enumerate(K._levels):
-        if len(lvl.transversal) == 1:
-            continue
-        below = K._levels[i + 1].gens if i + 1 < n else ()
-        # the points K_(i+1) fixes that K_(i) moves, other than the base point
-        now = [x for x in range(n) if x != lvl.point and x not in settled
-               and all(g[x] == x for g in below)]
-        settled.update(now)
-        settled.add(lvl.point)
-        levels.append((lvl.point, sorted(
-            (x, _table(u)) for x, u in lvl.transversal.items()), now))
-    img = [-1] * n
-    pre = [-1] * n
+    Such an element maps pos[k m + x] -> pos[l_k m + (y_k + x)] for each
+    P-orbit k, whose points are the chain's levels k m .. k m + m - 1.
+    The backtrack branches over the transversal of each orbit's base
+    point, whose image under the product q so far names the arrow
+    (l_k, y_k), and forces the orbit's other points through q's inverse
+    and their levels.  The cycles of k -> l_k have length 1 or p: a second
+    arrow into l or an open path of p arrows prunes, a fixed orbit needs a
+    shift of order p, and the shifts of a p-cycle sum to 0, so each leaf
+    is fixed-point-free of order p.  After each orbit, the later orbits
+    whose base points the stabilizer fixes (its now list) get their arrows
+    at once; they are not branched over, and with P = 1 not visited.
+    Each branching orbit spends one node of budget."""
+    pos = _regular_positions(gens, spec)
+    chain = chain or _transporter_chain(K, pos)
+    forward = chain._level_tables("transversal")
+    inverse = chain._level_tables("inverse") if gens else None
+    n, m = len(pos), math.prod(spec.radices[:len(gens)])
+    t = n // m
+    # arrow[pos[k m + y]] = (k, y)
+    arrow = [divmod(i, m) for i in sorted(range(n), key=pos.__getitem__)]
+    add, neg = spec.add_table(), spec.neg_table()
+    of_order_p = {y for y in range(1, m) if not spec.scale(p, y)}
+    img, pre, shift = [-1] * t, [-1] * t, [0] * t
+    steps, settled = [], set()
+    for k in range(t):
+        if gens or k not in settled:
+            below = chain._levels[(k + 1) * m].gens if k + 1 < t else ()
+            now = [j for j in range(k + 1, t) if j not in settled
+                   and all(g[pos[j * m]] == pos[j * m] for g in below)]
+            steps.append((k, k * m, forward[k * m], now))
+            settled.update(now)
+    others = range(1, m)
     out = []
 
-    def admissible(b, y):
-        """Whether the arrow b -> y keeps the partial map extendable; b has
-        no image yet and y no preimage."""
-        if y == b:
+    def admissible(k, l, y):
+        """Whether the arrow k -> l with shift y keeps the orbit map
+        extendable; k has no image yet."""
+        if pre[l] >= 0:
             return False
+        if l == k:
+            return y in of_order_p
         arrows = 1
-        z = img[y]
-        while z >= 0:
-            arrows += 1
-            if z == b:
-                return arrows == p
-            z = img[z]
-        z = pre[b]
-        while z >= 0:
-            arrows += 1
-            z = pre[z]
+        while img[l] >= 0:
+            y, l, arrows = add[y][shift[l]], img[l], arrows + 1
+        if l == k:
+            return arrows == p and y == 0
+        while pre[k] >= 0:
+            k, arrows = pre[k], arrows + 1
         return arrows < p
 
-    def rec(i, q):
-        budget.spend()
-        if i == len(levels):
-            if _prime_order_fpf(q, p, n):
-                out.append(q)
+    def rec(s, q, qinv):
+        if s == len(steps):
+            out.append(q)
             return
-        b, transversal, now = levels[i]
-        for x, u in transversal:
-            y = q[x]
-            if not admissible(b, y):
+        k, base, level, now = steps[s]
+        placed = img[k]
+        if placed >= 0:  # by a now list: lifted, to be placed again below
+            img[k] = pre[placed] = -1
+        else:
+            budget.spend()
+        branches = level.items()
+        if pre[k] >= 0:  # k ends a path, which with p - 1 arrows it closes
+            z, total, arrows = k, 0, 1
+            while pre[z] >= 0:
+                z, arrows = pre[z], arrows + 1
+                total = add[total][shift[z]]
+            if arrows == p:
+                x = q.index(pos[z * m + neg[total]])
+                branches = [(x, level[x])] if x in level else ()
+        for x, u in branches:
+            l, y = arrow[q[x]]
+            if not admissible(k, l, y):
                 continue
-            img[b], pre[y] = y, b
+            img[k], pre[l], shift[k] = l, k, y
             q2 = u.translate(q)
-            done = []
-            for t in now:
-                z = q2[t]
-                if not admissible(t, z):
-                    break
-                img[t], pre[z] = z, t
-                done.append(t)
+            qinv2 = qinv and qinv.translate(inverse[base][x])
+            for j in others:
+                z = qinv2[pos[l * m + add[y][j]]]
+                if z != pos[base + j]:
+                    if z not in forward[base + j]:
+                        break
+                    q2 = forward[base + j][z].translate(q2)
+                    qinv2 = qinv2.translate(inverse[base + j][z])
             else:
-                rec(i + 1, q2)
-            for t in done:
-                pre[img[t]] = -1
-                img[t] = -1
-            img[b] = pre[y] = -1
+                done = []
+                for j in now:
+                    l2, y2 = arrow[q2[pos[j * m]]]
+                    if not admissible(j, l2, y2):
+                        break
+                    img[j], pre[l2], shift[j] = l2, j, y2
+                    done.append(j)
+                else:
+                    rec(s + 1, q2, qinv2)
+                for j in done:
+                    pre[img[j]] = -1
+                    img[j] = -1
+            img[k] = pre[l] = -1
+        if placed >= 0:
+            img[k], pre[placed] = placed, k
 
-    rec(0, IDENT)
+    # q is carried with its inverse only when orbits have other points
+    rec(0, IDENT, IDENT if gens else None)
     out.sort()
     return out
 
@@ -506,12 +528,13 @@ def regular_subgroups(K: PermGroup, spec, bounds=DEFAULT_BOUNDS) -> list:
 
     Builds commuting generator tuples (one batch of generators of order p
     per prime factor) from fixed-point-free prime-order elements of K,
-    found without listing K (_regular_extensions), and keeps one subgroup
-    per K-conjugacy class at every level (_class_reps).  Each class is
-    represented by its least sorted element tuple, with the generators
-    first found for it.  All searches share one backtrack_node_budget.
-    The search runs on tables, built once from K's chain, so the degree
-    is at most 256; the classes it returns hold tuples.
+    found without listing K by one chain search (_fpf_search), and keeps
+    one subgroup per K-conjugacy class at every level (_class_reps).  Each
+    class is represented by its least sorted element tuple, with the
+    generators first found for it.  All searches share one
+    backtrack_node_budget.  The search runs on tables, built once from
+    K's chain, so the degree is at most 256; the classes it returns hold
+    tuples.
     """
     n = K.degree
     if n > len(IDENT):
@@ -553,12 +576,12 @@ def _regular_extensions(K: PermGroup, spec, budget) -> dict:
     set, generators in coordinate order).  Every K-conjugacy class of them
     is reached.
 
-    The candidate generators are fixed-point-free elements of prime order
-    of K that commute with the generators so far (_extend_semiregular):
-    only those of the first prime are listed in full.  Each semiregular
-    level but the last keeps one subgroup per K-conjugacy class
-    (_class_reps), and only those are extended."""
-    reps = [(frozenset([IDENT]), (), None, None)]
+    The candidate generators are the fixed-point-free elements of prime
+    order of K that commute with the generators so far
+    (_extend_semiregular).  Each semiregular level but the last keeps one
+    subgroup per K-conjugacy class (_class_reps), and only those are
+    extended."""
+    reps = [(frozenset([IDENT]), (), None, [range(K.degree), None])]
     *inner, last = spec.radices
     for prime in inner:
         reps = _class_reps(_extend_semiregular(reps, K, spec, prime, budget),
@@ -574,8 +597,8 @@ def _extend_semiregular(reps, K, spec, prime, budget) -> dict:
     tuple, as (element set, gens + (r,), (prime, the r that commute with
     gens)); the first gens found for a key are kept.  The r of the pool's
     own prime are filtered from it by the last generator (cheaper than a
-    chain search); a new prime's come from _centralizer_fpf, on the
-    entry's chain if _class_reps built it; with no gens, _fpf_elements.
+    chain search); otherwise they come from _fpf_search on the entry's
+    chain, built here unless _class_reps built it.
 
     An r commuting with P = <gens> permutes P's orbits, and <P, r> is
     semiregular of order p|P| exactly when r fixes none: if r fixes an
@@ -589,17 +612,17 @@ def _extend_semiregular(reps, K, spec, prime, budget) -> dict:
     generator is its least element, is among them, with that generator."""
     new = {}
     for elset, gens, pool, entry in reps:
+        if gens and pool[0] == prime:
+            g = gens[-1]
+            pool = [r for r in pool[1] if r.translate(g) == g.translate(r)]
+        else:
+            if entry[1] is None:
+                entry[1] = _transporter_chain(K, entry[0])
+            pool = _fpf_search(K, gens, spec, prime, budget, entry[1])
         if not gens:
-            pool = _fpf_elements(K, prime, budget)
             least = _stabilizer_orbit_minima(K)
             extending = [r for r in pool if least[r[0]] == r[0]]
         else:
-            if pool[0] == prime:
-                g = gens[-1]
-                pool = [r for r in pool[1] if r.translate(g) == g.translate(r)]
-            else:
-                pool = _centralizer_fpf(K, gens, spec, prime, budget,
-                                        entry[1])
             # r fixes the P-orbit with least point x iff lab[r[x]] == x;
             # P has at least two orbits, so at_lows gives a tuple
             lab = bytes(_orbit_minima(gens, K.degree)) + IDENT[K.degree:]
@@ -622,7 +645,8 @@ def _extend_semiregular(reps, K, spec, prime, budget) -> dict:
 def _class_reps(found: dict, K: PermGroup, spec, budget) -> list:
     """One value of found per K-conjugacy class of its keys, taken at the
     least key of the class, in key order, with its bucket entry appended:
-    [positions, K's chain on them or None if it was not built].
+    [positions, K's chain on them (_transporter_chain)], the chain built on
+    first use, by the transporter or by the next level's _fpf_search.
 
     Keys that a generator of K conjugates onto each other are merged
     first.  Then each merged set's least key is kept only if the
@@ -712,14 +736,12 @@ def _regular_positions(gens, spec) -> list:
     return pos
 
 
-def _transporter_chain(K: PermGroup, pos) -> list:
-    """K's stabilizer chain on the base pos, one map per base point from
-    each point of its transversal to the inverse transversal element, a
-    table (PermGroup._inverse_tables; K's own if pos is K's base).
+def _transporter_chain(K: PermGroup, pos) -> PermGroup:
+    """K's stabilizer chain on the base pos: K itself if pos is its base.
 
-    Unless pos is K's own base, seeded random elements of K are sifted, and
-    each residue joins the generators of its level and those above, until
-    the orbits multiply to |K|: each lies in the true one, so each is whole."""
+    Otherwise seeded random elements of K are sifted, and each residue
+    joins the generators of its level and those above, until the orbits
+    multiply to |K|: each lies in the true one, so each is whole."""
     chain = K
     if K._base != tuple(pos):
         chain = PermGroup(K.degree, base_prefix=pos)
@@ -731,7 +753,7 @@ def _transporter_chain(K: PermGroup, pos) -> list:
                 for lvl in chain._levels[:chain._depth(h) + 1]:
                     lvl.gens.append(h)
                     lvl.close_orbit()
-    return chain._inverse_tables()
+    return chain
 
 
 def _transporter_exists(chain, pos, spec, budget, rank=None) -> bool:
@@ -747,8 +769,9 @@ def _transporter_exists(chain, pos, spec, budget, rank=None) -> bool:
     Branches on l_0, then on A's images of the basis vectors, as
     least_labeling does (fixing the first j of them fixes A below
     weights[j]), then on (l_k, y_k) for each later P-orbit.  Each point
-    fixed is sifted through the chain (_sift_images), and a map that does
-    not sift prunes the branch; a map that is not injective never sifts."""
+    fixed is sifted through the chain, and a map that does not sift
+    prunes the branch; a map that is not injective never sifts."""
+    inverse = chain._level_tables("inverse")
     candidates, weights = spec.basis_image_candidates()
     rank = len(candidates) if rank is None else rank
     m = weights[rank]
@@ -758,7 +781,15 @@ def _transporter_exists(chain, pos, spec, budget, rank=None) -> bool:
     free = [True] * t  # the Q-orbits not yet images
 
     def sift(h, base, start, y, xs):
-        return _sift_images(chain, pos, h, base, start, add[y], img, xs)
+        # h sifted on by pos1[base + x] -> pos[start + y + A x], x in xs
+        row = add[y]
+        for x in xs:
+            z = h[pos[start + row[img[x]]]]
+            level = inverse[base + x]
+            if z not in level:
+                return None
+            h = h.translate(level[z])
+        return h
 
     def rec(ci, start, h):
         budget.spend()
@@ -795,68 +826,3 @@ def _transporter_exists(chain, pos, spec, budget, rank=None) -> bool:
             free[l] = True
     return False
 
-
-def _sift_images(chain, pos, h, base, start, row, img, xs):
-    """h sifted on by the maps pos1[base + x] -> pos[start + row[img[x]]],
-    x in xs, in base order, through chain, K's chain on the base pos1
-    (_transporter_chain); None when one of them leaves the chain."""
-    for x in xs:
-        z = h[pos[start + row[img[x]]]]
-        level = chain[base + x]
-        if z not in level:
-            return None
-        h = h.translate(level[z])
-    return h
-
-
-def _centralizer_fpf(K, gens, spec, p, budget=None, chain=None) -> list:
-    """The fixed-point-free elements of order p of K, sorted, as tables,
-    that commute with P = <gens> (_regular_positions lays it out as pos).
-    Each maps pos[k m + x] -> pos[l_k m + (y_k + x)]: the search branches on
-    (l_k, y_k) for each P-orbit k in turn, sifting through chain, K's
-    chain on the base pos (built unless given).  The cycles of k -> l_k
-    have length 1 or p: an open path of p arrows prunes, a fixed orbit
-    needs a shift of order p, and the shifts of a p-cycle sum to 0.
-    Each leaf is tested by _prime_order_fpf; each node spends one of
-    budget, by default a fresh backtrack_node_budget."""
-    budget = budget or _Budget(DEFAULT_BOUNDS.backtrack_node_budget)
-    pos = _regular_positions(gens, spec)
-    chain = chain or _transporter_chain(K, pos)
-    m = math.prod(spec.radices[:len(gens)])
-    t = len(pos) // m
-    add, neg, xs = spec.add_table(), spec.neg_table(), range(m)
-    of_order_p = [y for y in xs if y and not spec.scale(p, y)]
-    img, pre, shift = [-1] * t, [-1] * t, [0] * t
-    out = []
-
-    def shifts(k, l):
-        # the y_k that keep k -> l extendable; k has no image, l no preimage
-        if l == k:
-            return of_order_p
-        arrows, total, z = 1, 0, l
-        while img[z] >= 0:
-            arrows, total, z = arrows + 1, add[total][shift[z]], img[z]
-        if z == k:
-            return [neg[total]] if arrows == p else []
-        z = pre[k]
-        while z >= 0:
-            arrows, z = arrows + 1, pre[z]
-        return xs if arrows < p else []
-
-    def rec(k, h):
-        budget.spend()
-        if k == t:
-            out.append(bytes.maketrans(h, IDENT))
-            return
-        for l in range(t):
-            if pre[l] >= 0:
-                continue
-            for y in shifts(k, l):
-                h2 = _sift_images(chain, pos, h, k * m, l * m, add[y], xs, xs)
-                if h2 is not None:
-                    img[k], pre[l], shift[k] = l, k, y
-                    rec(k + 1, h2)
-                    img[k] = pre[l] = -1
-
-    rec(0, IDENT)
-    return sorted(c for c in out if _prime_order_fpf(c, p, len(pos)))

@@ -4,7 +4,8 @@ The oracles deliberately avoid the library's own machinery: subgroup
 counting by subset closure, permutation-group order by naive closure,
 Cayley minimality by closing every subset-generated subgroup,
 conjugacy classes of regular subgroups by walking conjugation orbits,
-fixed-point-free prime-order elements by streaming every element,
+fixed-point-free prime-order elements by streaming every element and by
+a point-by-point backtrack over the stabilizer chain,
 scheme automorphisms by filtering all of Sym(n), and their generators by
 a search for every unreached candidate at every level, canonical
 labelings and Cayley isomorphisms by filtering all of Aut(G), Cayley
@@ -182,15 +183,14 @@ def regular_classes_by_orbit(K, spec):
     one's K-conjugation orbit of sorted element tuples, each orbit walked
     in full.  At the final level the class whose orbit holds the
     translations' key is the translation class.  The candidate generators
-    are the library's _fpf_elements, which fpf_elements_by_streaming
+    are fpf_elements_by_chain's, which fpf_elements_by_streaming
     checks."""
-    from srings.permgrp import (PermGroup, RegularClass, _fpf_elements,
-                                identity_perm, pinv)
+    from srings.permgrp import PermGroup, RegularClass, identity_perm, pinv
 
     translations = [spec.translation(b) for b in spec.basis()]
     t_key = tuple(sorted(PermGroup(K.degree, translations).elements()))
     conj = [(c, pinv(c)) for c in K.gens]
-    cands = {p: as_tuples(_fpf_elements(K, p), K.degree)
+    cands = {p: as_tuples(fpf_elements_by_chain(K, p), K.degree)
              for p, _ in spec.factors}
     reps = [(frozenset([identity_perm(K.degree)]), ())]
     *inner, last = spec.radices
@@ -265,13 +265,13 @@ def conjugacy_orbits(subgroups, conj):
 
 def centralizer_fpf_by_filter(K, gens, p):
     """The fixed-point-free elements of order p of K that commute with
-    every one of gens (tuples or tables), sorted, as tuples: the library's
-    _fpf_elements, which fpf_elements_by_streaming checks, filtered one by
-    one."""
-    from srings.permgrp import _fpf_elements, pmul
+    every one of gens (tuples or tables), sorted, as tuples:
+    fpf_elements_by_chain, which fpf_elements_by_streaming checks, filtered
+    one by one."""
+    from srings.permgrp import pmul
 
     gens = as_tuples(gens, K.degree)
-    return [r for r in as_tuples(_fpf_elements(K, p), K.degree)
+    return [r for r in as_tuples(fpf_elements_by_chain(K, p), K.degree)
             if all(pmul(r, h) == pmul(h, r) for h in gens)]
 
 
@@ -286,6 +286,103 @@ def fpf_elements_by_streaming(K, p):
     every element of K and keeping those whose cycles all have length p."""
     return sorted(g for g in K.elements()
                   if all(_cycle_length(g, x) == p for x in range(len(g))))
+
+
+def _prime_order_fpf(g, p, n):
+    """True if the table g has order exactly p and no fixed point below n
+    (all its cycles on 0..n-1 have length p, for the prime p)."""
+    from operator import eq
+
+    from srings.permgrp import IDENT
+
+    power = g
+    for _ in range(p - 1):
+        power = power.translate(g)
+    return power == IDENT and not any(map(eq, g[:n], range(n)))
+
+
+def fpf_elements_by_chain(K, p, budget=None) -> list:
+    """The fixed-point-free elements of order p of K, sorted, as tables.
+
+    A backtrack over K's stabilizer chain, without listing K.  Choosing
+    x_0..x_i at the nontrivial levels 0..i leaves the elements
+    h u_(x_i) ... u_(x_0), h in the stabilizer K_(i+1) of the first base
+    points; they all agree with q = u_(x_i) ... u_(x_0) on every point
+    K_(i+1) fixes.  The branch is pruned when that partial map has a fixed
+    point, a closed cycle whose length is not p, or an open path of p or
+    more arrows.  The base point's image is tested before q is composed;
+    each leaf is tested exactly by _prime_order_fpf.  Each node spends one
+    of budget, by default a fresh backtrack_node_budget."""
+    from srings.config import DEFAULT_BOUNDS, _Budget
+    from srings.permgrp import IDENT, _table
+
+    budget = budget or _Budget(DEFAULT_BOUNDS.backtrack_node_budget)
+    n = K.degree
+    levels = []
+    settled = set()
+    for i, lvl in enumerate(K._levels):
+        if len(lvl.transversal) == 1:
+            continue
+        below = K._levels[i + 1].gens if i + 1 < n else ()
+        # the points K_(i+1) fixes that K_(i) moves, other than the base point
+        now = [x for x in range(n) if x != lvl.point and x not in settled
+               and all(g[x] == x for g in below)]
+        settled.update(now)
+        settled.add(lvl.point)
+        levels.append((lvl.point, sorted(
+            (x, _table(u)) for x, u in lvl.transversal.items()), now))
+    img = [-1] * n
+    pre = [-1] * n
+    out = []
+
+    def admissible(b, y):
+        """Whether the arrow b -> y keeps the partial map extendable; b has
+        no image yet and y no preimage."""
+        if y == b:
+            return False
+        arrows = 1
+        z = img[y]
+        while z >= 0:
+            arrows += 1
+            if z == b:
+                return arrows == p
+            z = img[z]
+        z = pre[b]
+        while z >= 0:
+            arrows += 1
+            z = pre[z]
+        return arrows < p
+
+    def rec(i, q):
+        budget.spend()
+        if i == len(levels):
+            if _prime_order_fpf(q, p, n):
+                out.append(q)
+            return
+        b, transversal, now = levels[i]
+        for x, u in transversal:
+            y = q[x]
+            if not admissible(b, y):
+                continue
+            img[b], pre[y] = y, b
+            q2 = u.translate(q)
+            done = []
+            for t in now:
+                z = q2[t]
+                if not admissible(t, z):
+                    break
+                img[t], pre[z] = z, t
+                done.append(t)
+            else:
+                rec(i + 1, q2)
+            for t in done:
+                pre[img[t]] = -1
+                img[t] = -1
+            img[b] = pre[y] = -1
+
+    rec(0, IDENT)
+    out.sort()
+    return out
 
 
 def _cycle_length(g, x):

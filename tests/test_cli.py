@@ -43,6 +43,28 @@ def test_usage_errors(tmp_path):
     assert main(["ci", "--catalog", str(tmp_path / "missing.cat")]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--group", "2^3", "--max-order", "-5"],
+    ["enumerate", "--group", "2^3", "--max-order", "0"],
+    ["enumerate", "--group", "2^3", "--max-order", "x"],
+    ["criterion", "--group", "2^3", "--max-order", "0"],
+    ["ci", "--catalog", "c8.cat", "--workers", "0"],
+    ["ci", "--catalog", "c8.cat", "--workers", "-2"],
+])
+def test_order_and_worker_counts_below_one_are_usage_errors(
+        tmp_path, monkeypatch, capsys, argv):
+    # before they were parsed as integers >= 1, a negative --max-order
+    # ran and exited 3 on its bound, and --max-order 0 and --workers <= 0
+    # were ignored
+    monkeypatch.chdir(tmp_path)
+    assert main(["enumerate", "--group", "2^3", "--out", "c8.cat",
+                 "--no-labels"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--out", "out.txt"]) == 2
+    assert "error: argument --" in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
+
+
 def test_classify_p3(tmp_path):
     out = tmp_path / "rows.txt"
     assert main(["classify", "--p", "3", "--out", str(out)]) == 0

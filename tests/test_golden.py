@@ -11,11 +11,20 @@ merge search's forced-cell path.  The regular-method reports pin the
 regular-subgroup certificates, and the auto report over 2^4 the fast
 paths that ask whether a ring is cyclotomic.  Over 2^2x3 the regular
 method runs two primes, so its report pins the search that draws the
-second prime's candidates from a representative's centralizer.
+second prime's candidates from a representative's centralizer.  Over 2^4
+and 3^3 it runs one prime, so every candidate comes from the search with
+no generators; entry 2 of the 2^4 catalog has |K| = 3,251,404,800, and at
+p = 3 the test of the points that the stabilizer fixes prunes the most.
+With SRINGS_EXTENDED=1, the verdicts and certificates of is_ci over all
+59 rings of the 2x3^2 catalog are pinned as well.
 """
 
 import hashlib
+import os
 
+import pytest
+
+from srings.ci import is_ci
 from srings.cli import main
 
 GOLDEN = {
@@ -41,6 +50,10 @@ GOLDEN = {
         "2a81c1c3fa6cacce72cadbc5423fb3a1f922db273fca256dbd6c5a508f00f624",
     "ci regular 2^2x3":
         "69571558ae6d10f8cf85cfa828f84ab83b923cb1a3bb2feae326664bffeeea69",
+    "ci regular 2^4":
+        "51ad90690e5ee2253673446d0a7c682644c9df440c629af489362dbc9143fb20",
+    "ci regular 3^3 p-srings":
+        "2a2b7aeed663f38f3b5e87e8912c18f2c25627f313d562f74c679c0fb161660c",
     "classify 3":
         "f7dd44ff6ec79ee838b7630e63572d5e8141b081e529928ca581a461521df0d2",
     "criterion 2^3":
@@ -76,6 +89,12 @@ COMMANDS = (
     ("ci regular 2^2x3",
      ["ci", "--catalog", "c12.cat", "--method", "regular", "--out",
       "ci12.txt"], "ci12.txt"),
+    ("ci regular 2^4",
+     ["ci", "--catalog", "c16.cat", "--method", "regular", "--out",
+      "ci16r.txt"], "ci16r.txt"),
+    ("ci regular 3^3 p-srings",
+     ["ci", "--catalog", "c27p.cat", "--method", "regular", "--out",
+      "ci27r.txt"], "ci27r.txt"),
     ("classify 3", ["classify", "--p", "3", "--out", "rows.txt"], "rows.txt"),
     ("criterion 2^3",
      ["criterion", "--group", "2^3", "--out", "crit.txt"], "crit.txt"),
@@ -89,3 +108,14 @@ def test_cli_outputs_match_golden_digests(tmp_path, monkeypatch):
         assert main(argv) == 0, name
         digests[name] = hashlib.sha256((tmp_path / out).read_bytes()).hexdigest()
     assert digests == GOLDEN
+
+
+@pytest.mark.skipif(os.environ.get("SRINGS_EXTENDED") != "1",
+                    reason="25-s run; set SRINGS_EXTENDED=1 to enable")
+def test_is_ci_over_2x3_2_matches_golden_digest(catalog_c18):
+    statuses = [is_ci(ring) for ring in catalog_c18.rings()]
+    assert len(statuses) == 59
+    record = repr([(s.verdict, s.method, s.witness, s.resource)
+                   for s in statuses])
+    assert hashlib.sha256(record.encode()).hexdigest() == \
+        "f21efe6d97681b26e3cedeeeb6998921ae3a205212294ccf3c223d39f484a8c8"

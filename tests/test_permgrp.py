@@ -1,5 +1,6 @@
 import math
 import random
+import traceback
 from pathlib import Path
 
 import pytest
@@ -10,9 +11,8 @@ from srings.config import DEFAULT_BOUNDS, _Budget
 from srings.errors import ResourceBoundExceeded, SRingsError
 from srings.groups import aut_generators, parse_group
 from srings.morphisms import scheme_aut
-from srings.permgrp import (IDENT, PermGroup, _centralizer_fpf,
-                            _fpf_elements, _greedy_group, _Level,
-                            _prime_order_fpf, _regular_positions,
+from srings.permgrp import (IDENT, PermGroup, _fpf_search, _greedy_group,
+                            _Level, _regular_positions,
                             _stabilizer_orbit_minima, _table,
                             _transporter_chain, _transporter_exists,
                             from_generators, group_of_listing, holomorph,
@@ -20,7 +20,8 @@ from srings.permgrp import (IDENT, PermGroup, _centralizer_fpf,
                             regular_subgroups, right_regular,
                             subgroups_between, two_equivalent)
 
-from conftest import (as_tuples, centralizer_fpf_by_filter,
+from conftest import (_prime_order_fpf, as_tuples,
+                      centralizer_fpf_by_filter, fpf_elements_by_chain,
                       fpf_elements_by_streaming, naive_perm_closure,
                       regular_classes_by_orbit)
 
@@ -172,6 +173,20 @@ def _inverse_tables(levels):
     return [{x: _table(u) for x, u in lvl.inverse.items()} for lvl in levels]
 
 
+def _assert_tables_are_the_chain(chain):
+    """The chain's level tables are its inverse transversals and its
+    transversals, built once: each forward table then its inverse is the
+    identity."""
+    inverse = chain._level_tables("inverse")
+    forward = chain._level_tables("transversal")
+    assert inverse == _inverse_tables(chain._levels)
+    assert chain._level_tables("inverse") is inverse
+    assert chain._level_tables("transversal") is forward
+    for fwd, inv in zip(forward, inverse):
+        assert fwd.keys() == inv.keys()
+        assert all(fwd[x].translate(inv[x]) == IDENT for x in fwd)
+
+
 def _assert_inverses_undo_transversal(levels, degree):
     ident = identity_perm(degree)
     for lvl in levels:
@@ -222,17 +237,19 @@ def test_stored_inverses_undo_their_transversal_elements(monkeypatch, c12,
     for entry in catalog_c12.entries:
         K = scheme_aut(entry.ring(c12))
         _assert_inverses_undo_transversal(K._levels, 12)
-        assert _transporter_chain(K, range(12)) == _inverse_tables(K._levels)
+        assert _transporter_chain(K, range(12)) is K
+        _assert_tables_are_the_chain(K)
         pos = list(range(12))
         while pos == sorted(pos):
             rng.shuffle(pos)
         built.clear()
         chain = _transporter_chain(K, pos)
         (grown,) = built
-        assert grown._base == tuple(pos)
+        assert chain is grown and grown._base == tuple(pos)
         _assert_inverses_undo_transversal(grown._levels, 12)
-        assert chain == _inverse_tables(grown._levels)
-        assert math.prod(len(level) for level in chain) == K.order()
+        _assert_tables_are_the_chain(grown)
+        assert math.prod(map(len, chain._level_tables("inverse"))) == \
+            K.order()
 
 
 def test_aut_group_closure_small():
@@ -397,6 +414,38 @@ def test_regular_subgroups_budget():
         regular_subgroups(hol, c8, tiny)
     assert info.value.what == "backtracking nodes"
     assert info.value.limit == 1
+    # the one node goes to the first branching orbit of the candidate search
+    assert "_fpf_search" in [frame.name for frame in
+                             traceback.extract_tb(info.value.__traceback__)]
+
+
+@pytest.mark.parametrize("catalog, bound", [("catalog_c12", 17_048),
+                                            ("catalog_c16", 543_486),
+                                            ("catalog_c27_p", 219_120)])
+def test_regular_subgroups_nodes_over_catalogs(monkeypatch, request,
+                                               catalog, bound):
+    """The backtrack nodes of regular_subgroups over a catalog, summed: at
+    most the totals spent when the candidates came from two searches, a
+    point-by-point chain backtrack with no generators and a centralizer
+    search that spent a node at every P-orbit and leaf.  So no verdict
+    within the default budget turns Undecided through the merged search."""
+    from srings import permgrp
+
+    budgets = []
+
+    class Counted(permgrp._Budget):
+        __slots__ = ()
+
+        def __init__(self, limit, what="backtracking nodes"):
+            super().__init__(limit, what)
+            budgets.append(self)
+
+    monkeypatch.setattr(permgrp, "_Budget", Counted)
+    catalog = request.getfixturevalue(catalog)
+    for ring in catalog.rings():
+        regular_subgroups(scheme_aut(ring), catalog.spec)
+    assert budgets
+    assert sum(b.limit - b.left for b in budgets) <= bound
 
 
 def test_symmetric_group_shortcut(c8):
@@ -548,13 +597,22 @@ def test_transporter_candidates_are_built_once_over_c12(
     assert len({id(r) for r in results}) == 1
 
 
+def _fpf_elements(K, spec, p):
+    """The search with P = 1 and a fresh budget: all fixed-point-free
+    elements of order p of K."""
+    budget = _Budget(DEFAULT_BOUNDS.backtrack_node_budget)
+    return _fpf_search(K, (), spec, p, budget, None)
+
+
 @pytest.mark.parametrize("text", ["2^3", "3^2", "2^2x3", "2^4"])
 def test_fpf_elements_agree_with_streaming_on_holomorphs(text):
     spec = parse_group(text)
     hol = holomorph(spec)
     for p, _ in spec.factors:
-        assert as_tuples(_fpf_elements(hol, p), hol.degree) == \
-            fpf_elements_by_streaming(hol, p)
+        streamed = fpf_elements_by_streaming(hol, p)
+        assert as_tuples(_fpf_elements(hol, spec, p), hol.degree) == streamed
+        assert as_tuples(fpf_elements_by_chain(hol, p), hol.degree) == \
+            streamed
 
 
 def test_fpf_elements_agree_with_streaming_on_c12(c12, catalog_c12):
@@ -564,8 +622,9 @@ def test_fpf_elements_agree_with_streaming_on_c12(c12, catalog_c12):
         if K.is_symmetric():
             continue
         for p, _ in c12.factors:
-            assert as_tuples(_fpf_elements(K, p), 12) == \
-                fpf_elements_by_streaming(K, p)
+            streamed = fpf_elements_by_streaming(K, p)
+            assert as_tuples(_fpf_elements(K, c12, p), 12) == streamed
+            assert as_tuples(fpf_elements_by_chain(K, p), 12) == streamed
         checked += 1
     # all but the rank-2 ring (K = Sym(12))
     assert checked == len(catalog_c12.entries) - 1
@@ -577,8 +636,9 @@ def test_fpf_elements_agree_with_streaming_on_c27_table(table_rings):
         K = scheme_aut(ring)
         if K.order() > 200_000:
             continue
-        assert as_tuples(_fpf_elements(K, 3), 27) == \
-            fpf_elements_by_streaming(K, 3)
+        streamed = fpf_elements_by_streaming(K, 3)
+        assert as_tuples(_fpf_elements(K, ring.spec, 3), 27) == streamed
+        assert as_tuples(fpf_elements_by_chain(K, 3), 27) == streamed
         orders.append(K.order())
     assert sorted(orders) == [27, 81, 243, 2187, 177147]
 
@@ -594,34 +654,31 @@ def test_fpf_elements_edge_cases(c8, c12):
                 y = c12.add(y, x)
             if y == 0:
                 expected.append(c12.translation(x))
-        assert as_tuples(_fpf_elements(T, p), 12) == sorted(expected)
+        assert as_tuples(_fpf_elements(T, c12, p), 12) == sorted(expected)
         assert len(expected) == {2: 3, 3: 2}[p]
     # an element of order 3 of the holomorph of 2^3 fixes a point, as 3
     # does not divide 8
-    assert _fpf_elements(holomorph(c8), 3) == []
+    assert _fpf_elements(holomorph(c8), c8, 3) == []
 
 
 def _recorded_searches(monkeypatch, spec, groups):
     """Run regular_subgroups over groups.  Returns (K, gens, p, pool) for
-    each _centralizer_fpf call, and for each group the primes that
-    _fpf_elements was called with."""
+    each _fpf_search call with gens, and for each group the primes that
+    _fpf_search was called with without gens."""
     from srings import permgrp
 
     calls, listed = [], []
-    real_centralizer = permgrp._centralizer_fpf
-    real_fpf = permgrp._fpf_elements
+    real = permgrp._fpf_search
 
-    def centralizer(K, gens, spec, p, budget=None, chain=None):
-        pool = real_centralizer(K, gens, spec, p, budget, chain)
-        calls.append((K, gens, p, pool))
+    def search(K, gens, spec, p, budget, chain):
+        pool = real(K, gens, spec, p, budget, chain)
+        if gens:
+            calls.append((K, gens, p, pool))
+        else:
+            listed[-1].append(p)
         return pool
 
-    def fpf(K, p, budget=None):
-        listed[-1].append(p)
-        return real_fpf(K, p, budget)
-
-    monkeypatch.setattr(permgrp, "_centralizer_fpf", centralizer)
-    monkeypatch.setattr(permgrp, "_fpf_elements", fpf)
+    monkeypatch.setattr(permgrp, "_fpf_search", search)
     for K in groups:
         listed.append([])
         regular_subgroups(K, spec)
@@ -679,7 +736,8 @@ def test_centralizer_fpf_agrees_with_filter_on_same_prime_gens(
                       for b in spec.basis()]
         for j in range(1, len(conjugates)):
             gens = conjugates[:j]
-            pool = _centralizer_fpf(K, gens, spec, p)
+            budget = _Budget(DEFAULT_BOUNDS.backtrack_node_budget)
+            pool = _fpf_search(K, gens, spec, p, budget, None)
             assert as_tuples(pool, K.degree) == \
                 centralizer_fpf_by_filter(K, gens, p)
             orbs = orbits(gens, spec.order)
