@@ -88,6 +88,9 @@ def cmd_classify(args) -> int:
         return EXIT_USAGE
     try:
         report = rank3_classification(args.p, bounds)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ClassificationMismatch, EnumerationMismatch) as exc:
         print(f"classification mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH

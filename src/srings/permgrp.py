@@ -3,13 +3,13 @@
 Permutations are image tuples acting on the right: the image of x under g
 is g[x], and pmul(a, b) applies a first, then b.  PermGroup keeps a
 deterministic stabilizer chain whose base is always the full point set in
-a fixed order.
+a fixed order; its API takes and returns tuples.
 
-Inside the regular-subgroup search a permutation of degree n <= 256 is a
-256-byte table, the identity beyond n, so that the loops run in C:
-a.translate(b) applies a, then b; bytes.maketrans(a, IDENT) inverts a;
-a.translate(b) == b.translate(a) tests that they commute.  Tables sort in
-tuple order and cache their hash.
+The degree is at most 256, and inside the chains and the regular-subgroup
+search a permutation is a 256-byte table, the identity beyond the degree,
+so that the loops run in C: a.translate(b) applies a, then b;
+bytes.maketrans(a, IDENT) inverts a; a.translate(b) == b.translate(a)
+tests that they commute.  Tables sort in tuple order and cache their hash.
 """
 
 from __future__ import annotations
@@ -87,36 +87,50 @@ def orbits(gens, n):
 
 
 class _Level:
-    __slots__ = ("point", "gens", "transversal", "inverse", "pairs_done")
+    __slots__ = ("point", "gens", "transversal", "inverse", "closed",
+                 "pairs_done")
 
     def __init__(self, point):
         self.point = point
         self.gens = []
-        self.transversal = {point: None}
-        self.inverse = {point: None}  # x -> the inverse of transversal[x]
-        self.pairs_done = set()
+        self.transversal = {point: IDENT}
+        self.inverse = {point: IDENT}  # x -> the inverse of transversal[x]
+        self.closed = 0  # the orbit is closed under gens[:closed]
+        self.pairs_done = {}  # x -> i: pairs (x, g), g in gens[:i], done
 
     def close_orbit(self):
         """Extend the transversal, and its inverses, to the orbit of the
-        level's generators."""
-        changed = True
-        while changed:
-            changed = False
-            for x in sorted(self.transversal):
-                ux = self.transversal[x]
-                for g in self.gens:
+        level's generators: the sorted orbit by the generators added since
+        the last call, then each pass's new points, sorted, by every one.
+        Passes over the whole sorted orbit by every generator find the
+        points in that order too, and the order fixes each element."""
+        transversal, inverse = self.transversal, self.inverse
+        gens = self.gens[self.closed:]
+        frontier = sorted(transversal)
+        while frontier:
+            found = []
+            for x in frontier:
+                ux = transversal[x]
+                for g in gens:
                     y = g[x]
-                    if y not in self.transversal:
-                        self.transversal[y] = uy = pmul(ux, g)
-                        self.inverse[y] = pinv(uy)
-                        changed = True
+                    if y not in transversal:
+                        transversal[y] = uy = ux.translate(g)
+                        inverse[y] = bytes.maketrans(uy, IDENT)
+                        found.append(y)
+            frontier = sorted(found)
+            gens = self.gens
+        self.closed = len(self.gens)
 
 
 class PermGroup:
-    """Immutable permutation group with a full-base stabilizer chain."""
+    """Immutable permutation group with a full-base stabilizer chain of
+    tables; each level's base point maps to IDENT."""
 
     def __init__(self, degree, gens=(), base_prefix=()):
         self.degree = int(degree)
+        if self.degree > len(IDENT):
+            raise ValueError(f"degree {self.degree} is above {len(IDENT)}, "
+                             f"the most a permutation table holds")
         seen_prefix = set(base_prefix)
         base = list(base_prefix) + [x for x in range(degree)
                                     if x not in seen_prefix]
@@ -124,11 +138,11 @@ class PermGroup:
         self._levels = [_Level(b) for b in base]
         self.gens = ()
         self._order = 1
+        self._tables = None
         for g in gens:
             self._adjoin(g)
         self._pair_orbits = None
         self._reduced = None
-        self._tables = {}
 
     @classmethod
     def from_strong_generators(cls, degree, gens) -> "PermGroup":
@@ -138,7 +152,7 @@ class PermGroup:
         gens with its orbit closed; no Schreier generator is sifted."""
         group = cls(degree)
         group.gens = tuple(gens)
-        for g in group.gens:
+        for g in map(_table, group.gens):
             for lvl in group._levels[:group._depth(g) + 1]:
                 lvl.gens.append(g)
         for lvl in group._levels:
@@ -159,22 +173,21 @@ class PermGroup:
                 f"group of degree {self.degree}")
         if not is_identity(g) and g not in self.gens:
             self.gens += (g,)
-            self._insert(g)
+            self._insert(_table(g))
             self._order = math.prod(len(lvl.transversal)
                                     for lvl in self._levels)
+            self._tables = None
 
     def _sift(self, g):
+        """The residue of the table g through the chain; None for IDENT."""
         for lvl in self._levels:
-            if g is None:
-                return None
             x = g[lvl.point]
-            if x == lvl.point:
-                continue
-            u_inv = lvl.inverse.get(x)
-            if u_inv is None:
-                return g
-            g = pmul(g, u_inv)
-        return None if is_identity(g) else g
+            if x != lvl.point:
+                u_inv = lvl.inverse.get(x)
+                if u_inv is None:
+                    return g
+                g = g.translate(u_inv)
+        return None if g == IDENT else g
 
     def _depth(self, g):
         for i, lvl in enumerate(self._levels):
@@ -202,14 +215,11 @@ class PermGroup:
         out = []
         for x in sorted(lvl.transversal):
             ux = lvl.transversal[x]
-            for gi, g in enumerate(lvl.gens):
-                if (x, gi) in lvl.pairs_done:
-                    continue
-                lvl.pairs_done.add((x, gi))
-                y = g[x]
-                s = pmul(pmul(ux, g), lvl.inverse[y])
-                if not is_identity(s):
+            for g in lvl.gens[lvl.pairs_done.get(x, 0):]:
+                s = ux.translate(g).translate(lvl.inverse[g[x]])
+                if s != IDENT:
                     out.append(s)
+            lvl.pairs_done[x] = len(lvl.gens)
         return out
 
     # -- queries -------------------------------------------------------------
@@ -221,39 +231,48 @@ class PermGroup:
         g = tuple(g)
         if len(g) != self.degree:
             return False
-        return self._sift(g) is None
+        return self._sift(_table(g)) is None
 
     def is_symmetric(self) -> bool:
         return self._order == math.factorial(self.degree)
 
     def strong_generators(self):
-        return tuple(self._levels[0].gens) if self._levels else ()
+        return tuple(tuple(g[:self.degree]) for lvl in self._levels[:1]
+                     for g in lvl.gens)
+
+    def _transversals(self):
+        """The transversal tables of each level with more than one point,
+        in order of their points; built once."""
+        if self._tables is None:
+            self._tables = [[u for _, u in sorted(lvl.transversal.items())]
+                            for lvl in self._levels
+                            if len(lvl.transversal) > 1]
+        return self._tables
 
     def elements(self):
         """Yield every element once, deterministically.  Identity included."""
-        nontrivial = [lvl for lvl in self._levels if len(lvl.transversal) > 1]
+        nontrivial = self._transversals()
 
         def rec(idx):
             if idx == len(nontrivial):
-                yield None
+                yield IDENT
                 return
-            lvl = nontrivial[idx]
-            keys = sorted(lvl.transversal)
             for rest in rec(idx + 1):
-                for x in keys:
-                    yield pmul(rest, lvl.transversal[x])
+                for u in nontrivial[idx]:
+                    yield rest.translate(u)
 
-        ident = identity_perm(self.degree)
+        n = self.degree
         for g in rec(0):
-            yield ident if g is None else g
+            yield tuple(g[:n])
+
+    def _random_table(self, rng):
+        g = IDENT
+        for us in self._transversals():
+            g = g.translate(rng.choice(us))
+        return g
 
     def random_element(self, rng):
-        g = None
-        for lvl in self._levels:
-            if len(lvl.transversal) > 1:
-                x = rng.choice(sorted(lvl.transversal))
-                g = pmul(g, lvl.transversal[x])
-        return identity_perm(self.degree) if g is None else g
+        return tuple(self._random_table(rng)[:self.degree])
 
     def reduced_generators(self):
         """A greedily thinned generating list with the same closure."""
@@ -261,15 +280,6 @@ class PermGroup:
             self._reduced = _greedy_group(self.degree, self.gens,
                                           self._order).gens
         return self._reduced
-
-    def _level_tables(self, which):
-        """Each level's "transversal" or "inverse" as tables, converted
-        once: the chain as the regular-subgroup search walks it."""
-        if which not in self._tables:
-            self._tables[which] = [
-                {x: _table(u) for x, u in getattr(lvl, which).items()}
-                for lvl in self._levels]
-        return self._tables[which]
 
     def orbit(self, x):
         return orbit(x, self.gens)
@@ -288,13 +298,12 @@ class PermGroup:
         return self._pair_orbits
 
     def point_stabilizer(self, x) -> "PermGroup":
-        if self._base and x == self._base[0]:
-            gens = self._levels[1].gens if len(self._levels) > 1 else ()
-            return PermGroup(self.degree, gens)
-        chain = PermGroup(self.degree, self.strong_generators(),
-                          base_prefix=(x,))
+        chain = self
+        if not (self._base and x == self._base[0]):
+            chain = PermGroup(self.degree, self.strong_generators(),
+                              base_prefix=(x,))
         gens = chain._levels[1].gens if len(chain._levels) > 1 else ()
-        return PermGroup(self.degree, gens)
+        return PermGroup(self.degree, [g[:self.degree] for g in gens])
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self._order})"
@@ -427,10 +436,10 @@ def _fpf_search(K, gens, spec, p, budget, chain) -> list:
     whose base points the stabilizer fixes (its now list) get their arrows
     at once; they are not branched over, and with P = 1 not visited.
     Each branching orbit spends one node of budget."""
-    pos = _regular_positions(gens, spec)
+    pos = chain._base if chain else _regular_positions(gens, spec)
     chain = chain or _transporter_chain(K, pos)
-    forward = chain._level_tables("transversal")
-    inverse = chain._level_tables("inverse") if gens else None
+    forward = [lvl.transversal for lvl in chain._levels]
+    inverse = [lvl.inverse for lvl in chain._levels] if gens else None
     n, m = len(pos), math.prod(spec.radices[:len(gens)])
     t = n // m
     # arrow[pos[k m + y]] = (k, y)
@@ -537,9 +546,6 @@ def regular_subgroups(K: PermGroup, spec, bounds=DEFAULT_BOUNDS) -> list:
     tuples.
     """
     n = K.degree
-    if n > len(IDENT):
-        raise ValueError(f"degree {n} is above {len(IDENT)}, the most a "
-                         f"permutation table holds")
     if n != spec.order:
         raise ValueError("degree does not match the group order")
     translations = [spec.translation(b) for b in spec.basis()]
@@ -557,14 +563,13 @@ def regular_subgroups(K: PermGroup, spec, bounds=DEFAULT_BOUNDS) -> list:
     # the translations t_x: 0 -> x put point x at position x
     t_chain = _transporter_chain(K, range(n))
     out = []
-    for elset, gens, _ in reps:
+    for elset, gens, entry in reps:
         if len(orbit(0, gens)) != n or len(elset) != n:
             raise SRingsError("each representative is regular")
         out.append(RegularClass(
             tuple(tuple(g[:n]) for g in gens),
             frozenset(tuple(h[:n]) for h in elset),
-            _transporter_exists(t_chain, _regular_positions(gens, spec),
-                                spec, budget)))
+            _transporter_exists(t_chain, entry[0], spec, budget)))
     if sum(c.is_translation_class for c in out) != 1:
         raise SRingsError("exactly one translation class")
     return out
@@ -748,7 +753,7 @@ def _transporter_chain(K: PermGroup, pos) -> PermGroup:
         rng = random.Random(0)
         while math.prod(len(lvl.transversal)
                         for lvl in chain._levels) < K.order():
-            h = chain._sift(K.random_element(rng))
+            h = chain._sift(K._random_table(rng))
             if h is not None:
                 for lvl in chain._levels[:chain._depth(h) + 1]:
                     lvl.gens.append(h)
@@ -771,7 +776,7 @@ def _transporter_exists(chain, pos, spec, budget, rank=None) -> bool:
     weights[j]), then on (l_k, y_k) for each later P-orbit.  Each point
     fixed is sifted through the chain, and a map that does not sift
     prunes the branch; a map that is not injective never sifts."""
-    inverse = chain._level_tables("inverse")
+    inverse = [lvl.inverse for lvl in chain._levels]
     candidates, weights = spec.basis_image_candidates()
     rank = len(candidates) if rank is None else rank
     m = weights[rank]

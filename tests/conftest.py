@@ -5,7 +5,8 @@ counting by subset closure, permutation-group order by naive closure,
 Cayley minimality by closing every subset-generated subgroup,
 conjugacy classes of regular subgroups by walking conjugation orbits,
 fixed-point-free prime-order elements by streaming every element and by
-a point-by-point backtrack over the stabilizer chain,
+a point-by-point backtrack over the stabilizer chain, a chain level's
+transversal by repeated passes over its whole orbit,
 scheme automorphisms by filtering all of Sym(n), and their generators by
 a search for every unreached candidate at every level, canonical
 labelings and Cayley isomorphisms by filtering all of Aut(G), Cayley
@@ -383,6 +384,29 @@ def fpf_elements_by_chain(K, p, budget=None) -> list:
     rec(0, IDENT)
     out.sort()
     return out
+
+
+def close_orbit_by_passes(transversal, gens):
+    """Extend transversal (point -> image tuple, None for the identity) to
+    the orbit of gens (tuples), as the chain levels once did: passes over
+    the whole orbit, sorted, by every generator, until a pass finds no new
+    point; each new point y = g[x] gets the element transversal[x] then
+    g.  Returns the number of passes that found a point."""
+    from srings.permgrp import pmul
+
+    passes = -1
+    changed = True
+    while changed:
+        passes += 1
+        changed = False
+        for x in sorted(transversal):
+            ux = transversal[x]
+            for g in gens:
+                y = g[x]
+                if y not in transversal:
+                    transversal[y] = pmul(ux, g)
+                    changed = True
+    return passes
 
 
 def _cycle_length(g, x):

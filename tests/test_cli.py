@@ -76,6 +76,15 @@ def test_classify_p3(tmp_path):
                                                  True, False]
 
 
+def test_classify_above_the_degree_limit_is_a_usage_error(tmp_path,
+                                                          capsys):
+    # 7^3 has 343 points; Aut(G) cannot be built as a permutation group
+    assert main(["classify", "--p", "7", "--out",
+                 str(tmp_path / "rows.txt")]) == 2
+    assert "above 256" in capsys.readouterr().err
+    assert not (tmp_path / "rows.txt").exists()
+
+
 def test_criterion_c8(tmp_path):
     out = tmp_path / "crit.txt"
     assert main(["criterion", "--group", "2^3", "--out", str(out)]) == 0

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import random
 import traceback
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from srings.catalog import enumerate_srings, load_catalog
 from srings.config import DEFAULT_BOUNDS, _Budget
 from srings.errors import ResourceBoundExceeded, SRingsError
-from srings.groups import aut_generators, parse_group
+from srings.groups import aut_generators, aut_group, parse_group
 from srings.morphisms import scheme_aut
 from srings.permgrp import (IDENT, PermGroup, _fpf_search, _greedy_group,
                             _Level, _regular_positions,
@@ -21,7 +23,8 @@ from srings.permgrp import (IDENT, PermGroup, _fpf_search, _greedy_group,
                             subgroups_between, two_equivalent)
 
 from conftest import (_prime_order_fpf, as_tuples,
-                      centralizer_fpf_by_filter, fpf_elements_by_chain,
+                      centralizer_fpf_by_filter, close_orbit_by_passes,
+                      fpf_elements_by_chain,
                       fpf_elements_by_streaming, naive_perm_closure,
                       regular_classes_by_orbit)
 
@@ -169,33 +172,26 @@ def _chain_state(group):
              lvl.pairs_done) for lvl in group._levels]
 
 
-def _inverse_tables(levels):
-    return [{x: _table(u) for x, u in lvl.inverse.items()} for lvl in levels]
-
-
-def _assert_tables_are_the_chain(chain):
-    """The chain's level tables are its inverse transversals and its
-    transversals, built once: each forward table then its inverse is the
-    identity."""
-    inverse = chain._level_tables("inverse")
-    forward = chain._level_tables("transversal")
-    assert inverse == _inverse_tables(chain._levels)
-    assert chain._level_tables("inverse") is inverse
-    assert chain._level_tables("transversal") is forward
-    for fwd, inv in zip(forward, inverse):
-        assert fwd.keys() == inv.keys()
-        assert all(fwd[x].translate(inv[x]) == IDENT for x in fwd)
+def _assert_tables(perms, degree):
+    """Each of perms is a 256-byte table, the identity beyond degree."""
+    for g in perms:
+        assert type(g) is bytes and len(g) == len(IDENT)
+        assert g[degree:] == IDENT[degree:]
 
 
 def _assert_inverses_undo_transversal(levels, degree):
-    ident = identity_perm(degree)
+    """Each level's transversal elements and stored inverses are tables
+    that undo each other, u maps the base point to x, and the base point
+    maps to IDENT."""
     for lvl in levels:
         assert lvl.inverse.keys() == lvl.transversal.keys()
+        assert lvl.transversal[lvl.point] == lvl.inverse[lvl.point] == IDENT
+        _assert_tables(lvl.gens, degree)
+        _assert_tables(lvl.transversal.values(), degree)
+        _assert_tables(lvl.inverse.values(), degree)
         for x, u in lvl.transversal.items():
-            if x == lvl.point:
-                assert u is None and lvl.inverse[x] is None
-            else:
-                assert pmul(u, lvl.inverse[x]) == ident
+            assert u[lvl.point] == x
+            assert u.translate(lvl.inverse[x]) == IDENT
 
 
 def test_greedy_group_builds_the_chain_of_its_generators(c12, catalog_c12):
@@ -214,11 +210,105 @@ def test_close_orbit_stores_the_inverse_of_each_transversal_element(c12):
     # one level on its own, with no chain: with a wrong inverse, sifting
     # into a chain (and so any PermGroup) may never finish
     level = _Level(0)
-    level.gens = [c12.translation(b) for b in c12.basis()] + [
-        a.perm for a in aut_generators(c12)]
+    level.gens = [_table(c12.translation(b)) for b in c12.basis()] + [
+        _table(a.perm) for a in aut_generators(c12)]
     level.close_orbit()
     assert len(level.transversal) == 12
     _assert_inverses_undo_transversal([level], 12)
+
+
+def _sparse_perm(rng, n):
+    """A random permutation of 0..n-1: a full shuffle, or one or two
+    short cycles, whose orbits take several passes to close."""
+    g = list(range(n))
+    if rng.random() < 0.3:
+        rng.shuffle(g)
+        return tuple(g)
+    for _ in range(rng.randint(1, 2)):
+        cycle = rng.sample(range(n), min(n, rng.randint(2, 4)))
+        images = [g[x] for x in cycle]
+        for x, y in zip(cycle, images[1:] + images[:1]):
+            g[x] = y
+    return tuple(g)
+
+
+def test_close_orbit_finds_points_in_the_order_of_repeated_passes():
+    """Called after each batch of new generators, as the chain calls it,
+    close_orbit builds the transversal of the repeated passes over the
+    whole orbit (close_orbit_by_passes), in the same insertion order."""
+    rng = random.Random(11)
+    passes = set()
+    for _ in range(300):
+        n = rng.choice([2, 5, 12, 30, 64])
+        point = rng.randrange(n)
+        level = _Level(point)
+        expected = {point: None}
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            batch = [_sparse_perm(rng, n) for _ in range(rng.randint(0, 3))]
+            gens += batch
+            level.gens += map(_table, batch)
+            level.close_orbit()
+            passes.add(close_orbit_by_passes(expected, gens))
+            assert list(level.transversal) == list(expected)
+            assert level.transversal == {x: _table(u)
+                                         for x, u in expected.items()}
+            _assert_inverses_undo_transversal([level], n)
+    assert passes >= set(range(6))
+
+
+# random_element x50 from random.Random(7), the first 200 elements() and
+# strong_generators() of aut_group over 2^3, 3^2, 2^2x3, 2^4, 2x3^2 and 3^3,
+# hashed from their reprs; computed with the chains of image tuples
+AUT_CHAINS_DIGEST = \
+    "8fcc42bc95f06c761bc289153c2b40b382b779e1f840d3a60a04ef2d831430ca"
+
+
+def test_aut_group_chains_are_pinned():
+    """perfbench relabels its input catalogs by random_element, so a chain
+    that changed would silently change the benchmark's inputs."""
+    digest = hashlib.sha256()
+    for text in ("2^3", "3^2", "2^2x3", "2^4", "2x3^2", "3^3"):
+        K = aut_group(parse_group(text))
+        rng = random.Random(7)
+        draws = [K.random_element(rng) for _ in range(50)]
+        first = list(itertools.islice(K.elements(), 200))
+        assert all(type(g) is tuple for g in draws + first)
+        digest.update(repr((text, draws, first,
+                            K.strong_generators())).encode())
+    assert digest.hexdigest() == AUT_CHAINS_DIGEST
+
+
+def test_chains_do_no_tuple_arithmetic(monkeypatch, catalog_c12):
+    from srings import permgrp
+    from srings.ci import is_ci
+
+    calls = []
+
+    def spy(name):
+        real = getattr(permgrp, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+        return counted
+
+    for name in ("pmul", "pinv"):
+        monkeypatch.setattr(permgrp, name, spy(name))
+    verdicts = {is_ci(ring).verdict for ring in catalog_c12.rings()}
+    assert verdicts == {"CI"}
+    assert aut_group(parse_group("2^4")).order() == 20160
+    assert calls == []
+
+
+def test_degree_is_at_most_256():
+    with pytest.raises(ValueError, match="above 256"):
+        PermGroup(257)
+    assert PermGroup(256).order() == 1
+    cycle = tuple(range(1, 256)) + (0,)
+    group = PermGroup(256, [cycle])
+    assert group.order() == 256 and group.contains(cycle)
+    assert group.random_element(random.Random(0)) in set(group.elements())
 
 
 def test_stored_inverses_undo_their_transversal_elements(monkeypatch, c12,
@@ -238,7 +328,6 @@ def test_stored_inverses_undo_their_transversal_elements(monkeypatch, c12,
         K = scheme_aut(entry.ring(c12))
         _assert_inverses_undo_transversal(K._levels, 12)
         assert _transporter_chain(K, range(12)) is K
-        _assert_tables_are_the_chain(K)
         pos = list(range(12))
         while pos == sorted(pos):
             rng.shuffle(pos)
@@ -247,9 +336,9 @@ def test_stored_inverses_undo_their_transversal_elements(monkeypatch, c12,
         (grown,) = built
         assert chain is grown and grown._base == tuple(pos)
         _assert_inverses_undo_transversal(grown._levels, 12)
-        _assert_tables_are_the_chain(grown)
-        assert math.prod(map(len, chain._level_tables("inverse"))) == \
+        assert math.prod(len(lvl.inverse) for lvl in chain._levels) == \
             K.order()
+        assert all(K.contains(g[:12]) for g in chain._levels[0].gens)
 
 
 def test_aut_group_closure_small():
@@ -520,7 +609,7 @@ def test_scheme_aut_chain_agrees_with_schreier_sims(scheme_auts):
             for g, other in ([(g, ref) for g in lvl.gens]
                              + [(g, K) for g in ref_lvl.gens]):
                 assert all(g[j] == j for j in range(i))
-                assert other.contains(g)
+                assert other.contains(tuple(g[:K.degree]))
         _assert_inverses_undo_transversal(K._levels, K.degree)
 
 
