@@ -563,12 +563,23 @@ def save_catalog(catalog: Catalog, path) -> None:
             fh.write(line + "\n")
 
 
+def _json_record(line) -> dict:
+    """One catalog line, a JSON object; CatalogFormatError otherwise."""
+    try:
+        rec = json.loads(line)
+    except ValueError as exc:
+        raise CatalogFormatError(f"a line is not JSON: {exc}") from None
+    if not isinstance(rec, dict):
+        raise CatalogFormatError("a line is not a JSON object")
+    return rec
+
+
 def load_catalog(path, max_order=None) -> Catalog:
     with open(path, encoding="utf-8") as fh:
         raw = fh.read().splitlines()
     if not raw:
         raise CatalogFormatError("empty catalog file")
-    header = json.loads(raw[0])
+    header = _json_record(raw[0])
     if header.get("format") != CATALOG_FORMAT:
         raise CatalogFormatError("not a catalog file")
     if header.get("version") != CATALOG_VERSION:
@@ -579,10 +590,12 @@ def load_catalog(path, max_order=None) -> Catalog:
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     if digest != header.get("digest"):
         raise CatalogFormatError("catalog digest mismatch")
+    if "group" not in header or "filter" not in header:
+        raise CatalogFormatError("the header names no group or no filter")
     spec = parse_group(header["group"], max_order=max_order)
     entries = []
     for line in lines:
-        rec = json.loads(line)
+        rec = _json_record(line)
         # every entry re-validates on load
         ring = validate_partition(spec,
                                   [frozenset(c) for c in rec["cells"]])

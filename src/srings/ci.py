@@ -194,8 +194,8 @@ def condition_holds(a: SRing, section: Section, bounds=DEFAULT_BOUNDS,
     """Whether the section's Cayley automorphisms factor through the two
     wreath factors: Aut_S = (top projections) * (quotient projections)."""
     ctx = context or SectionContext(a, section, bounds)
-    sec_group, _sec_auts = cayley_auts(ctx.sec_ring, bounds)
-    target = frozenset(sec_group.elements())
+    # group_of_listing proved the listed maps to be the group's elements
+    target = frozenset(g.perm for g in cayley_auts(ctx.sec_ring, bounds)[1])
     top_side, quot_side = ctx.factor_aut_projections()
     product = set()
     for f in top_side:
@@ -442,13 +442,9 @@ class CIDecider:
         for section in decompositions(a):
             try:
                 ctx = SectionContext(a, section, self.bounds)
-                top_ci = self.decide(ctx.top)
-                quot_ci = self.decide(ctx.quot)
-            except ResourceBoundExceeded:
-                continue
-            if not (top_ci.is_ci and quot_ci.is_ci):
-                continue
-            try:
+                top_ci, quot_ci = self.decide(ctx.top), self.decide(ctx.quot)
+                if not (top_ci.is_ci and quot_ci.is_ci):
+                    continue
                 status = ci_fastpath(a, ctx, self.bounds)
                 if status is not None:
                     return status

@@ -20,8 +20,8 @@ import sys
 import time
 
 from .config import DEFAULT_BOUNDS, extended_bounds
-from .errors import ClassificationMismatch, EnumerationMismatch, \
-    GroupSpecError, ResourceBoundExceeded, SRingsError
+from .errors import CatalogFormatError, ClassificationMismatch, \
+    EnumerationMismatch, ResourceBoundExceeded
 from .groups import format_group, parse_group
 from .catalog import (enumerate_srings, load_catalog, rank3_classification,
                       save_catalog)
@@ -57,22 +57,12 @@ def _bounds(args):
 
 def cmd_enumerate(args) -> int:
     bounds = _bounds(args)
-    try:
-        spec = parse_group(args.group, max_order=bounds.max_group_order)
-        checkpoint = f"{args.out}.ckpt" if args.checkpoint else None
-        catalog = enumerate_srings(spec, args.filter, bounds,
-                                   label=not args.no_labels,
-                                   checkpoint=checkpoint,
-                                   checkpoint_interval=args.checkpoint_interval)
-    except (GroupSpecError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ResourceBoundExceeded as exc:
-        print(f"undecided: {exc}", file=sys.stderr)
-        return EXIT_UNDECIDED
-    except EnumerationMismatch as exc:
-        print(f"enumeration mismatch: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+    spec = parse_group(args.group, max_order=bounds.max_group_order)
+    checkpoint = f"{args.out}.ckpt" if args.checkpoint else None
+    catalog = enumerate_srings(spec, args.filter, bounds,
+                               label=not args.no_labels,
+                               checkpoint=checkpoint,
+                               checkpoint_interval=args.checkpoint_interval)
     save_catalog(catalog, args.out)
     print(f"{len(catalog.entries)} classes "
           f"({catalog.raw_total} rings) -> {args.out}")
@@ -82,21 +72,9 @@ def cmd_enumerate(args) -> int:
 def cmd_classify(args) -> int:
     from .groups import _is_prime
 
-    bounds = _bounds(args)
     if args.p == 2 or not _is_prime(args.p):
-        print("error: the classification needs an odd prime", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        report = rank3_classification(args.p, bounds)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ClassificationMismatch, EnumerationMismatch) as exc:
-        print(f"classification mismatch: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except ResourceBoundExceeded as exc:
-        print(f"undecided: {exc}", file=sys.stderr)
-        return EXIT_UNDECIDED
+        raise ValueError("the classification needs an odd prime")
+    report = rank3_classification(args.p, _bounds(args))
     records = list(report["rows"])
     header = {"command": "classify", "p": args.p, "seed": args.seed,
               "classes": report["classes"], "raw_total": report["raw_total"]}
@@ -112,11 +90,10 @@ def _decide_entry(payload):
     """Worker body: decide one catalog entry from its serialized cells,
     or mark it undecided once the deadline (a time.monotonic() reading,
     which worker processes share with the parent) has passed."""
-    group_text, cells, method, extended, deadline = payload
+    group_text, cells, method, bounds, deadline = payload
     if deadline is not None and time.monotonic() >= deadline:
         return {"verdict": "Undecided", "method": None,
                 "resource": {"what": "time limit"}}
-    bounds = extended_bounds() if extended else DEFAULT_BOUNDS
     spec = parse_group(group_text, max_order=None)
     from .sring import validate_partition
 
@@ -139,16 +116,12 @@ def _decide_entry(payload):
 
 def cmd_ci(args) -> int:
     bounds = _bounds(args)
-    try:
-        catalog = load_catalog(args.catalog)
-    except (OSError, SRingsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    catalog = load_catalog(args.catalog)
     group_text = format_group(catalog.spec)
     deadline = None if args.time_limit is None \
         else time.monotonic() + args.time_limit
     payloads = [(group_text, [sorted(c) for c in e.cells], args.method,
-                 args.extended, deadline) for e in catalog.entries]
+                 bounds, deadline) for e in catalog.entries]
     if args.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -175,15 +148,8 @@ def cmd_ci(args) -> int:
 
 def cmd_criterion(args) -> int:
     bounds = _bounds(args)
-    try:
-        spec = parse_group(args.group, max_order=bounds.max_group_order)
-        catalog = enumerate_srings(spec, "all", bounds, label=False)
-    except (GroupSpecError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ResourceBoundExceeded as exc:
-        print(f"undecided: {exc}", file=sys.stderr)
-        return EXIT_UNDECIDED
+    spec = parse_group(args.group, max_order=bounds.max_group_order)
+    catalog = enumerate_srings(spec, "all", bounds, label=False)
     report = verify_criterion(catalog.rings(), bounds)
     header = {"command": "criterion", "group": args.group, "seed": args.seed,
               "entries": len(catalog.entries),
@@ -235,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--max-order", type=_at_least(int, 1), default=None)
     p_enum.add_argument("--checkpoint", action="store_true",
                         help="write/resume <out>.ckpt during long runs")
-    p_enum.add_argument("--checkpoint-interval", type=float, default=60.0)
+    p_enum.add_argument("--checkpoint-interval", type=_at_least(float, 0),
+                        default=60.0)
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_cls = sub.add_parser("classify",
@@ -277,7 +244,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already
         return int(exc.code or 0)
-    return args.func(args)
+    # the one place where what a command raises becomes an exit code
+    try:
+        return args.func(args)
+    except ResourceBoundExceeded as exc:
+        message, code = f"undecided: {exc}", EXIT_UNDECIDED
+    except (EnumerationMismatch, ClassificationMismatch) as exc:
+        message, code = f"mismatch: {exc}", EXIT_MISMATCH
+    except (OSError, ValueError, CatalogFormatError) as exc:
+        message, code = f"error: {exc}", EXIT_USAGE
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -15,8 +15,8 @@ from .config import DEFAULT_BOUNDS, _Budget
 from .errors import (PartitionError, ResourceBoundExceeded,
                      SectionNotPreserved, SRingsError)
 from .groups import GroupAut, Section, cell_fixing_auts
-from .permgrp import (PermGroup, group_of_listing, is_identity, orbit,
-                      right_regular, subgroups_between)
+from .permgrp import (PermGroup, _cyclic_extensions, group_of_listing,
+                      is_identity, orbit, right_regular)
 from .sring import SRing, memoized
 
 
@@ -283,32 +283,29 @@ def scheme_aut(a: SRing, bounds=DEFAULT_BOUNDS) -> PermGroup:
     return PermGroup.from_strong_generators(n, found)
 
 
-def has_combinatorial_iso(a: SRing, b: SRing, phi: AlgebraicIso,
-                          bounds=DEFAULT_BOUNDS) -> bool:
-    """Whether any point bijection realizes the given algebraic iso."""
+def _realizations(a: SRing, b: SRing, phi: AlgebraicIso, bounds):
+    """The point bijections realizing the algebraic iso phi from a onto b,
+    as a generator."""
     if phi.source.key() != a.key() or phi.target.key() != b.key():
         raise ValueError("algebraic iso does not connect these rings")
     src = _PairColoring(a)
-    dst = _PairColoring(b)
     src_colors = [tuple(phi.cell_map[c] for c in row) for row in src.colors]
-    budget = _Budget(bounds.backtrack_node_budget)
-    return next(_search_maps(src, dst, src_colors, [], budget),
-                None) is not None
+    return _search_maps(src, _PairColoring(b), src_colors, [],
+                        _Budget(bounds.backtrack_node_budget))
+
+
+def has_combinatorial_iso(a: SRing, b: SRing, phi: AlgebraicIso,
+                          bounds=DEFAULT_BOUNDS) -> bool:
+    """Whether any point bijection realizes the given algebraic iso."""
+    return next(_realizations(a, b, phi, bounds), None) is not None
 
 
 def combinatorial_isos(a: SRing, b: SRing, phi: AlgebraicIso,
                        bounds=DEFAULT_BOUNDS, limit=None) -> list:
     """All point bijections realizing the given algebraic iso; more than
     limit of them raise ResourceBoundExceeded."""
-    if phi.source.key() != a.key() or phi.target.key() != b.key():
-        raise ValueError("algebraic iso does not connect these rings")
-    src = _PairColoring(a)
-    dst = _PairColoring(b)
-    src_colors = [tuple(phi.cell_map[c] for c in row) for row in src.colors]
-    budget = _Budget(bounds.backtrack_node_budget)
     limit = bounds.iso_list_limit if limit is None else limit
-    out = list(itertools.islice(
-        _search_maps(src, dst, src_colors, [], budget), limit + 1))
+    out = list(itertools.islice(_realizations(a, b, phi, bounds), limit + 1))
     if len(out) > limit:
         raise ResourceBoundExceeded("isomorphism listing", limit)
     out.sort()
@@ -579,16 +576,21 @@ def delta_section(perms, section: Section) -> list:
 # -- minimality ----------------------------------------------------------------
 
 
+def _has_smaller_with_orbits(H: PermGroup, K: PermGroup, orbits_of,
+                             bounds) -> bool:
+    """Whether some M with H <= M < K has K's orbits, orbits_of(M) ==
+    orbits_of(K); the walk up from H stops at the first such M."""
+    target = orbits_of(K)
+    return any(M.order() < K.order() and orbits_of(M) == target
+               for M in _cyclic_extensions(H, K, bounds))
+
+
 def is_2_minimal(a: SRing, bounds=DEFAULT_BOUNDS) -> bool:
     """No proper overgroup of the translations below Aut has the same
     orbits on ordered pairs as Aut itself."""
-    aut = scheme_aut(a, bounds)
-    base = right_regular(a.spec)
-    target = aut.orbits_pairs()
-    for M in subgroups_between(base, aut, bounds):
-        if M.order() < aut.order() and M.orbits_pairs() == target:
-            return False
-    return True
+    return not _has_smaller_with_orbits(right_regular(a.spec),
+                                        scheme_aut(a, bounds),
+                                        PermGroup.orbits_pairs, bounds)
 
 
 def is_cayley_minimal(a: SRing, bounds=DEFAULT_BOUNDS) -> bool:
@@ -599,7 +601,5 @@ def is_cayley_minimal(a: SRing, bounds=DEFAULT_BOUNDS) -> bool:
         raise ResourceBoundExceeded("Cayley minimality",
                                     bounds.cayley_minimal_order_bound,
                                     group.order())
-    target = set(group.orbits())
-    trivial = PermGroup(group.degree)
-    return not any(M.order() < group.order() and set(M.orbits()) == target
-                   for M in subgroups_between(trivial, group, bounds))
+    return not _has_smaller_with_orbits(
+        PermGroup(group.degree), group, lambda M: set(M.orbits()), bounds)

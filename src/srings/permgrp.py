@@ -376,6 +376,13 @@ def _element_set(group: PermGroup, budget):
 def subgroups_between(H: PermGroup, K: PermGroup,
                       bounds=DEFAULT_BOUNDS) -> list:
     """All subgroups M with H <= M <= K, by cyclic extension."""
+    return sorted(_cyclic_extensions(H, K, bounds),
+                  key=lambda m: (m.order(), tuple(sorted(m.gens))))
+
+
+def _cyclic_extensions(H: PermGroup, K: PermGroup, bounds=DEFAULT_BOUNDS):
+    """Yield each subgroup M with H <= M <= K once, H first, then each
+    <M, g> as it is found, breadth first: a caller may stop early."""
     if H.degree != K.degree:
         raise ValueError("degree mismatch")
     for g in H.gens:
@@ -389,10 +396,10 @@ def subgroups_between(H: PermGroup, K: PermGroup,
                                     bounds.between_index_bound, index)
     k_elements = sorted(_element_set(K, bounds.between_element_budget))
     h_set = _element_set(H, bounds.between_element_budget)
-    found = {h_set: H}
+    found = {h_set}
     frontier = [(h_set, H)]
-    while frontier:
-        m_set, M = frontier.pop(0)
+    yield H
+    for m_set, M in frontier:
         if len(m_set) == K.order():
             continue
         covered = set(m_set)
@@ -404,10 +411,9 @@ def subgroups_between(H: PermGroup, K: PermGroup,
             M2 = PermGroup(K.degree, tuple(M.gens) + (g,))
             m2_set = _element_set(M2, bounds.between_element_budget)
             if m2_set not in found:
-                found[m2_set] = M2
+                found.add(m2_set)
                 frontier.append((m2_set, M2))
-    return sorted(found.values(),
-                  key=lambda m: (m.order(), tuple(sorted(m.gens))))
+                yield M2
 
 
 @dataclass(frozen=True)
@@ -419,10 +425,10 @@ class RegularClass:
     is_translation_class: bool
 
 
-def _fpf_search(K, gens, spec, p, budget, chain) -> list:
+def _fpf_search(gens, spec, p, budget, chain) -> list:
     """The fixed-point-free elements of order p of K that commute with
-    P = <gens>, sorted, as tables.  chain is K's chain on P's layout pos
-    (_regular_positions), built from K if None; with no gens, P = 1.
+    P = <gens>, sorted, as tables, where chain is K's chain on P's layout
+    pos (_transporter_chain on _regular_positions); with no gens, P = 1.
 
     Such an element maps pos[k m + x] -> pos[l_k m + (y_k + x)] for each
     P-orbit k, whose points are the chain's levels k m .. k m + m - 1.
@@ -436,8 +442,7 @@ def _fpf_search(K, gens, spec, p, budget, chain) -> list:
     whose base points the stabilizer fixes (its now list) get their arrows
     at once; they are not branched over, and with P = 1 not visited.
     Each branching orbit spends one node of budget."""
-    pos = chain._base if chain else _regular_positions(gens, spec)
-    chain = chain or _transporter_chain(K, pos)
+    pos = chain._base
     forward = [lvl.transversal for lvl in chain._levels]
     inverse = [lvl.inverse for lvl in chain._levels] if gens else None
     n, m = len(pos), math.prod(spec.radices[:len(gens)])
@@ -536,14 +541,17 @@ def regular_subgroups(K: PermGroup, spec, bounds=DEFAULT_BOUNDS) -> list:
     translations flagged.
 
     Builds commuting generator tuples (one batch of generators of order p
-    per prime factor) from fixed-point-free prime-order elements of K,
-    found without listing K by one chain search (_fpf_search), and keeps
-    one subgroup per K-conjugacy class at every level (_class_reps).  Each
-    class is represented by its least sorted element tuple, with the
+    per prime factor) level by level: each level extends the subgroups
+    kept by the last one by fixed-point-free prime-order elements of K
+    (_extend_semiregular), found without listing K by one chain search
+    (_fpf_search), and keeps one subgroup per K-conjugacy class
+    (_class_reps).  A level's record of a subgroup is (sorted element
+    tuple, generators in coordinate order, (prime, pool), bucket entry).
+    Each class is represented by its least element tuple, with the
     generators first found for it.  All searches share one
-    backtrack_node_budget.  The search runs on tables, built once from
-    K's chain, so the degree is at most 256; the classes it returns hold
-    tuples.
+    backtrack_node_budget and one table of Stab_K(0)'s orbits.  The search
+    runs on tables, built once from K's chain, so the degree is at most
+    256; the classes it returns hold tuples.
     """
     n = K.degree
     if n != spec.order:
@@ -559,73 +567,58 @@ def regular_subgroups(K: PermGroup, spec, bounds=DEFAULT_BOUNDS) -> list:
         return [RegularClass(tuple(translations), t_set, True)]
 
     budget = _Budget(bounds.backtrack_node_budget)
-    reps = _class_reps(_regular_extensions(K, spec, budget), K, spec, budget)
+    least = _stabilizer_orbit_minima(K)
+    reps = [((IDENT,), (), None, [range(n), None])]
+    for prime in spec.radices:
+        found = _extend_semiregular(reps, K, spec, prime, least, budget)
+        reps = _class_reps(found, K, spec, least, budget)
     # the translations t_x: 0 -> x put point x at position x
     t_chain = _transporter_chain(K, range(n))
     out = []
-    for elset, gens, entry in reps:
-        if len(orbit(0, gens)) != n or len(elset) != n:
+    for key, gens, _pool, entry in reps:
+        if len(orbit(0, gens)) != n or len(key) != n:
             raise SRingsError("each representative is regular")
         out.append(RegularClass(
             tuple(tuple(g[:n]) for g in gens),
-            frozenset(tuple(h[:n]) for h in elset),
+            frozenset(tuple(h[:n]) for h in key),
             _transporter_exists(t_chain, entry[0], spec, budget)))
     if sum(c.is_translation_class for c in out) != 1:
         raise SRingsError("exactly one translation class")
     return out
 
 
-def _regular_extensions(K: PermGroup, spec, budget) -> dict:
-    """The regular subgroups of K of the abstract type of G that the
-    generator search reaches, keyed by sorted element tuple, as (element
-    set, generators in coordinate order).  Every K-conjugacy class of them
-    is reached.
-
-    The candidate generators are the fixed-point-free elements of prime
-    order of K that commute with the generators so far
-    (_extend_semiregular).  Each semiregular level but the last keeps one
-    subgroup per K-conjugacy class (_class_reps), and only those are
-    extended."""
-    reps = [(frozenset([IDENT]), (), None, [range(K.degree), None])]
-    *inner, last = spec.radices
-    for prime in inner:
-        reps = _class_reps(_extend_semiregular(reps, K, spec, prime, budget),
-                           K, spec, budget)
-    return {key: value[:2] for key, value
-            in _extend_semiregular(reps, K, spec, last, budget).items()}
-
-
-def _extend_semiregular(reps, K, spec, prime, budget) -> dict:
-    """Every semiregular subgroup <gens, r>, for (element set, gens, pool,
-    bucket entry) in reps and r in K fixed-point-free of order prime,
-    commuting with gens and outside the subgroup, keyed by sorted element
-    tuple, as (element set, gens + (r,), (prime, the r that commute with
-    gens)); the first gens found for a key are kept.  The r of the pool's
-    own prime are filtered from it by the last generator (cheaper than a
-    chain search); otherwise they come from _fpf_search on the entry's
-    chain, built here unless _class_reps built it.
+def _extend_semiregular(reps, K, spec, prime, least, budget) -> dict:
+    """Every semiregular subgroup <gens, r>, for (key, gens, pool, bucket
+    entry) in reps and r in K fixed-point-free of order prime, commuting
+    with gens and outside the subgroup, keyed by sorted element tuple, as
+    (gens + (r,), (prime, the r that commute with gens)); the first gens
+    found for a key are kept.  The r of the pool's own prime are filtered
+    from it by the last generator (cheaper than a chain search); otherwise
+    they come from _fpf_search on the entry's chain, built here unless
+    _class_reps built it.
 
     An r commuting with P = <gens> permutes P's orbits, and <P, r> is
     semiregular of order p|P| exactly when r fixes none: if r fixes an
     orbit O, r|O centralizes the regular abelian P|O, so r|O = h|O for an
-    h in P, and h^-1 r is trivial or has a fixed point.
+    h in P, and h^-1 r is trivial or has a fixed point.  Then the cosets
+    P r^i are disjoint.
 
     With no gens (level 1) the orbits are points, which no r fixes, and
-    only the r with r[0] least in its Stab_K(0)-orbit get a key, though
-    the whole pool is carried: conjugating by h in Stab_K(0) sends r[0] to
-    h(r[0]), so the least key of each K-class of <r>, whose first
-    generator is its least element, is among them, with that generator."""
+    only the r with r[0] least in its Stab_K(0)-orbit (least[r[0]] ==
+    r[0]) get a key, though the whole pool is carried: conjugating by h in
+    Stab_K(0) sends r[0] to h(r[0]), so the least key of each K-class of
+    <r>, whose first generator is its least element, is among them, with
+    that generator."""
     new = {}
-    for elset, gens, pool, entry in reps:
+    for key, gens, pool, entry in reps:
         if gens and pool[0] == prime:
             g = gens[-1]
             pool = [r for r in pool[1] if r.translate(g) == g.translate(r)]
         else:
             if entry[1] is None:
                 entry[1] = _transporter_chain(K, entry[0])
-            pool = _fpf_search(K, gens, spec, prime, budget, entry[1])
+            pool = _fpf_search(gens, spec, prime, budget, entry[1])
         if not gens:
-            least = _stabilizer_orbit_minima(K)
             extending = [r for r in pool if least[r[0]] == r[0]]
         else:
             # r fixes the P-orbit with least point x iff lab[r[x]] == x;
@@ -636,22 +629,22 @@ def _extend_semiregular(reps, K, spec, prime, budget) -> dict:
             extending = [r for r in pool if not any(
                 map(eq, at_lows(r.translate(lab)), lows))]
         for r in extending:
-            newels = set(elset)
+            elements = list(key)
             rp = r
             for _ in range(prime - 1):
-                newels.update([h.translate(rp) for h in elset])
+                elements += [h.translate(rp) for h in key]
                 rp = rp.translate(r)
-            key = tuple(sorted(newels))
-            if key not in new:
-                new[key] = (frozenset(newels), gens + (r,), (prime, pool))
+            elements.sort()
+            new.setdefault(tuple(elements), (gens + (r,), (prime, pool)))
     return new
 
 
-def _class_reps(found: dict, K: PermGroup, spec, budget) -> list:
-    """One value of found per K-conjugacy class of its keys, taken at the
-    least key of the class, in key order, with its bucket entry appended:
-    [positions, K's chain on them (_transporter_chain)], the chain built on
-    first use, by the transporter or by the next level's _fpf_search.
+def _class_reps(found: dict, K: PermGroup, spec, least, budget) -> list:
+    """One record (key, gens, pool, bucket entry) per K-conjugacy class of
+    the keys of found, taken at the least key of the class, in key order,
+    where found[key] is (gens, pool) and the bucket entry is [positions,
+    K's chain on them (_transporter_chain)], the chain built on first use,
+    by the transporter or by the next level's _fpf_search.
 
     Keys that a generator of K conjugates onto each other are merged
     first.  Then each merged set's least key is kept only if the
@@ -659,7 +652,7 @@ def _class_reps(found: dict, K: PermGroup, spec, budget) -> list:
     K-invariant: over h in the subgroup, the multisets of K's pair orbits
     of the pairs (x, x^h).  K holds the translations, so the pair (x, z)
     lies in the K-orbit of (0, z - x): K's pair orbits are the
-    Stab_K(0)-orbits of z - x, named by their least point."""
+    Stab_K(0)-orbits of z - x, named by their least point (least)."""
     conj = [(c, bytes.maketrans(c, IDENT))
             for c in map(_table, K.reduced_generators())]
     seen = set()
@@ -678,7 +671,6 @@ def _class_reps(found: dict, K: PermGroup, spec, budget) -> list:
                 if image in found and image not in seen:
                     seen.add(image)
                     frontier.append(image)
-    least = _stabilizer_orbit_minima(K)
     add, neg = spec.add_table(), spec.neg_table()
     # color[x][z]: the pair orbit of (x, z)
     color = [[least[add[z][neg[x]]] for z in range(K.degree)]
@@ -686,7 +678,7 @@ def _class_reps(found: dict, K: PermGroup, spec, budget) -> list:
     buckets = {}
     reps = []
     for key in roots:
-        gens = found[key][1]
+        gens, pool = found[key]
         pos = _regular_positions(gens, spec)
         invariant = tuple(sorted(tuple(sorted(map(getitem, color, h)))
                                  for h in key))
@@ -698,7 +690,7 @@ def _class_reps(found: dict, K: PermGroup, spec, budget) -> list:
                 break
         else:
             bucket.append([pos, None])
-            reps.append(found[key] + (bucket[-1],))
+            reps.append((key, gens, pool, bucket[-1]))
     return reps
 
 

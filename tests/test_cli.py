@@ -176,3 +176,66 @@ def test_ci_auto_builds_each_group_once(tmp_path, monkeypatch):
     assert main(["ci", "--catalog", str(cat), "--method", "auto",
                  "--out", str(tmp_path / "ci.txt"), "--workers", "1"]) == 0
     assert len(built) == len(set(built)) <= 5
+
+
+def _c8_catalog(tmp_path):
+    cat = tmp_path / "c8.cat"
+    assert main(["enumerate", "--group", "2^3", "--out", str(cat),
+                 "--no-labels"]) == 0
+    return cat
+
+
+def _without_group(text):
+    header, *rest = text.splitlines()
+    header = json.loads(header)
+    del header["group"]
+    return "\n".join([json.dumps(header)] + rest) + "\n"
+
+
+@pytest.mark.parametrize("damage", [
+    lambda text: "not json\n" + text.split("\n", 1)[1],
+    _without_group,
+], ids=["header-not-json", "header-without-group"])
+def test_ci_on_a_malformed_catalog_is_a_usage_error(tmp_path, capsys,
+                                                    damage):
+    # both ended in a traceback (JSONDecodeError, KeyError) with exit 1
+    cat = _c8_catalog(tmp_path)
+    cat.write_text(damage(cat.read_text()))
+    capsys.readouterr()
+    assert main(["ci", "--catalog", str(cat)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_ci_report_into_a_missing_directory_is_a_usage_error(tmp_path,
+                                                             capsys):
+    cat = _c8_catalog(tmp_path)
+    capsys.readouterr()
+    assert main(["ci", "--catalog", str(cat), "--method", "bruteforce",
+                 "--out", str(tmp_path / "missing" / "ci.txt")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("interval", ["-1", "nan"])
+def test_negative_checkpoint_interval_is_a_usage_error(tmp_path, capsys,
+                                                       interval):
+    out = tmp_path / "c4.cat"
+    assert main(["enumerate", "--group", "2^2", "--out", str(out),
+                 "--checkpoint-interval", interval]) == 2
+    assert "error: argument --checkpoint-interval" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ci_sends_its_bounds_to_each_entry(tmp_path, monkeypatch):
+    # the Bounds of the command line reach the decider unchanged
+    seen = []
+    real = cli.decide_ci
+
+    def spy(ring, bounds):
+        seen.append(bounds)
+        return real(ring, bounds)
+
+    monkeypatch.setattr(cli, "decide_ci", spy)
+    cat = _c8_catalog(tmp_path)
+    assert main(["ci", "--catalog", str(cat), "--extended",
+                 "--out", str(tmp_path / "ci.txt")]) == 0
+    assert seen and set(seen) == {cli.extended_bounds()}

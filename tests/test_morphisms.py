@@ -392,6 +392,39 @@ def test_cayley_minimality(c27, c9, table_rings):
     assert is_cayley_minimal(rank2) is False
 
 
+@pytest.fixture(scope="module")
+def rank2_over_2_3(c8):
+    ring = validate_partition(c8, [{0}, set(range(1, 8))])
+    assert cayley_auts(ring)[0].order() == 168  # GL(3,2)
+    assert scheme_aut(ring).is_symmetric()
+    return ring
+
+
+def test_2_minimality_of_the_rank_2_ring_over_2_3(rank2_over_2_3):
+    # Aut = Sym(8) lies 5,040 above the translations; AGL(3,2) is one of
+    # the proper subgroups between them that are 2-transitive
+    assert is_2_minimal(rank2_over_2_3) is False
+
+
+def test_cayley_minimality_stops_at_the_first_witness(monkeypatch,
+                                                      rank2_over_2_3):
+    """GL(3,2) has 179 subgroups; the walk stops at a cyclic subgroup
+    transitive on the 7 non-identity elements."""
+    from srings import morphisms, permgrp
+
+    built = []
+
+    def counted(H, K, bounds):
+        for M in permgrp._cyclic_extensions(H, K, bounds):
+            built.append(M)
+            yield M
+
+    monkeypatch.setattr(morphisms, "_cyclic_extensions", counted)
+    assert is_cayley_minimal(rank2_over_2_3) is False
+    assert built and built[-1].order() == 7
+    assert len(built) <= 179 // 4
+
+
 def test_cayley_minimality_all_but_tower(catalog_c27_p, c27, table_rings):
     from srings.catalog import canonical_form
 

@@ -643,9 +643,9 @@ def test_level_one_keys_over_c12_are_stabilizer_orbit_minima(
     level_one = []
     real = permgrp._class_reps
 
-    def spy(found, K, spec, budget):
-        reps = real(found, K, spec, budget)
-        if all(len(value[1]) == 1 for value in found.values()):
+    def spy(found, K, spec, least, budget):
+        reps = real(found, K, spec, least, budget)
+        if all(len(gens) == 1 for gens, _pool in found.values()):
             level_one.append((K, found, reps))
         return reps
 
@@ -660,8 +660,32 @@ def test_level_one_keys_over_c12_are_stabilizer_orbit_minima(
     assert sum(len(reps) for _K, _found, reps in level_one) == 119
     for K, found, _reps in level_one:
         least = _stabilizer_orbit_minima(K)
-        for _elset, (r,), _pool in found.values():
+        for (r,), _pool in found.values():
             assert least[r[0]] == r[0]
+
+
+def test_stabilizer_orbits_are_computed_once_per_search(
+        monkeypatch, c12, catalog_c12):
+    """Both stages of every level read one table of Stab_K(0)'s orbits:
+    one computation per search over c12, not one per stage and level."""
+    from srings import permgrp
+
+    groups = []
+    real = permgrp._stabilizer_orbit_minima
+
+    def spy(K):
+        groups.append(K)
+        return real(K)
+
+    monkeypatch.setattr(permgrp, "_stabilizer_orbit_minima", spy)
+    searched = []
+    for entry in catalog_c12.entries:
+        K = scheme_aut(entry.ring(c12))
+        if not K.is_symmetric():
+            regular_subgroups(K, c12)
+            searched.append(K)
+    assert len(searched) == 32
+    assert groups == searched
 
 
 def test_transporter_candidates_are_built_once_over_c12(
@@ -690,7 +714,8 @@ def _fpf_elements(K, spec, p):
     """The search with P = 1 and a fresh budget: all fixed-point-free
     elements of order p of K."""
     budget = _Budget(DEFAULT_BOUNDS.backtrack_node_budget)
-    return _fpf_search(K, (), spec, p, budget, None)
+    return _fpf_search((), spec, p, budget,
+                       _transporter_chain(K, range(spec.order)))
 
 
 @pytest.mark.parametrize("text", ["2^3", "3^2", "2^2x3", "2^4"])
@@ -752,17 +777,17 @@ def test_fpf_elements_edge_cases(c8, c12):
 
 def _recorded_searches(monkeypatch, spec, groups):
     """Run regular_subgroups over groups.  Returns (K, gens, p, pool) for
-    each _fpf_search call with gens, and for each group the primes that
-    _fpf_search was called with without gens."""
+    each _fpf_search call with gens, K the group searched, and for each
+    group the primes that _fpf_search was called with without gens."""
     from srings import permgrp
 
     calls, listed = [], []
     real = permgrp._fpf_search
 
-    def search(K, gens, spec, p, budget, chain):
-        pool = real(K, gens, spec, p, budget, chain)
+    def search(gens, spec, p, budget, chain):
+        pool = real(gens, spec, p, budget, chain)
         if gens:
-            calls.append((K, gens, p, pool))
+            calls.append((groups[len(listed) - 1], gens, p, pool))
         else:
             listed[-1].append(p)
         return pool
@@ -826,7 +851,8 @@ def test_centralizer_fpf_agrees_with_filter_on_same_prime_gens(
         for j in range(1, len(conjugates)):
             gens = conjugates[:j]
             budget = _Budget(DEFAULT_BOUNDS.backtrack_node_budget)
-            pool = _fpf_search(K, gens, spec, p, budget, None)
+            chain = _transporter_chain(K, _regular_positions(gens, spec))
+            pool = _fpf_search(gens, spec, p, budget, chain)
             assert as_tuples(pool, K.degree) == \
                 centralizer_fpf_by_filter(K, gens, p)
             orbs = orbits(gens, spec.order)
@@ -879,16 +905,16 @@ def test_regular_subgroups_require_one_translation_class(monkeypatch, c8):
 def test_regular_subgroups_require_regular_representatives(monkeypatch, c8):
     from srings import permgrp
 
-    real = permgrp._regular_extensions
+    real = permgrp._class_reps
 
-    def shrunk(K, spec, bounds):
-        found = real(K, spec, bounds)
-        key = min(found)
-        elset, gens = found[key]
-        found[key] = (elset - {max(elset)}, gens)
-        return found
+    def shrunk(found, K, spec, least, budget):
+        reps = real(found, K, spec, least, budget)
+        key, *rest = reps[0]
+        if len(key) == spec.order:  # the last level: drop an element
+            reps[0] = (key[:-1], *rest)
+        return reps
 
-    monkeypatch.setattr(permgrp, "_regular_extensions", shrunk)
+    monkeypatch.setattr(permgrp, "_class_reps", shrunk)
     with pytest.raises(SRingsError, match="each representative is regular"):
         regular_subgroups(holomorph(c8), c8)
 
