@@ -44,12 +44,16 @@ def canonical_partition(spec: GroupSpec, cells):
         for x in c:
             cell_of[x] = i
     best, _images = least_labeling(spec, cell_of)
-    canonical_cells = {}
-    for x, lab in enumerate(best):
-        canonical_cells.setdefault(lab, set()).add(x)
-    cells_out = tuple(frozenset(canonical_cells[i])
-                      for i in range(len(canonical_cells)))
-    return bytes(best), cells_out
+    return bytes(best), _cells_of(best)
+
+
+def _cells_of(labels) -> tuple:
+    """The cells of a labeling numbered by first occurrence: cell i holds
+    the points labeled i."""
+    cells = {}
+    for x, i in enumerate(labels):
+        cells.setdefault(i, set()).add(x)
+    return tuple(map(frozenset, cells.values()))
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -345,9 +349,9 @@ def enumerate_srings(spec: GroupSpec, sring_filter: str = "all",
     cell to be fixed (K_0 = H = Stab_Aut(G)(1); see _Enumerator).  Each leaf
     it reaches stands for as many raw rings as the product of the orbit
     sizes on its path: its weight.  Each leaf is looked up by its cell
-    labeling.  The first leaf of a class pays for one canonical form, and
-    the class's whole Aut(G) orbit, walked with the generators of Aut(G),
-    enters the lookup table; later leaves of the class are table hits.
+    labeling.  The first leaf of a class walks its Aut(G) orbit of
+    labelings, whose least member is the class's canonical form, into the
+    lookup table; later leaves of the class are table hits.
     raw_total and an entry's raw_count sum the weights of the leaves
     counted, and raw_count must equal the size of the walked orbit
     (orbit-stabilizer); a difference means the search missed or repeated a
@@ -407,11 +411,12 @@ def enumerate_srings(spec: GroupSpec, sring_filter: str = "all",
         lab = _renumbered(bytes(lab))
         key = class_of.get(lab)
         if key is None:
-            key, cells = canonical_partition(spec, partition)
-            classes.setdefault(key, [cells, 0])
             # reading lab through g gives its image under g^-1, and the
-            # inverses generate the same group
+            # inverses generate the same group; so the least image is the
+            # least labeling, the canonical form
             lab_orbit = orbit(lab, perms, _relabeled)
+            key = min(lab_orbit)
+            classes.setdefault(key, [_cells_of(key), 0])
             class_of.update(dict.fromkeys(lab_orbit, key))
             orbit_size[key] = len(lab_orbit)
         classes[key][1] += enum.weight
@@ -464,10 +469,13 @@ def enumerate_srings(spec: GroupSpec, sring_filter: str = "all",
     return Catalog(spec, sring_filter, entries, raw_total)
 
 
+_LABELS = bytes(range(256))
+
+
 def _renumbered(labels: bytes) -> bytes:
     """The labeling with its labels renumbered by first occurrence."""
     first = bytes(dict.fromkeys(labels))
-    return labels.translate(bytes.maketrans(first, bytes(range(len(first)))))
+    return labels.translate(bytes.maketrans(first, _LABELS[:len(first)]))
 
 
 def _relabeled(g, lab: bytes) -> bytes:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 
@@ -45,6 +46,14 @@ def _write_report(path, header, records):
         sys.stdout.write(text)
 
 
+def _check_out(path):
+    """Fail before any work when the output path lies in a directory that
+    does not exist."""
+    folder = os.path.dirname(path or "")
+    if folder and not os.path.isdir(folder):
+        raise FileNotFoundError(f"no such directory: {folder!r}")
+
+
 def _bounds(args):
     bounds = extended_bounds() if getattr(args, "extended", False) \
         else DEFAULT_BOUNDS
@@ -56,6 +65,7 @@ def _bounds(args):
 
 
 def cmd_enumerate(args) -> int:
+    _check_out(args.out)
     bounds = _bounds(args)
     spec = parse_group(args.group, max_order=bounds.max_group_order)
     checkpoint = f"{args.out}.ckpt" if args.checkpoint else None
@@ -70,6 +80,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    _check_out(args.out)
     from .groups import _is_prime
 
     if args.p == 2 or not _is_prime(args.p):
@@ -115,6 +126,7 @@ def _decide_entry(payload):
 
 
 def cmd_ci(args) -> int:
+    _check_out(args.out)
     bounds = _bounds(args)
     catalog = load_catalog(args.catalog)
     group_text = format_group(catalog.spec)
@@ -147,6 +159,7 @@ def cmd_ci(args) -> int:
 
 
 def cmd_criterion(args) -> int:
+    _check_out(args.out)
     bounds = _bounds(args)
     spec = parse_group(args.group, max_order=bounds.max_group_order)
     catalog = enumerate_srings(spec, "all", bounds, label=False)

@@ -6,12 +6,13 @@ vector lists one residue per coordinate, least significant first, so the
 prefix ``range(p1**k)`` is exactly the span of the first k basis vectors.
 Subgroups, sections and automorphisms are all built on this encoding.
 
-Specs and subgroups are shared: group_spec (and so make_group,
+Specs, subgroups and sections are shared: group_spec (and so make_group,
 parse_group and every Section's quotient) hands out one GroupSpec per
-factor tuple, and Subgroup.from_elements one Subgroup per element set of
-a spec.  Each spec holds the tables and listings derived from it, built
-on first use, so each runs once per process.  Neither kind of object, nor
-any table or listing it hands out, may be mutated.
+factor tuple, Subgroup.from_elements one Subgroup per element set of a
+spec, and Section one section per pair of element sets.  Each spec holds
+the tables and listings derived from it, built on first use, so each
+runs once per process.  None of these objects, nor any table or listing
+it hands out, may be mutated.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class GroupSpec:
 
     __slots__ = ("factors", "order", "radices", "exponent", "_coords", "_add",
                  "_neg", "_index_weights", "_candidates", "_subgroups",
-                 "_subgroup_of_mask", "_auts")
+                 "_subgroup_of_mask", "_sections", "_auts")
 
     def __init__(self, factors, max_order=DEFAULT_MAX_ORDER):
         factors = tuple((int(p), int(n)) for p, n in factors)
@@ -77,6 +78,7 @@ class GroupSpec:
         self._candidates = None
         self._subgroups = None
         self._subgroup_of_mask = {}
+        self._sections = {}
         self._auts = None
 
     # -- basic arithmetic ------------------------------------------------
@@ -450,19 +452,25 @@ class Section:
     its own GroupSpec, a projection from U, and canonical coset lifts.
 
     L defaults to the trivial group, and Section(U) is then U's chart: proj
-    and lift relabel U's elements as those of its own spec.
+    and lift relabel U's elements as those of its own spec.  The spec
+    keeps one Section per pair (U, L), built on first use, so sections
+    compare by identity.
     """
 
     __slots__ = ("spec", "U", "L", "quotient", "proj", "lift")
 
-    def __init__(self, U: Subgroup, L: Subgroup | None = None):
+    def __new__(cls, U: Subgroup, L: Subgroup | None = None):
+        spec = U.spec
         if L is None:
-            L = trivial_subgroup(U.spec)
-        if U.spec != L.spec:
+            L = trivial_subgroup(spec)
+        if spec != L.spec:
             raise GroupSpecError("subgroups of different groups")
+        self = spec._sections.get((U.mask, L.mask))
+        if self is not None:
+            return self
         if not U.contains_subgroup(L):
             raise GroupSpecError("L is not contained in U")
-        spec = U.spec
+        self = super().__new__(cls)
         self.spec = spec
         self.U = U
         self.L = L
@@ -487,13 +495,8 @@ class Section:
             lift.append(min(coset))
         self.proj = tuple(proj)
         self.lift = tuple(lift)
-
-    def __eq__(self, other):
-        return (isinstance(other, Section) and self.U == other.U
-                and self.L == other.L)
-
-    def __hash__(self):
-        return hash((self.U, self.L))
+        spec._sections[U.mask, L.mask] = self
+        return self
 
     def __repr__(self):
         return f"Section(|U|={self.U.order}, |L|={self.L.order})"

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from srings import catalog as catalog_module
+from srings import morphisms as morphisms_module
 from srings.config import DEFAULT_BOUNDS, _Budget
 from srings.errors import (CatalogFormatError, EnumerationMismatch,
                            ResourceBoundExceeded)
@@ -82,6 +83,35 @@ def test_raw_counts_are_orbit_sizes(group, sring_filter):
     spec = parse_group(group)
     catalog = enumerate_srings(spec, sring_filter, label=False)
     assert _orbit_stabilizer_holds(spec, catalog)
+
+
+@pytest.mark.parametrize("group, sring_filter",
+                         [("2^3", "all"), ("3^2", "all"), ("2^2x3", "all"),
+                          ("3^3", "p-srings"), ("2^4", "all"),
+                          ("2^4", "p-srings")])
+def test_entry_keys_are_canonical_partitions(group, sring_filter):
+    """The least labeling of the orbit a new class walks is the key and
+    the cells that the canonical-labeling search gives."""
+    spec = parse_group(group)
+    catalog = enumerate_srings(spec, sring_filter, label=False)
+    for entry in catalog.entries:
+        form, cells = canonical_partition(spec, entry.cells)
+        assert entry.canonical == form
+        assert set(entry.cells) == set(cells)
+
+
+def test_enumeration_runs_no_labeling_search(monkeypatch, c16):
+    calls = []
+    real = least_labeling
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(catalog_module, "least_labeling", spy)
+    monkeypatch.setattr(morphisms_module, "least_labeling", spy)
+    assert len(enumerate_srings(c16, "all", label=False)) == 43
+    assert calls == []
 
 
 def test_enumerate_c16_all(c16):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from srings import catalog as catalog_module
 from srings import cli, groups
 from srings.cli import main
 from srings.errors import EnumerationMismatch
@@ -213,6 +214,33 @@ def test_ci_report_into_a_missing_directory_is_a_usage_error(tmp_path,
     assert main(["ci", "--catalog", str(cat), "--method", "bruteforce",
                  "--out", str(tmp_path / "missing" / "ci.txt")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (["enumerate", "--group", "2^3"], cli, "enumerate_srings"),
+    (["classify", "--p", "3"], catalog_module, "enumerate_srings"),
+    (["ci", "--update-catalog"], cli, "_decide_entry"),
+    (["criterion", "--group", "2^3"], cli, "enumerate_srings"),
+], ids=["enumerate", "classify", "ci", "criterion"])
+def test_output_into_a_missing_directory_fails_before_any_work(
+        tmp_path, monkeypatch, capsys, argv, module, name):
+    cat = _c8_catalog(tmp_path)
+    before = cat.read_bytes()
+    if argv[0] == "ci":
+        argv = argv + ["--catalog", str(cat)]
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "missing" / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
+    assert cat.read_bytes() == before
 
 
 @pytest.mark.parametrize("interval", ["-1", "nan"])

@@ -326,6 +326,33 @@ def test_section_tables_match_per_element_solve(text):
     assert pairs > len(subs)
 
 
+@pytest.mark.parametrize("text", ["2^3", "2^2x3"])
+def test_sections_are_interned_and_match_their_cosets(text):
+    spec = parse_group(text)
+    subs = enumerate_subgroups(spec)
+    assert Section(subs[-1]) is Section(subs[-1], trivial_subgroup(spec))
+    for U in subs:
+        for L in subs:
+            if not U.contains_subgroup(L):
+                continue
+            sec = Section(U, L)
+            assert Section(U, L) is sec
+            assert Section(subgroup_span(spec, U.elements),
+                           subgroup_span(spec, L.elements)) is sec
+            for u in U.elements:
+                for v in U.elements:
+                    assert (sec.proj[u] == sec.proj[v]) == \
+                        L.contains(spec.sub(u, v))
+            cosets = {frozenset(spec.add(u, x) for x in L.elements)
+                      for u in U.elements}
+            assert sec.quotient.order == len(cosets) == U.order // L.order
+            assert len(sec.lift) == len(cosets)
+            for q, rep in enumerate(sec.lift):
+                coset = frozenset(spec.add(rep, x) for x in L.elements)
+                assert coset in cosets and rep == min(coset)
+                assert sec.proj[rep] == q
+
+
 def test_aut_perm_matches_row_times_matrix():
     specs = [parse_group(text) for text in ("2^2x3", "3^2", "2^4", "3^3")]
     auts = all_auts(specs[0]) + all_auts(specs[1])
