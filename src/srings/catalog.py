@@ -13,7 +13,7 @@ from .config import DEFAULT_BOUNDS, _Budget
 from .errors import (CatalogFormatError, ClassificationMismatch,
                      EnumerationMismatch, ResourceBoundExceeded, SRingsError)
 from .groups import (GroupSpec, aut_generators, aut_group,
-                     cell_fixing_auts, enumerate_subgroups, format_group,
+                     cell_maps, enumerate_subgroups, format_group,
                      make_group, parse_group)
 from .permgrp import orbit
 from .sring import (SRing, _product_counts, _split_pair, memoized,
@@ -43,7 +43,7 @@ def canonical_partition(spec: GroupSpec, cells):
     for i, c in enumerate(cells):
         for x in c:
             cell_of[x] = i
-    best, _images = least_labeling(spec, cell_of)
+    best = least_labeling(spec, cell_of)
     return bytes(best), _cells_of(best)
 
 
@@ -90,7 +90,7 @@ class _Enumerator:
     is rejected, the whole orbit is), and self.weight, the number of
     rings each leaf stands for, is the product of the orbit sizes on the
     path.  The root walks H with its generators through per-byte image
-    tables; K_1 is listed by cell_fixing_auts, and each deeper group
+    tables; K_1 is listed by cell_maps, and each deeper group
     filters its parent's list.  Once K_d is trivial it stays trivial, and
     the node fixes every candidate without walks.
 
@@ -207,7 +207,7 @@ class _Enumerator:
             cell_of[1] = 1
             cell_of[x] = 3
             return [tuple(self.bits[y] for y in g.perm)
-                    for g in cell_fixing_auts(self.spec, cell_of)]
+                    for g in cell_maps(self.spec, cell_of, cell_of, range(5))]
         return [row for row in group if row[x] == self.bits[x]
                 and _cell_mask(row, cell) == mask]
 
@@ -582,6 +582,13 @@ def _json_record(line) -> dict:
     return rec
 
 
+def _field(rec, key, kind):
+    """rec[key] if it is a kind; CatalogFormatError naming it otherwise."""
+    if not isinstance(rec.get(key), kind):
+        raise CatalogFormatError(f"field {key!r} must be {kind.__name__}")
+    return rec[key]
+
+
 def load_catalog(path, max_order=None) -> Catalog:
     with open(path, encoding="utf-8") as fh:
         raw = fh.read().splitlines()
@@ -598,28 +605,30 @@ def load_catalog(path, max_order=None) -> Catalog:
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     if digest != header.get("digest"):
         raise CatalogFormatError("catalog digest mismatch")
-    if "group" not in header or "filter" not in header:
-        raise CatalogFormatError("the header names no group or no filter")
-    spec = parse_group(header["group"], max_order=max_order)
+    spec = parse_group(_field(header, "group", str), max_order=max_order)
     entries = []
     for line in lines:
         rec = _json_record(line)
+        cells = _field(rec, "cells", list)
+        if not all(isinstance(c, list) and all(isinstance(x, int) for x in c)
+                   for c in cells):
+            raise CatalogFormatError("field 'cells' must be lists of ints")
         # every entry re-validates on load
-        ring = validate_partition(spec,
-                                  [frozenset(c) for c in rec["cells"]])
+        ring = validate_partition(spec, [frozenset(c) for c in cells])
         entries.append(Entry(
             cells=ring.cells,
             canonical=canonical_form(ring),
-            rank=rec["rank"],
-            thin_radical_order=rec["thin_radical_order"],
-            decomposable=rec["decomposable"],
+            rank=_field(rec, "rank", int),
+            thin_radical_order=_field(rec, "thin_radical_order", int),
+            decomposable=_field(rec, "decomposable", bool),
             construction=rec.get("construction"),
             ci=rec.get("ci"),
             raw_count=rec.get("raw_count", 0),
         ))
         if entries[-1].rank != ring.rank:
             raise CatalogFormatError("rank annotation mismatch")
-    return Catalog(spec, header["filter"], entries, header.get("raw_total", 0))
+    return Catalog(spec, _field(header, "filter", str), entries,
+                   header.get("raw_total", 0))
 
 
 # -- rank-3 classification -------------------------------------------------------

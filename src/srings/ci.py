@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .config import DEFAULT_BOUNDS
+from .config import DEFAULT_BOUNDS, _Budget
 from .errors import (PreconditionFailed, ResourceBoundExceeded,
                      SectionNotPreserved, SRingsError)
-from .groups import (GroupAut, Section, Subgroup, all_auts, aut_order,
-                     complement, flag_basis)
-from .morphisms import (cayley_auts, cayley_isos, induced_algebraic,
-                        is_2_minimal, is_cayley_minimal, is_cyclotomic,
-                        restrict_perm, scheme_aut)
+from .groups import (GroupAut, Section, all_auts, aut_order, cell_maps,
+                     complement)
+from .morphisms import (cayley_auts, induced_algebraic, is_2_minimal,
+                        is_cayley_minimal, is_cyclotomic, restrict_perm,
+                        scheme_aut)
 from .permgrp import PermGroup, pinv, pmul, regular_subgroups
 from .sring import SRing, radical, validate_partition
 from .construct import (decompositions, is_wreath_for, quotient, sring_image,
@@ -152,7 +152,6 @@ class SectionContext:
         if not is_wreath_for(a, section):
             raise PreconditionFailed("wreath",
                                      "the ring is not a wreath over this section")
-        self.ring = a
         self.section = section
         self.bounds = bounds
         self.top, self.top_sec, self.quot, self.quot_sec = \
@@ -168,19 +167,16 @@ class SectionContext:
             return None
 
     def factor_aut_projections(self):
-        _g, top_auts = cayley_auts(self.top, self.bounds)
-        _g, quot_auts = cayley_auts(self.quot, self.bounds)
-        top_side = {}
-        quot_side = {}
-        for f in top_auts:
-            perm = self.on_section(f, self.top_sec)
-            if perm is not None:
-                top_side.setdefault(perm, f)
-        for h in quot_auts:
-            perm = self.on_section(h, self.quot_sec)
-            if perm is not None:
-                quot_side.setdefault(perm, h)
-        return top_side, quot_side
+        """Per factor, top then quotient, each projection onto U/L of its
+        Cayley automorphisms with the first automorphism giving it."""
+        sides = ({}, {})
+        for side, ring, chart in zip(sides, (self.top, self.quot),
+                                     (self.top_sec, self.quot_sec)):
+            for g in cayley_auts(ring, self.bounds)[1]:
+                perm = self.on_section(g, chart)
+                if perm is not None:
+                    side.setdefault(perm, g)
+        return sides
 
 
 def _ambient(g: GroupAut, chart: Section):
@@ -241,9 +237,8 @@ def lift_isomorphism(a: SRing, b: SRing, f, section: Section | None = None,
     U, L = section.U, section.L
 
     # stage 1: normalize so that f fixes U and L setwise
-    u_img = Subgroup.from_elements(spec, phi_f.image_set(U.elements))
-    l_img = Subgroup.from_elements(spec, phi_f.image_set(L.elements))
-    theta = _pair_aut(spec, U, L, u_img, l_img)
+    flag = (U.elements, L.elements)
+    theta = _flag_aut(spec, flag, tuple(map(phi_f.image_set, flag)), bounds)
     theta_inv_perm = pinv(theta.perm)
     b1 = sring_image(b, theta_inv_perm)
     f1 = pmul(f, theta_inv_perm)
@@ -268,16 +263,13 @@ def lift_isomorphism(a: SRing, b: SRing, f, section: Section | None = None,
         raise PreconditionFailed("section", "factor lifts do not fix the section")
     mismatch = pmul(phi0_s, pinv(psi0_s))
     top_side, quot_side = ctx.factor_aut_projections()
-    correction = None
-    for s1_perm in sorted(top_side):
-        rest = pmul(pinv(s1_perm), mismatch)
-        if rest in quot_side:
-            correction = (top_side[s1_perm], quot_side[rest])
-            break
-    if correction is None:
+    s1_perm = next((s for s in sorted(top_side)
+                    if pmul(pinv(s), mismatch) in quot_side), None)
+    if s1_perm is None:
         raise PreconditionFailed(
             "condition", "the section factorization condition fails")
-    sigma1, sigma2 = correction
+    sigma1 = top_side[s1_perm]
+    sigma2 = quot_side[pmul(pinv(s1_perm), mismatch)]
     phi = sigma1.inverse().compose(phi0)
     psi = sigma2.compose(psi0)
     if ctx.on_section(phi, ctx.top_sec) != ctx.on_section(psi, ctx.quot_sec):
@@ -298,31 +290,33 @@ def lift_isomorphism(a: SRing, b: SRing, f, section: Section | None = None,
     return alpha.compose(theta)
 
 
-def _pair_aut(spec, U, L, u_img, l_img) -> GroupAut:
-    """An automorphism mapping (U, L) onto (u_img, l_img) as a nested pair.
-
-    Exists whenever the orders match: in a squarefree-exponent abelian
-    group the order fixes the isomorphism type, so a basis of G running
-    through L and then U maps onto one running through l_img and u_img.
-    """
-    if (U.order, L.order) != (u_img.order, l_img.order):
+def _flag_aut(spec, flag, image, bounds) -> GroupAut:
+    """The least automorphism carrying the element sets flag = (U, L) onto
+    image = (U', L'): L onto L', U - L onto U' - L', the rest onto the
+    rest.  For subgroups L <= U one exists when the orders match, since in
+    a squarefree-exponent abelian group the order fixes the type."""
+    cell_of, target = ([0 if x in low else 1 if x in top else 2
+                        for x in spec.elements()]
+                       for top, low in (flag, image))
+    theta = next(cell_maps(spec, cell_of, target, (0, 1, 2),
+                           _Budget(bounds.backtrack_node_budget)), None)
+    if theta is None:
         raise PreconditionFailed("align", "image subgroups have wrong orders")
-    src = flag_basis(spec, (L, U))
-    dst = flag_basis(spec, (l_img, u_img))
-    return GroupAut.from_images(spec, list(zip(src, dst)))
+    return theta
 
 
 def _matching_cayley(src: SRing, dst: SRing, f_perm, bounds, stage):
-    """The least Cayley isomorphism inducing the same algebraic iso as f."""
+    """The least Cayley isomorphism inducing the same algebraic iso as f,
+    i.e. carrying each cell onto its image cell under that iso."""
     phi_f = induced_algebraic(src, dst, f_perm)
     if phi_f is None:
         raise PreconditionFailed(stage, "restriction is not an isomorphism")
-    for aut in cayley_isos(src, dst, bounds):
-        phi = induced_algebraic(src, dst, aut.perm)
-        if phi is not None and phi.cell_map == phi_f.cell_map:
-            return aut
-    raise PreconditionFailed(stage, "no Cayley isomorphism matches; the "
-                                    "factor is not CI for this instance")
+    aut = next(cell_maps(src.spec, src.cell_of, dst.cell_of, phi_f.cell_map,
+                         _Budget(bounds.backtrack_node_budget)), None)
+    if aut is None:
+        raise PreconditionFailed(stage, "no Cayley isomorphism matches; the "
+                                        "factor is not CI for this instance")
+    return aut
 
 
 def verify_lift(a: SRing, b: SRing, f, alpha: GroupAut) -> bool:

@@ -427,23 +427,6 @@ def complement(U: Subgroup, spec: GroupSpec) -> Subgroup:
                            for (p, n), basis in zip(spec.factors, U.bases)])
 
 
-def flag_basis(spec: GroupSpec, chain) -> list:
-    """A basis of the group, as elements, whose first members span each
-    subgroup of the increasing chain in turn, prime block by prime block.
-
-    Two chains with the same orders have the same rank in every block, so
-    zipping their flag bases pairs elements of the same prime.
-    """
-    out = []
-    for b, (p, n, pos) in enumerate(spec.prime_blocks()):
-        rows = []
-        for sub in chain:
-            rows += extend_basis(rows, sub.bases[b], p)
-        rows += extend_basis(rows, unit_rows(n), p)
-        out += [spec.block_element(pos, row) for row in rows]
-    return out
-
-
 # -- sections ---------------------------------------------------------------
 
 
@@ -646,22 +629,26 @@ def aut_order(spec: GroupSpec) -> int:
     return total
 
 
-def cell_fixing_auts(spec: GroupSpec, cell_of, budget=None):
-    """The automorphisms sending every element x into its own cell, the
-    elements y with cell_of[y] == cell_of[x], yielded in matrix order.
+def cell_maps(spec: GroupSpec, cell_of, target, cell_map, budget=None):
+    """The automorphisms g, in matrix order, with target[g(x)] ==
+    m[cell_of[x]] for every x != 0, where m extends cell_map: an entry of
+    -1 is bound when the search first meets that label and unbound on
+    backtrack.  With 0 alone in its cell on both sides and equally many
+    labels, m is a bijection on the others at every leaf, as g is onto.
 
     A lazy backtrack over the images of the coordinate basis vectors:
     fixing the first j of them fixes the map on the indices below the
-    j-th mixed-radix weight, and each of those must stay in its cell.
-    Images are scanned by block coordinates, so the maps come out in
-    matrix order.  Each node reached spends one unit of budget, if given.
+    j-th mixed-radix weight, and each of those must agree with m.  Images
+    are scanned by block coordinates, so the maps come out in matrix
+    order.  Each node reached spends one unit of budget, if given.
     """
     add = spec.add_table()
     candidates, weights = spec.basis_image_candidates()
     blocks = spec.prime_blocks()
+    m = list(cell_map)
     options = [sorted((spec.coords(v)[pos:pos + nn], v)
                       for v in candidates[ci]
-                      if cell_of[v] == cell_of[weights[ci]])
+                      if m[cell_of[weights[ci]]] in (-1, target[v]))
                for _p, nn, pos in blocks for ci in range(pos, pos + nn)]
     img = [0] * spec.order
 
@@ -673,16 +660,23 @@ def cell_fixing_auts(spec: GroupSpec, cell_of, budget=None):
             yield GroupAut(spec, mats, tuple(img))
             return
         lo, hi = weights[ci], weights[ci + 1]
+        unbound = m[:]
         for row, v in options[ci]:
             new_used = used_mask
             for x in range(lo, hi):
                 y = add[img[x - lo]][v]
-                if new_used >> y & 1 or cell_of[y] != cell_of[x]:
+                c = cell_of[x]
+                if m[c] != target[y]:
+                    if m[c] >= 0:
+                        break
+                    m[c] = target[y]
+                if new_used >> y & 1:
                     break
                 new_used |= 1 << y
                 img[x] = y
             else:
                 yield from rec(ci + 1, new_used, rows + (row,))
+            m[:] = unbound
 
     return rec(0, 1, ())
 
@@ -694,7 +688,7 @@ def all_auts(spec: GroupSpec, limit: int | None = None) -> list:
     if limit is not None and expected > limit:
         raise ResourceBoundExceeded("automorphism enumeration", limit, expected)
     if spec._auts is None:
-        auts = list(cell_fixing_auts(spec, [0] * spec.order))
+        auts = list(cell_maps(spec, [0] * spec.order, [0] * spec.order, [0]))
         if len(auts) != expected:
             raise SRingsError(f"{len(auts)} automorphisms listed, "
                               f"expected {expected}")

@@ -14,7 +14,7 @@ import itertools
 from .config import DEFAULT_BOUNDS, _Budget
 from .errors import (PartitionError, ResourceBoundExceeded,
                      SectionNotPreserved, SRingsError)
-from .groups import GroupAut, Section, cell_fixing_auts
+from .groups import GroupAut, Section, cell_maps
 from .permgrp import (PermGroup, _cyclic_extensions, group_of_listing,
                       is_identity, orbit, right_regular)
 from .sring import SRing, memoized
@@ -315,7 +315,7 @@ def combinatorial_isos(a: SRing, b: SRing, phi: AlgebraicIso,
 # -- Cayley isomorphisms -------------------------------------------------------
 
 
-def least_labeling(spec, cell_of, best=None, budget=None, on_tie=None):
+def least_labeling(spec, cell_of, budget=None):
     """Least cell labeling of a partition over its Aut(G) orbit.
 
     An automorphism g labels x by the cell of g(x), numbering cells by
@@ -323,14 +323,8 @@ def least_labeling(spec, cell_of, best=None, budget=None, on_tie=None):
     the partition under g^-1.  Branch and bound over the images of the
     coordinate basis vectors: fixing the first j of them determines g, and
     so the labeling, on the index prefix below the j-th mixed-radix
-    weight, which prunes against the best labeling known.
-
-    The search starts from best, by default the partition's own labeling,
-    and returns (labels, images): the least labeling found and the image
-    list of an automorphism reaching it, or None for images when nothing
-    beats a given best.  With on_tie, the image list (reused by the
-    search) of every automorphism whose labeling equals best is passed to
-    on_tie, and the search stops at the first labeling below best.
+    weight, which prunes against the best labeling known, at first the
+    partition's own.
 
     First-path pruning (McKay 1981): let a leaf g tie with a leaf g0 that
     the search visited earlier and that reaches best.  Equal labelings
@@ -338,19 +332,16 @@ def least_labeling(spec, cell_of, best=None, budget=None, on_tie=None):
     is the first basis vector whose images differ, sigma fixes the images
     of vectors 0..d-1 and maps g0's level-d subtree, already finished,
     onto g's, keeping every labeling; so the search returns to level d
-    and tries the next image.  The seed's own path counts as g0 only once
-    visited.  With on_tie there is no jump, since every tie is listed.
+    and tries the next image.  The partition's own path counts as g0 only
+    once visited.
     """
     n = spec.order
     add = spec.add_table()
     candidates, weights = spec.basis_image_candidates()
     ncoords = len(candidates)
 
-    images = None
-    if best is None:
-        first = {}
-        best = [first.setdefault(c, len(first)) for c in cell_of]
-        images = list(range(n))
+    first = {}
+    best = [first.setdefault(c, len(first)) for c in cell_of]
     img = [0] * n
     labels = [0] * n
     # the basis images on the current path, those of a visited leaf
@@ -360,18 +351,15 @@ def least_labeling(spec, cell_of, best=None, budget=None, on_tie=None):
     cut = ncoords
 
     def rec(ci, used_mask, remap, strictly_better):
-        nonlocal best, images, best_choice, cut
+        nonlocal best, best_choice, cut
         if budget is not None:
             budget.spend()
         if ci == ncoords:
             if strictly_better:
                 best = labels[:]
-                images = img[:]
                 best_choice = choice[:]
                 return True
-            if on_tie is not None:
-                on_tie(img)
-            elif best_choice is None:
+            if best_choice is None:
                 best_choice = choice[:]
             else:
                 cut = next(d for d in range(ncoords)
@@ -407,8 +395,6 @@ def least_labeling(spec, cell_of, best=None, budget=None, on_tie=None):
                     if lab < best[x]:
                         better = True
             if ok and rec(ci + 1, new_used, new_remap, better):
-                if on_tie is not None:
-                    return True
                 # the new best shares this prefix, so later siblings
                 # must be compared against it
                 improved = True
@@ -419,37 +405,18 @@ def least_labeling(spec, cell_of, best=None, budget=None, on_tie=None):
         return improved
 
     rec(0, 1, {cell_of[0]: 0}, False)
-    return best, images
+    return best
 
 
 def cayley_isos(a: SRing, b: SRing, bounds=DEFAULT_BOUNDS) -> list:
     """All group automorphisms carrying the cells of a onto the cells of b,
-    sorted by matrix.
-
-    The search on a gives its least labeling and a map g_a from the
-    canonical partition onto a.  Seeded with that labeling, the search on
-    b reaches exactly the maps g_b from the canonical partition onto b,
-    and each g_b g_a^-1 is one Cayley isomorphism; a labeling of b below
-    the seed puts b in another class.
-    """
+    in matrix order: with equal ranks, those sending each into one."""
     if a.spec != b.spec:
         raise ValueError("rings live over different groups")
-    spec = a.spec
     if a.rank != b.rank or sorted(map(len, a.cells)) != sorted(map(len, b.cells)):
         return []
-    budget = _Budget(bounds.backtrack_node_budget)
-    labels, images = least_labeling(spec, a.cell_of, budget=budget)
-    inverse = [0] * spec.order
-    for x, y in enumerate(images):
-        inverse[y] = x
-    out = []
-
-    def on_tie(img):
-        out.append(GroupAut.from_perm(spec, tuple(img[x] for x in inverse)))
-
-    least_labeling(spec, b.cell_of, labels, budget, on_tie)
-    out.sort(key=GroupAut.sort_key)
-    return out
+    return list(cell_maps(a.spec, a.cell_of, b.cell_of, [-1] * a.rank,
+                          _Budget(bounds.backtrack_node_budget)))
 
 
 @memoized
@@ -458,8 +425,8 @@ def cayley_auts(a: SRing, bounds=DEFAULT_BOUNDS):
     setwise, i.e. those that are scheme automorphisms, and the maps
     themselves, sorted by matrix.  (A self Cayley isomorphism may permute
     the cells; a Cayley automorphism may not.)"""
-    auts = tuple(cell_fixing_auts(a.spec, a.cell_of,
-                                  _Budget(bounds.backtrack_node_budget)))
+    auts = tuple(cell_maps(a.spec, a.cell_of, a.cell_of, range(a.rank),
+                           _Budget(bounds.backtrack_node_budget)))
     return group_of_listing(a.spec.order, [g.perm for g in auts]), auts
 
 
@@ -471,8 +438,8 @@ def cyclotomic_generators(a: SRing, bounds=DEFAULT_BOUNDS):
     the stream is read only until the orbits, merged map by map, are as
     many as the cells."""
     orbit_of, chosen = list(range(a.spec.order)), []
-    for g in cell_fixing_auts(a.spec, a.cell_of,
-                              _Budget(bounds.backtrack_node_budget)):
+    for g in cell_maps(a.spec, a.cell_of, a.cell_of, range(a.rank),
+                       _Budget(bounds.backtrack_node_budget)):
         if not is_identity(g.perm):
             chosen.append(g.mats)
         for x, y in enumerate(g.perm):

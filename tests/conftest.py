@@ -9,7 +9,8 @@ a point-by-point backtrack over the stabilizer chain, a chain level's
 transversal by repeated passes over its whole orbit,
 scheme automorphisms by filtering all of Sym(n), and their generators by
 a search for every unreached candidate at every level, canonical
-labelings and Cayley isomorphisms by filtering all of Aut(G), Cayley
+labelings by filtering all of Aut(G), Cayley isomorphisms by filtering
+Aut(G) as the Schreier-Sims chain of its generators lists it, Cayley
 automorphisms by filtering the self Cayley isomorphisms, the generators
 of a cyclotomic label by a greedy pass over their full listing, the
 relabeling of an enumeration leaf one label at a time, Aut(G) itself
@@ -19,12 +20,13 @@ membership, and the groups layer's element tables
 coordinate linear algebra, one element at a time.
 """
 
+import functools
 import itertools
 
 import pytest
 
-from srings.groups import (Section, all_auts, full_subgroup, parse_group,
-                           subgroup_span)
+from srings.groups import (GroupAut, Section, all_auts, aut_group,
+                           full_subgroup, parse_group, subgroup_span)
 from srings.sring import validate_partition
 from srings.construct import group_ring, wreath
 from srings.catalog import enumerate_srings
@@ -506,11 +508,20 @@ def least_labeling_by_filter(spec, cells):
     return best
 
 
+@functools.lru_cache(maxsize=None)
+def auts_by_chain(spec):
+    """Every automorphism of G, streamed from the Schreier-Sims chain of
+    Aut(G) on its standard generators, sorted by matrix."""
+    return sorted((GroupAut.from_perm(spec, perm)
+                   for perm in aut_group(spec).elements()),
+                  key=GroupAut.sort_key)
+
+
 def cayley_isos_by_filter(a, b):
     """Every automorphism of G carrying the cells of a onto cells of b, in
     matrix order."""
     b_cells = set(b.cells)
-    return [g for g in all_auts(a.spec)
+    return [g for g in auts_by_chain(a.spec)
             if all(frozenset(g.perm[x] for x in cell) in b_cells
                    for cell in a.cells)]
 

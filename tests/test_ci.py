@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from pathlib import Path
 
@@ -7,21 +8,24 @@ import pytest
 from srings.config import DEFAULT_BOUNDS
 from srings.errors import (PreconditionFailed, ResourceBoundExceeded,
                            SRingsError)
-from srings.groups import Section, all_auts, parse_group, subgroup_span
+from srings.groups import (Section, all_auts, aut_group, cell_maps,
+                           enumerate_subgroups, parse_group, subgroup_span)
 from srings.permgrp import pmul
 from srings.sring import validate_partition
-from srings.catalog import load_catalog
+from srings.catalog import enumerate_srings, load_catalog
 from srings.construct import decompositions, group_ring
 from srings.morphisms import (algebraic_isos, cayley_isos,
                               combinatorial_isos, has_combinatorial_iso,
                               induced_algebraic, is_cayley_minimal,
                               is_cyclotomic, scheme_aut)
-from srings.ci import (CIDecider, CIStatus, SectionContext, ci_fastpath,
+from srings.ci import (CIDecider, CIStatus, SectionContext, _flag_aut,
+                       _matching_cayley, ci_fastpath,
                        condition_holds, decide_ci, image_sring, is_ci,
                        is_ci_bruteforce, iso_membership, lift_isomorphism,
                        verify_criterion, verify_lift)
 
-from conftest import image_partition_is_sring, make_plain_wreath
+from conftest import (cayley_isos_by_filter, image_partition_is_sring,
+                      make_plain_wreath)
 
 PERFBENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
@@ -364,6 +368,73 @@ def test_lift_contract_cases(c27, table_rings):
     alpha = lift_isomorphism(ring, ring, g, section)
     ind = induced_algebraic(ring, ring, alpha.perm)
     assert ind.cell_map == tuple(range(ring.rank))
+
+
+@pytest.mark.parametrize("group", ["3^2", "2^2x3"])
+def test_matching_cayley_is_the_least_map_inducing_each_cell_map(group):
+    """Over every pair of catalog rings and relabeled copies: for each cell
+    map a Cayley isomorphism induces, the first map of the search and the
+    lift's factor match are the least oracle map inducing it; a cell map
+    of equal cell sizes that no Cayley isomorphism induces yields nothing
+    (checked up to rank 5)."""
+    spec = parse_group(group)
+    rings = enumerate_srings(spec, "all", label=False).rings()
+    chain = aut_group(spec)
+    rng = random.Random(5)
+    rings += [image_sring(a, chain.random_element(rng)) for a in rings]
+    for a in rings:
+        for b in rings:
+            least = {}
+            for g in cayley_isos_by_filter(a, b):
+                cm = tuple(b.cell_of[g.perm[min(cell)]] for cell in a.cells)
+                least.setdefault(cm, g)
+            for cm, g in least.items():
+                got = next(cell_maps(spec, a.cell_of, b.cell_of, cm))
+                assert got.perm == g.perm
+                matched = _matching_cayley(a, b, g.perm, DEFAULT_BOUNDS, "t")
+                assert matched.perm == g.perm
+            if a.rank != b.rank or a.rank > 5:
+                continue
+            for cm in itertools.permutations(range(a.rank)):
+                if cm not in least and all(len(a.cells[i]) == len(b.cells[j])
+                                           for i, j in enumerate(cm)):
+                    assert next(cell_maps(spec, a.cell_of, b.cell_of, cm),
+                                None) is None
+
+
+@pytest.mark.parametrize("group", ["2^4", "2^2x3"])
+def test_flag_aut_carries_the_flag_onto_its_image(group):
+    """Random nested L <= U and their images under random automorphisms:
+    the lift's stage-1 map is an automorphism carrying L onto the image of
+    L and U onto the image of U."""
+    spec = parse_group(group)
+    subgroups = enumerate_subgroups(spec)
+    chain = aut_group(spec)
+    rng = random.Random(7)
+    for _ in range(60):
+        U = rng.choice(subgroups)
+        L = rng.choice([s for s in subgroups if U.contains_subgroup(s)])
+        g = chain.random_element(rng)
+        u_img = frozenset(g[x] for x in U.elements)
+        l_img = frozenset(g[x] for x in L.elements)
+        theta = _flag_aut(spec, (U.elements, L.elements), (u_img, l_img),
+                          DEFAULT_BOUNDS).perm
+        assert {theta[x] for x in L.elements} == l_img
+        assert {theta[x] for x in U.elements} == u_img
+        assert all(theta[spec.add(x, y)] == spec.add(theta[x], theta[y])
+                   for x in spec.elements() for y in spec.elements())
+
+
+def test_flag_aut_rejects_images_of_the_wrong_order(c12):
+    U = subgroup_span(c12, [1, 4])
+    L = subgroup_span(c12, [1])
+    for u_img, l_img in ((subgroup_span(c12, [1, 2, 4]), L),
+                         (U, subgroup_span(c12, [4])),
+                         (U, subgroup_span(c12, [1, 2]))):
+        with pytest.raises(PreconditionFailed) as info:
+            _flag_aut(c12, (U.elements, L.elements),
+                      (u_img.elements, l_img.elements), DEFAULT_BOUNDS)
+        assert info.value.stage == "align"
 
 
 def test_lift_rejects_non_isomorphism(c27, table_rings):

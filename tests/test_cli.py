@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 from srings import catalog as catalog_module
 from srings import cli, groups
 from srings.cli import main
-from srings.errors import EnumerationMismatch
+from srings.errors import CatalogFormatError, EnumerationMismatch
 from srings.catalog import load_catalog
 
 
@@ -205,6 +206,46 @@ def test_ci_on_a_malformed_catalog_is_a_usage_error(tmp_path, capsys,
     capsys.readouterr()
     assert main(["ci", "--catalog", str(cat)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _drop_rank(header, entries):
+    del entries[1]["rank"]
+
+
+def _flat_cells(header, entries):
+    entries[1]["cells"] = [1, 2]
+
+
+def _text_in_cells(header, entries):
+    entries[1]["cells"][1] = ["x"]
+
+
+def _numeric_group(header, entries):
+    header["group"] = 12
+
+
+@pytest.mark.parametrize("damage, field", [
+    (_drop_rank, "rank"), (_flat_cells, "cells"), (_text_in_cells, "cells"),
+    (_numeric_group, "group"),
+], ids=["entry-without-rank", "flat-cells", "text-in-cells", "numeric-group"])
+def test_a_signed_catalog_with_a_bad_field_is_a_format_error(
+        tmp_path, capsys, damage, field):
+    # with the digest re-signed, each ended in a traceback (KeyError,
+    # TypeError, TypeError, AttributeError) with exit 1
+    cat = _c8_catalog(tmp_path)
+    header, *lines = cat.read_text().splitlines()
+    header, entries = json.loads(header), [json.loads(x) for x in lines]
+    damage(header, entries)
+    lines = [json.dumps(e, sort_keys=True, separators=(",", ":"))
+             for e in entries]
+    header["digest"] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    cat.write_text("\n".join([json.dumps(header)] + lines) + "\n")
+    with pytest.raises(CatalogFormatError, match=repr(field)):
+        load_catalog(cat)
+    capsys.readouterr()
+    assert main(["ci", "--catalog", str(cat)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(field) in err
 
 
 def test_ci_report_into_a_missing_directory_is_a_usage_error(tmp_path,

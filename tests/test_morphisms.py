@@ -483,14 +483,14 @@ def test_cyclotomic_generators_stop_early_in_the_stream(monkeypatch, c16):
     non-identity Cayley automorphisms; all 20,160 elements of GL(4,2)
     are Cayley automorphisms."""
     yielded = []
-    original = morphisms.cell_fixing_auts
+    original = morphisms.cell_maps
 
     def counting(*args, **kwargs):
         for g in original(*args, **kwargs):
             yielded.append(g)
             yield g
 
-    monkeypatch.setattr(morphisms, "cell_fixing_auts", counting)
+    monkeypatch.setattr(morphisms, "cell_maps", counting)
     ring = validate_partition(c16, [{0}, set(range(1, 16))])
     assert is_cyclotomic(ring)
     assert len(yielded) <= 10

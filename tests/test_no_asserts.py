@@ -2,7 +2,9 @@
 AssertionError: python -O strips asserts, and both are untyped, so every
 invariant check raises a typed error instead.  Nor does it catch every
 error at once, with a bare except or a handler for Exception or
-BaseException, which would swallow the typed ones."""
+BaseException, which would swallow the typed ones.  And no module but
+the package's __init__, which re-exports the API, imports a name it
+never uses."""
 
 import ast
 import pathlib
@@ -42,4 +44,27 @@ def test_library_has_no_catch_all_handlers():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.ExceptHandler)
                   and _catches_everything(node)]
+    assert found == []
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, (alias.asname or alias.name).split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def test_library_has_no_unused_imports():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}"
+                  for line, name in _imported_names(tree) if name not in used]
     assert found == []
