@@ -43,7 +43,8 @@ def canonical_partition(spec: GroupSpec, cells):
     for i, c in enumerate(cells):
         for x in c:
             cell_of[x] = i
-    best = least_labeling(spec, cell_of)
+    best = least_labeling(spec, cell_of,
+                          _Budget(DEFAULT_BOUNDS.backtrack_node_budget))
     return bytes(best), _cells_of(best)
 
 
@@ -90,9 +91,11 @@ class _Enumerator:
     is rejected, the whole orbit is), and self.weight, the number of
     rings each leaf stands for, is the product of the orbit sizes on the
     path.  The root walks H with its generators through per-byte image
-    tables; K_1 is listed by cell_maps, and each deeper group
-    filters its parent's list.  Once K_d is trivial it stays trivial, and
-    the node fixes every candidate without walks.
+    tables; K_1 is listed by cell_maps, which spends a backtracking
+    budget of its own (the enumeration budget counts merge-search nodes
+    only), and each deeper group filters its parent's list.  Once K_d is
+    trivial it stays trivial, and the node fixes every candidate without
+    walks.
 
     A resumed run walks and marks the orbits of the root candidates before
     resume_root without fixing them.  So root_done still counts root
@@ -107,6 +110,7 @@ class _Enumerator:
         self.add = spec.add_table()
         self.p_filter = p_filter
         self.budget = _Budget(bounds.enum_node_budget, "enumeration nodes")
+        self.backtrack_limit = bounds.backtrack_node_budget
         self.resume_root = resume_root
         self.on_root = on_root
         self.on_leaf = on_leaf
@@ -207,7 +211,8 @@ class _Enumerator:
             cell_of[1] = 1
             cell_of[x] = 3
             return [tuple(self.bits[y] for y in g.perm)
-                    for g in cell_maps(self.spec, cell_of, cell_of, range(5))]
+                    for g in cell_maps(self.spec, cell_of, cell_of, range(5),
+                                       _Budget(self.backtrack_limit))]
         return [row for row in group if row[x] == self.bits[x]
                 and _cell_mask(row, cell) == mask]
 
@@ -589,7 +594,7 @@ def _field(rec, key, kind):
     return rec[key]
 
 
-def load_catalog(path, max_order=None) -> Catalog:
+def load_catalog(path) -> Catalog:
     with open(path, encoding="utf-8") as fh:
         raw = fh.read().splitlines()
     if not raw:
@@ -605,7 +610,7 @@ def load_catalog(path, max_order=None) -> Catalog:
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     if digest != header.get("digest"):
         raise CatalogFormatError("catalog digest mismatch")
-    spec = parse_group(_field(header, "group", str), max_order=max_order)
+    spec = parse_group(_field(header, "group", str), max_order=None)
     entries = []
     for line in lines:
         rec = _json_record(line)

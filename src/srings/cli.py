@@ -55,9 +55,8 @@ def _check_out(path):
 
 
 def _bounds(args):
-    bounds = extended_bounds() if getattr(args, "extended", False) \
-        else DEFAULT_BOUNDS
-    if getattr(args, "max_order", None) is not None:
+    bounds = extended_bounds() if args.extended else DEFAULT_BOUNDS
+    if args.max_order is not None:
         bounds = dataclasses.replace(bounds, max_group_order=args.max_order,
                                      enum_all_order=args.max_order,
                                      enum_p_order=args.max_order)

@@ -1,9 +1,10 @@
 """Resource bounds.
 
-Every potentially expensive search takes a Bounds value and fails loudly
-with ResourceBoundExceeded instead of running away.  The defaults cover
-groups of order up to ~32 comfortably; larger runs raise the relevant
-field explicitly.
+Every potentially expensive search spends a budget or checks a limit,
+and fails loudly with ResourceBoundExceeded instead of running away.
+Bounds holds the limits a caller varies; the limits no caller varies are
+the named constants below.  The defaults cover groups of order up to ~32
+comfortably; larger runs raise the relevant field explicitly.
 """
 
 from __future__ import annotations
@@ -11,6 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import ResourceBoundExceeded
+
+# Output cap for operations that list permutations explicitly.
+ISO_LIST_LIMIT = 200_000
+# Element budget for listing a permutation group (intermediate subgroup
+# search).
+BETWEEN_ELEMENT_BUDGET = 1_000_000
+# Index cap for the intermediate-subgroup sweep used by the minimality tests.
+BETWEEN_INDEX_BOUND = 10_000
+# Order cap for full subgroup enumeration of a Cayley automorphism group.
+CAYLEY_MINIMAL_ORDER_BOUND = 512
+# Degree cap for the all-of-Sym brute force CI check.
+BRUTEFORCE_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -22,19 +35,9 @@ class Bounds:
     enum_p_order: int = 81
     # Node budget for the partition-merge enumeration tree.
     enum_node_budget: int = 50_000_000
-    # Node budget shared by scheme-automorphism and isomorphism backtracking.
+    # Node budget of each backtracking search over maps: scheme and
+    # Cayley automorphisms, isomorphisms, canonical labelings.
     backtrack_node_budget: int = 5_000_000
-    # Output cap for operations that list permutations explicitly.
-    iso_list_limit: int = 200_000
-    # Element budget for listing a permutation group (intermediate
-    # subgroup search).
-    between_element_budget: int = 1_000_000
-    # Index cap for the intermediate-subgroup sweep used by 2-minimality.
-    between_index_bound: int = 10_000
-    # Order cap for full subgroup enumeration of a Cayley automorphism group.
-    cayley_minimal_order_bound: int = 512
-    # Degree cap for the all-of-Sym brute force CI check.
-    bruteforce_order: int = 8
 
 
 DEFAULT_BOUNDS = Bounds()

@@ -20,9 +20,10 @@ from __future__ import annotations
 import itertools
 from functools import reduce
 
+from .config import DEFAULT_BOUNDS, _Budget
 from .errors import GroupSpecError, ResourceBoundExceeded, SRingsError
 
-DEFAULT_MAX_ORDER = 64
+DEFAULT_MAX_ORDER = DEFAULT_BOUNDS.max_group_order
 
 
 def _is_prime(p: int) -> bool:
@@ -629,7 +630,7 @@ def aut_order(spec: GroupSpec) -> int:
     return total
 
 
-def cell_maps(spec: GroupSpec, cell_of, target, cell_map, budget=None):
+def cell_maps(spec: GroupSpec, cell_of, target, cell_map, budget):
     """The automorphisms g, in matrix order, with target[g(x)] ==
     m[cell_of[x]] for every x != 0, where m extends cell_map: an entry of
     -1 is bound when the search first meets that label and unbound on
@@ -640,7 +641,7 @@ def cell_maps(spec: GroupSpec, cell_of, target, cell_map, budget=None):
     fixing the first j of them fixes the map on the indices below the
     j-th mixed-radix weight, and each of those must agree with m.  Images
     are scanned by block coordinates, so the maps come out in matrix
-    order.  Each node reached spends one unit of budget, if given.
+    order.  Each node reached spends one unit of budget.
     """
     add = spec.add_table()
     candidates, weights = spec.basis_image_candidates()
@@ -653,8 +654,7 @@ def cell_maps(spec: GroupSpec, cell_of, target, cell_map, budget=None):
     img = [0] * spec.order
 
     def rec(ci, used_mask, rows):
-        if budget is not None:
-            budget.spend()
+        budget.spend()
         if ci == len(options):
             mats = tuple(rows[pos:pos + nn] for _p, nn, pos in blocks)
             yield GroupAut(spec, mats, tuple(img))
@@ -688,7 +688,8 @@ def all_auts(spec: GroupSpec, limit: int | None = None) -> list:
     if limit is not None and expected > limit:
         raise ResourceBoundExceeded("automorphism enumeration", limit, expected)
     if spec._auts is None:
-        auts = list(cell_maps(spec, [0] * spec.order, [0] * spec.order, [0]))
+        auts = list(cell_maps(spec, [0] * spec.order, [0] * spec.order, [0],
+                              _Budget(DEFAULT_BOUNDS.backtrack_node_budget)))
         if len(auts) != expected:
             raise SRingsError(f"{len(auts)} automorphisms listed, "
                               f"expected {expected}")

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 
-from .config import DEFAULT_BOUNDS, _Budget
+from .config import (CAYLEY_MINIMAL_ORDER_BOUND, DEFAULT_BOUNDS,
+                     ISO_LIST_LIMIT, _Budget)
 from .errors import (PartitionError, ResourceBoundExceeded,
                      SectionNotPreserved, SRingsError)
 from .groups import GroupAut, Section, cell_maps
@@ -301,10 +302,9 @@ def has_combinatorial_iso(a: SRing, b: SRing, phi: AlgebraicIso,
 
 
 def combinatorial_isos(a: SRing, b: SRing, phi: AlgebraicIso,
-                       bounds=DEFAULT_BOUNDS, limit=None) -> list:
+                       bounds=DEFAULT_BOUNDS, limit=ISO_LIST_LIMIT) -> list:
     """All point bijections realizing the given algebraic iso; more than
     limit of them raise ResourceBoundExceeded."""
-    limit = bounds.iso_list_limit if limit is None else limit
     out = list(itertools.islice(_realizations(a, b, phi, bounds), limit + 1))
     if len(out) > limit:
         raise ResourceBoundExceeded("isomorphism listing", limit)
@@ -315,7 +315,7 @@ def combinatorial_isos(a: SRing, b: SRing, phi: AlgebraicIso,
 # -- Cayley isomorphisms -------------------------------------------------------
 
 
-def least_labeling(spec, cell_of, budget=None):
+def least_labeling(spec, cell_of, budget):
     """Least cell labeling of a partition over its Aut(G) orbit.
 
     An automorphism g labels x by the cell of g(x), numbering cells by
@@ -352,8 +352,7 @@ def least_labeling(spec, cell_of, budget=None):
 
     def rec(ci, used_mask, remap, strictly_better):
         nonlocal best, best_choice, cut
-        if budget is not None:
-            budget.spend()
+        budget.spend()
         if ci == ncoords:
             if strictly_better:
                 best = labels[:]
@@ -543,13 +542,12 @@ def delta_section(perms, section: Section) -> list:
 # -- minimality ----------------------------------------------------------------
 
 
-def _has_smaller_with_orbits(H: PermGroup, K: PermGroup, orbits_of,
-                             bounds) -> bool:
+def _has_smaller_with_orbits(H: PermGroup, K: PermGroup, orbits_of) -> bool:
     """Whether some M with H <= M < K has K's orbits, orbits_of(M) ==
     orbits_of(K); the walk up from H stops at the first such M."""
     target = orbits_of(K)
     return any(M.order() < K.order() and orbits_of(M) == target
-               for M in _cyclic_extensions(H, K, bounds))
+               for M in _cyclic_extensions(H, K))
 
 
 def is_2_minimal(a: SRing, bounds=DEFAULT_BOUNDS) -> bool:
@@ -557,16 +555,15 @@ def is_2_minimal(a: SRing, bounds=DEFAULT_BOUNDS) -> bool:
     orbits on ordered pairs as Aut itself."""
     return not _has_smaller_with_orbits(right_regular(a.spec),
                                         scheme_aut(a, bounds),
-                                        PermGroup.orbits_pairs, bounds)
+                                        PermGroup.orbits_pairs)
 
 
 def is_cayley_minimal(a: SRing, bounds=DEFAULT_BOUNDS) -> bool:
     """No proper subgroup of the Cayley automorphism group has the same
     orbits on the group."""
     group, _ = cayley_auts(a, bounds)
-    if group.order() > bounds.cayley_minimal_order_bound:
+    if group.order() > CAYLEY_MINIMAL_ORDER_BOUND:
         raise ResourceBoundExceeded("Cayley minimality",
-                                    bounds.cayley_minimal_order_bound,
-                                    group.order())
+                                    CAYLEY_MINIMAL_ORDER_BOUND, group.order())
     return not _has_smaller_with_orbits(
-        PermGroup(group.degree), group, lambda M: set(M.orbits()), bounds)
+        PermGroup(group.degree), group, lambda M: set(M.orbits()))

@@ -20,7 +20,8 @@ import random
 from dataclasses import dataclass
 from operator import eq, getitem, itemgetter
 
-from .config import DEFAULT_BOUNDS, _Budget
+from .config import (BETWEEN_ELEMENT_BUDGET, BETWEEN_INDEX_BOUND,
+                     DEFAULT_BOUNDS, _Budget)
 from .errors import ResourceBoundExceeded, SRingsError
 
 
@@ -366,21 +367,20 @@ def two_equivalent(k1: PermGroup, k2: PermGroup) -> bool:
     return k1.orbits_pairs() == k2.orbits_pairs()
 
 
-def _element_set(group: PermGroup, budget):
-    if group.order() > budget:
-        raise ResourceBoundExceeded("subgroup element listing", budget,
-                                    group.order())
+def _element_set(group: PermGroup):
+    if group.order() > BETWEEN_ELEMENT_BUDGET:
+        raise ResourceBoundExceeded("subgroup element listing",
+                                    BETWEEN_ELEMENT_BUDGET, group.order())
     return frozenset(group.elements())
 
 
-def subgroups_between(H: PermGroup, K: PermGroup,
-                      bounds=DEFAULT_BOUNDS) -> list:
+def subgroups_between(H: PermGroup, K: PermGroup) -> list:
     """All subgroups M with H <= M <= K, by cyclic extension."""
-    return sorted(_cyclic_extensions(H, K, bounds),
+    return sorted(_cyclic_extensions(H, K),
                   key=lambda m: (m.order(), tuple(sorted(m.gens))))
 
 
-def _cyclic_extensions(H: PermGroup, K: PermGroup, bounds=DEFAULT_BOUNDS):
+def _cyclic_extensions(H: PermGroup, K: PermGroup):
     """Yield each subgroup M with H <= M <= K once, H first, then each
     <M, g> as it is found, breadth first: a caller may stop early."""
     if H.degree != K.degree:
@@ -391,11 +391,11 @@ def _cyclic_extensions(H: PermGroup, K: PermGroup, bounds=DEFAULT_BOUNDS):
     if K.order() % H.order():
         raise ValueError("H is not contained in K")
     index = K.order() // H.order()
-    if index > bounds.between_index_bound:
+    if index > BETWEEN_INDEX_BOUND:
         raise ResourceBoundExceeded("intermediate subgroup index",
-                                    bounds.between_index_bound, index)
-    k_elements = sorted(_element_set(K, bounds.between_element_budget))
-    h_set = _element_set(H, bounds.between_element_budget)
+                                    BETWEEN_INDEX_BOUND, index)
+    k_elements = sorted(_element_set(K))
+    h_set = _element_set(H)
     found = {h_set}
     frontier = [(h_set, H)]
     yield H
@@ -409,7 +409,7 @@ def _cyclic_extensions(H: PermGroup, K: PermGroup, bounds=DEFAULT_BOUNDS):
             # one representative per M-coset is enough
             covered.update(pmul(m, g) for m in m_set)
             M2 = PermGroup(K.degree, tuple(M.gens) + (g,))
-            m2_set = _element_set(M2, bounds.between_element_budget)
+            m2_set = _element_set(M2)
             if m2_set not in found:
                 found.add(m2_set)
                 frontier.append((m2_set, M2))

@@ -51,20 +51,15 @@ class SRing:
     were already checked and only builds the lookup tables.
     """
 
-    __slots__ = ("spec", "cells", "masks", "cell_of", "inverse_cell", "_memo")
+    __slots__ = ("spec", "cells", "cell_of", "inverse_cell", "_memo")
 
     def __init__(self, spec: GroupSpec, cells):
         self.spec = spec
         self.cells = _canonical_cells(cells)
-        masks = []
         cell_of = [-1] * spec.order
         for i, cell in enumerate(self.cells):
-            m = 0
             for x in cell:
-                m |= 1 << x
                 cell_of[x] = i
-            masks.append(m)
-        self.masks = tuple(masks)
         self.cell_of = tuple(cell_of)
         neg = spec.neg_table()
         self.inverse_cell = tuple(self.cell_of[neg[min(c)]] for c in self.cells)

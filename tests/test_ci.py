@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from srings.config import DEFAULT_BOUNDS
+from srings.config import DEFAULT_BOUNDS, _Budget
 from srings.errors import (PreconditionFailed, ResourceBoundExceeded,
                            SRingsError)
 from srings.groups import (Section, all_auts, aut_group, cell_maps,
@@ -236,11 +236,27 @@ def test_decider_strategies(c27, table_rings, catalog_c27_p):
     with_fast = {k: v.method for k, v in decider.cache.items()}
     assert any(m.startswith("fastpath") or m == "section-condition"
                for m in with_fast.values())
-    plain = CIDecider(allow_fastpaths=False)
     for i in (1, 2, 3, 4, 5, 6):
-        status = plain.decide(table_rings[i])
+        status = is_ci(table_rings[i])
         assert status.verdict == "CI"
-        assert status.method in ("regular-subgroups", "bruteforce")
+        assert status.method == "regular-subgroups"
+
+
+@pytest.mark.parametrize("budget", [1, 5, 20])
+def test_decider_turns_a_tight_budget_into_undecided(budget, catalog_c8):
+    """Under a backtracking budget too small for the searches, deciding
+    any ring over 2^3 gives a verdict, never an overrun: each Undecided
+    record names the bound that was hit.  Fresh rings keep the memo of
+    an earlier, larger budget out of the way."""
+    tight = dataclasses.replace(DEFAULT_BOUNDS, backtrack_node_budget=budget)
+    decider = CIDecider(bounds=tight)
+    statuses = [decider.decide(validate_partition(catalog_c8.spec, e.cells))
+                for e in catalog_c8.entries]
+    assert len(statuses) == 9
+    assert all(isinstance(s, CIStatus) for s in statuses)
+    undecided = [s for s in statuses if s.verdict == "Undecided"]
+    assert undecided
+    assert all(s.resource["what"] == "backtracking nodes" for s in undecided)
 
 
 def test_ci2_direction_sampled(c8, catalog_c8):
@@ -384,12 +400,16 @@ def test_matching_cayley_is_the_least_map_inducing_each_cell_map(group):
     rings += [image_sring(a, chain.random_element(rng)) for a in rings]
     for a in rings:
         for b in rings:
+            def search(cm):
+                return cell_maps(spec, a.cell_of, b.cell_of, cm,
+                                 _Budget(DEFAULT_BOUNDS.backtrack_node_budget))
+
             least = {}
             for g in cayley_isos_by_filter(a, b):
                 cm = tuple(b.cell_of[g.perm[min(cell)]] for cell in a.cells)
                 least.setdefault(cm, g)
             for cm, g in least.items():
-                got = next(cell_maps(spec, a.cell_of, b.cell_of, cm))
+                got = next(search(cm))
                 assert got.perm == g.perm
                 matched = _matching_cayley(a, b, g.perm, DEFAULT_BOUNDS, "t")
                 assert matched.perm == g.perm
@@ -398,8 +418,7 @@ def test_matching_cayley_is_the_least_map_inducing_each_cell_map(group):
             for cm in itertools.permutations(range(a.rank)):
                 if cm not in least and all(len(a.cells[i]) == len(b.cells[j])
                                            for i, j in enumerate(cm)):
-                    assert next(cell_maps(spec, a.cell_of, b.cell_of, cm),
-                                None) is None
+                    assert next(search(cm), None) is None
 
 
 @pytest.mark.parametrize("group", ["2^4", "2^2x3"])

@@ -414,8 +414,8 @@ def test_cayley_minimality_stops_at_the_first_witness(monkeypatch,
 
     built = []
 
-    def counted(H, K, bounds):
-        for M in permgrp._cyclic_extensions(H, K, bounds):
+    def counted(H, K):
+        for M in permgrp._cyclic_extensions(H, K):
             built.append(M)
             yield M
 

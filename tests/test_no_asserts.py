@@ -4,12 +4,19 @@ invariant check raises a typed error instead.  Nor does it catch every
 error at once, with a bare except or a handler for Exception or
 BaseException, which would swallow the typed ones.  And no module but
 the package's __init__, which re-exports the API, imports a name it
-never uses."""
+never uses.  No function takes a budget it may run without, and no class
+sets an attribute on self that nothing reads."""
 
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "srings"
+
+
+def _trees(*folders):
+    for folder in folders:
+        for path in sorted(folder.glob("*.py")):
+            yield path, ast.parse(path.read_text(), filename=str(path))
 
 
 def _raises_assertion_error(node):
@@ -19,8 +26,7 @@ def _raises_assertion_error(node):
 
 def test_library_has_no_assert_statements():
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, tree in _trees(SRC):
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)
                   or isinstance(node, ast.Raise) and node.exc is not None
@@ -39,8 +45,7 @@ def _catches_everything(handler):
 
 def test_library_has_no_catch_all_handlers():
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for path, tree in _trees(SRC):
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.ExceptHandler)
                   and _catches_everything(node)]
@@ -59,12 +64,54 @@ def _imported_names(tree):
 
 def test_library_has_no_unused_imports():
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    for path, tree in _trees(SRC):
         if path.name == "__init__.py":
             continue
-        tree = ast.parse(path.read_text(), filename=str(path))
         used = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name)}
         found += [f"{path.name}:{line} {name}"
                   for line, name in _imported_names(tree) if name not in used]
+    assert found == []
+
+
+def test_library_budgets_are_required():
+    """A search that may run without a budget is unbounded; every budget
+    parameter must be passed."""
+    found = []
+    for path, tree in _trees(SRC):
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            pairs = list(zip(positional[len(positional) - len(args.defaults):],
+                             args.defaults))
+            pairs += list(zip(args.kwonlyargs, args.kw_defaults))
+            found += [f"{path.name}:{node.lineno} {node.name}"
+                      for arg, default in pairs
+                      if arg.arg == "budget" and isinstance(default, ast.Constant)
+                      and default.value is None]
+    assert found == []
+
+
+def test_library_reads_every_attribute_it_sets():
+    """Every attribute a library class assigns on self is read somewhere
+    in the library or its tests; one that is never read is dead state."""
+    tests = pathlib.Path(__file__).resolve().parent
+    read = {node.attr for _path, tree in _trees(SRC, tests)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    found = []
+    for path, tree in _trees(SRC):
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            found += [f"{path.name}:{node.lineno} {cls.name}.{node.attr}"
+                      for node in ast.walk(cls)
+                      if isinstance(node, ast.Attribute)
+                      and isinstance(node.ctx, ast.Store)
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id == "self"
+                      and node.attr not in read]
     assert found == []
