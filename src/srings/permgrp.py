@@ -5,11 +5,16 @@ is g[x], and pmul(a, b) applies a first, then b.  PermGroup keeps a
 deterministic stabilizer chain whose base is always the full point set in
 a fixed order; its API takes and returns tuples.
 
-The degree is at most 256, and inside the chains and the regular-subgroup
-search a permutation is a 256-byte table, the identity beyond the degree,
-so that the loops run in C: a.translate(b) applies a, then b;
-bytes.maketrans(a, IDENT) inverts a; a.translate(b) == b.translate(a)
-tests that they commute.  Tables sort in tuple order and cache their hash.
+The degree n is at most 256, and inside the chains and the
+regular-subgroup search the loops run in C on bytes: a.translate(b)
+applies a, then b; bytes.maketrans(a, IDENT) inverts a; a.translate(b) ==
+b.translate(a) tests that they commute.  translate needs a 256-byte table
+only as its argument b, and returns a string as long as a.  So a
+permutation that is stored (chain levels, regular-subgroup keys and pools)
+or passed to translate is a table, the identity beyond n, and a product
+that is only read (indexed, compared, sorted, hashed, or translated
+further) is the n-byte string of its first n bytes.  Strings of one length
+and tables alike sort in tuple order and cache their hash.
 """
 
 from __future__ import annotations
@@ -174,21 +179,23 @@ class PermGroup:
                 f"group of degree {self.degree}")
         if not is_identity(g) and g not in self.gens:
             self.gens += (g,)
-            self._insert(_table(g))
+            self._insert(bytes(g))
             self._order = math.prod(len(lvl.transversal)
                                     for lvl in self._levels)
             self._tables = None
 
     def _sift(self, g):
-        """The residue of the table g through the chain; None for IDENT."""
+        """The residue of g, a table or its n-byte string, through the
+        chain, as a table; None for the identity.  The base holds every
+        point, so a g that passes every level is the identity."""
         for lvl in self._levels:
             x = g[lvl.point]
             if x != lvl.point:
                 u_inv = lvl.inverse.get(x)
                 if u_inv is None:
-                    return g
+                    return g + IDENT[len(g):]
                 g = g.translate(u_inv)
-        return None if g == IDENT else g
+        return None
 
     def _depth(self, g):
         for i, lvl in enumerate(self._levels):
@@ -209,16 +216,19 @@ class PermGroup:
                 queue.extend(self._close_level(i))
 
     def _close_level(self, i):
+        """Close level i's orbit; its new Schreier generators other than
+        the identity, as n-byte strings."""
         lvl = self._levels[i]
         if not lvl.gens:
             return []
         lvl.close_orbit()
+        ident = IDENT[:self.degree]
         out = []
         for x in sorted(lvl.transversal):
-            ux = lvl.transversal[x]
+            ux = lvl.transversal[x][:self.degree]
             for g in lvl.gens[lvl.pairs_done.get(x, 0):]:
                 s = ux.translate(g).translate(lvl.inverse[g[x]])
-                if s != IDENT:
+                if s != ident:
                     out.append(s)
             lvl.pairs_done[x] = len(lvl.gens)
         return out
@@ -232,7 +242,7 @@ class PermGroup:
         g = tuple(g)
         if len(g) != self.degree:
             return False
-        return self._sift(_table(g)) is None
+        return self._sift(bytes(g)) is None
 
     def is_symmetric(self) -> bool:
         return self._order == math.factorial(self.degree)
@@ -256,24 +266,23 @@ class PermGroup:
 
         def rec(idx):
             if idx == len(nontrivial):
-                yield IDENT
+                yield IDENT[:self.degree]
                 return
             for rest in rec(idx + 1):
                 for u in nontrivial[idx]:
                     yield rest.translate(u)
 
-        n = self.degree
-        for g in rec(0):
-            yield tuple(g[:n])
+        yield from map(tuple, rec(0))
 
-    def _random_table(self, rng):
-        g = IDENT
+    def _random_string(self, rng):
+        """A random element, as its n-byte string."""
+        g = IDENT[:self.degree]
         for us in self._transversals():
             g = g.translate(rng.choice(us))
         return g
 
     def random_element(self, rng):
-        return tuple(self._random_table(rng)[:self.degree])
+        return tuple(self._random_string(rng))
 
     def reduced_generators(self):
         """A greedily thinned generating list with the same closure."""
@@ -429,6 +438,8 @@ def _fpf_search(gens, spec, p, budget, chain) -> list:
     """The fixed-point-free elements of order p of K that commute with
     P = <gens>, sorted, as tables, where chain is K's chain on P's layout
     pos (_transporter_chain on _regular_positions); with no gens, P = 1.
+    The product q of a path is a table, the argument of the next step's
+    translate; its inverse is only read, so it is an n-byte string.
 
     Such an element maps pos[k m + x] -> pos[l_k m + (y_k + x)] for each
     P-orbit k, whose points are the chain's levels k m .. k m + m - 1.
@@ -530,7 +541,7 @@ def _fpf_search(gens, spec, p, budget, chain) -> list:
             img[k], pre[placed] = placed, k
 
     # q is carried with its inverse only when orbits have other points
-    rec(0, IDENT, IDENT if gens else None)
+    rec(0, IDENT, IDENT[:n] if gens else None)
     out.sort()
     return out
 
@@ -608,12 +619,18 @@ def _extend_semiregular(reps, K, spec, prime, least, budget) -> dict:
     r[0]) get a key, though the whole pool is carried: conjugating by h in
     Stab_K(0) sends r[0] to h(r[0]), so the least key of each K-class of
     <r>, whose first generator is its least element, is among them, with
-    that generator."""
+    that generator.
+
+    Keys, generators and pools hold tables; the commuting and fixed-orbit
+    tests read the n-byte strings r[:n]."""
+    n = K.degree
     new = {}
     for key, gens, pool, entry in reps:
         if gens and pool[0] == prime:
             g = gens[-1]
-            pool = [r for r in pool[1] if r.translate(g) == g.translate(r)]
+            g_n = g[:n]
+            pool = [r for r in pool[1]
+                    if r[:n].translate(g) == g_n.translate(r)]
         else:
             if entry[1] is None:
                 entry[1] = _transporter_chain(K, entry[0])
@@ -623,11 +640,11 @@ def _extend_semiregular(reps, K, spec, prime, least, budget) -> dict:
         else:
             # r fixes the P-orbit with least point x iff lab[r[x]] == x;
             # P has at least two orbits, so at_lows gives a tuple
-            lab = bytes(_orbit_minima(gens, K.degree)) + IDENT[K.degree:]
-            lows = sorted(set(lab[:K.degree]))
+            lab = bytes(_orbit_minima(gens, n)) + IDENT[n:]
+            lows = sorted(set(lab[:n]))
             at_lows = itemgetter(*lows)
             extending = [r for r in pool if not any(
-                map(eq, at_lows(r.translate(lab)), lows))]
+                map(eq, at_lows(r[:n].translate(lab)), lows))]
         for r in extending:
             elements = list(key)
             rp = r
@@ -647,37 +664,20 @@ def _class_reps(found: dict, K: PermGroup, spec, least, budget) -> list:
     by the transporter or by the next level's _fpf_search.
 
     Keys that a generator of K conjugates onto each other are merged
-    first.  Then each merged set's least key is kept only if the
+    first (_merged_roots, which conjugates n-byte strings; the keys kept
+    hold tables).  Then each merged set's least key is kept only if the
     transporter finds it K-conjugate to no kept one within its bucket of a
     K-invariant: over h in the subgroup, the multisets of K's pair orbits
     of the pairs (x, x^h).  K holds the translations, so the pair (x, z)
     lies in the K-orbit of (0, z - x): K's pair orbits are the
     Stab_K(0)-orbits of z - x, named by their least point (least)."""
-    conj = [(c, bytes.maketrans(c, IDENT))
-            for c in map(_table, K.reduced_generators())]
-    seen = set()
-    roots = []
-    for key in sorted(found):
-        if key in seen:
-            continue
-        roots.append(key)
-        seen.add(key)
-        frontier = [key]
-        for k0 in frontier:
-            for c, cinv in conj:
-                # k0[0] is the identity, the only element that fixes 0
-                image = (k0[0],) + tuple(sorted(
-                    [cinv.translate(h).translate(c) for h in k0[1:]]))
-                if image in found and image not in seen:
-                    seen.add(image)
-                    frontier.append(image)
     add, neg = spec.add_table(), spec.neg_table()
     # color[x][z]: the pair orbit of (x, z)
     color = [[least[add[z][neg[x]]] for z in range(K.degree)]
              for x in range(K.degree)]
     buckets = {}
     reps = []
-    for key in roots:
+    for key in _merged_roots(found, K):
         gens, pool = found[key]
         pos = _regular_positions(gens, spec)
         invariant = tuple(sorted(tuple(sorted(map(getitem, color, h)))
@@ -692,6 +692,35 @@ def _class_reps(found: dict, K: PermGroup, spec, least, budget) -> list:
             bucket.append([pos, None])
             reps.append((key, gens, pool, bucket[-1]))
     return reps
+
+
+def _merged_roots(found, K: PermGroup) -> list:
+    """The least key of each set of keys of found that the generators of K
+    conjugate onto each other, in key order.  The keys are sorted tuples of
+    tables, the identity first; an image of a key is conjugated as n-byte
+    strings and looked up by the keys' strings."""
+    n = K.degree
+    conj = [(c, bytes.maketrans(c, IDENT)[:n])
+            for c in map(_table, K.reduced_generators())]
+    by_strings = {tuple(h[:n] for h in key): key for key in found}
+    ident = IDENT[:n]
+    seen = set()
+    roots = []
+    for key in sorted(found):
+        if key in seen:
+            continue
+        roots.append(key)
+        seen.add(key)
+        frontier = [key]
+        for k0 in frontier:
+            for c, cinv in conj:
+                # k0[0] is the identity, the only element that fixes 0
+                image = by_strings.get((ident,) + tuple(sorted(
+                    [cinv.translate(h).translate(c) for h in k0[1:]])))
+                if image is not None and image not in seen:
+                    seen.add(image)
+                    frontier.append(image)
+    return roots
 
 
 def _stabilizer_orbit_minima(K: PermGroup) -> list:
@@ -745,7 +774,7 @@ def _transporter_chain(K: PermGroup, pos) -> PermGroup:
         rng = random.Random(0)
         while math.prod(len(lvl.transversal)
                         for lvl in chain._levels) < K.order():
-            h = chain._sift(K._random_table(rng))
+            h = chain._sift(K._random_string(rng))
             if h is not None:
                 for lvl in chain._levels[:chain._depth(h) + 1]:
                     lvl.gens.append(h)
@@ -767,7 +796,8 @@ def _transporter_exists(chain, pos, spec, budget, rank=None) -> bool:
     least_labeling does (fixing the first j of them fixes A below
     weights[j]), then on (l_k, y_k) for each later P-orbit.  Each point
     fixed is sifted through the chain, and a map that does not sift
-    prunes the branch; a map that is not injective never sifts."""
+    prunes the branch; a map that is not injective never sifts.  The
+    sifted maps are only read, so they are n-byte strings."""
     inverse = [lvl.inverse for lvl in chain._levels]
     candidates, weights = spec.basis_image_candidates()
     rank = len(candidates) if rank is None else rank
@@ -814,8 +844,9 @@ def _transporter_exists(chain, pos, spec, budget, rank=None) -> bool:
                 free[l] = True
         return False
 
+    ident = IDENT[:len(pos)]
     for l in range(t):
-        h = sift(IDENT, 0, l * m, 0, (0,))
+        h = sift(ident, 0, l * m, 0, (0,))
         if h is not None:
             free[l] = False
             if rec(0, l * m, h):

@@ -4,6 +4,7 @@ The oracles deliberately avoid the library's own machinery: subgroup
 counting by subset closure, permutation-group order by naive closure,
 Cayley minimality by closing every subset-generated subgroup,
 conjugacy classes of regular subgroups by walking conjugation orbits,
+the merge of conjugate subgroups by conjugating 256-byte tables,
 fixed-point-free prime-order elements by streaming every element and by
 a point-by-point backtrack over the stabilizer chain, a chain level's
 transversal by repeated passes over its whole orbit,
@@ -386,6 +387,34 @@ def fpf_elements_by_chain(K, p, budget=None) -> list:
     rec(0, IDENT)
     out.sort()
     return out
+
+
+def merged_roots_by_tables(found, K) -> list:
+    """The least key of each set of keys of found that the generators of K
+    conjugate onto each other, in key order, as the regular-subgroup search
+    once merged them: every element of a key is conjugated as a 256-byte
+    table, and the sorted image is looked up among the keys as it is."""
+    from srings.permgrp import IDENT, _table
+
+    conj = [(c, bytes.maketrans(c, IDENT))
+            for c in map(_table, K.reduced_generators())]
+    seen = set()
+    roots = []
+    for key in sorted(found):
+        if key in seen:
+            continue
+        roots.append(key)
+        seen.add(key)
+        frontier = [key]
+        for k0 in frontier:
+            for c, cinv in conj:
+                # k0[0] is the identity, the only element that fixes 0
+                image = (k0[0],) + tuple(sorted(
+                    [cinv.translate(h).translate(c) for h in k0[1:]]))
+                if image in found and image not in seen:
+                    seen.add(image)
+                    frontier.append(image)
+    return roots
 
 
 def close_orbit_by_passes(transversal, gens):

@@ -25,8 +25,8 @@ from srings.permgrp import (IDENT, PermGroup, _fpf_search, _greedy_group,
 from conftest import (_prime_order_fpf, as_tuples,
                       centralizer_fpf_by_filter, close_orbit_by_passes,
                       fpf_elements_by_chain,
-                      fpf_elements_by_streaming, naive_perm_closure,
-                      regular_classes_by_orbit)
+                      fpf_elements_by_streaming, merged_roots_by_tables,
+                      naive_perm_closure, regular_classes_by_orbit)
 
 PERFBENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
@@ -535,6 +535,109 @@ def test_regular_subgroups_nodes_over_catalogs(monkeypatch, request,
         regular_subgroups(scheme_aut(ring), catalog.spec)
     assert budgets
     assert sum(b.limit - b.left for b in budgets) <= bound
+
+
+@pytest.mark.parametrize("catalog, levels, merged",
+                         [("catalog_c12", 96, 975),
+                          ("catalog_c16", 168, 16_759),
+                          ("catalog_c27_p", 18, 18_151)])
+def test_merged_roots_agree_with_table_merge(monkeypatch, request, catalog,
+                                             levels, merged):
+    """The merge on n-byte strings keeps the roots of the merge on 256-byte
+    tables at every level of every search over a catalog.  A merge that
+    stopped merging would change no output, since the transporter would
+    find the same representatives, only more slowly; so the merged keys
+    are counted too."""
+    from srings import permgrp
+
+    real = permgrp._merged_roots
+    seen = []
+
+    def spy(found, K):
+        roots = real(found, K)
+        assert roots == merged_roots_by_tables(found, K)
+        seen.append(len(found) - len(roots))
+        return roots
+
+    monkeypatch.setattr(permgrp, "_merged_roots", spy)
+    catalog = request.getfixturevalue(catalog)
+    for ring in catalog.rings():
+        K = scheme_aut(ring)
+        if not K.is_symmetric():
+            regular_subgroups(K, catalog.spec)
+    assert (len(seen), sum(seen)) == (levels, merged)
+
+
+@pytest.mark.parametrize("text", ["2^3", "3^2", "2^2x3", "2^4"])
+def test_sift_reads_n_byte_strings(text):
+    """_sift gives an n-byte string the residue it gives its table: None,
+    or the same 256-byte table."""
+    spec = parse_group(text)
+    A = aut_group(spec)
+    n = spec.order
+    rng = random.Random(5)
+    residues = 0
+    for _ in range(40):
+        s = A._random_string(rng)
+        assert len(s) == n and A._sift(s) is None
+        for t in (_table(s), _table(rng.sample(range(n), n))):
+            residue = A._sift(t[:n])
+            assert residue == A._sift(t)
+            if residue is not None:
+                _assert_tables([residue], n)
+                residues += 1
+    assert A._sift(IDENT[:n]) is None
+    assert residues > 20
+
+
+def test_schreier_generators_are_n_byte_non_identities(monkeypatch, c16):
+    """_close_level hands back n-byte strings and never the identity: an
+    n-byte identity compared with IDENT would pass as a generator."""
+    real = PermGroup._close_level
+    out = []
+
+    def spy(self, i):
+        found = real(self, i)
+        out.extend(found)
+        return found
+
+    monkeypatch.setattr(PermGroup, "_close_level", spy)
+    assert PermGroup(16, holomorph(c16).gens).order() == 16 * 20160
+    assert out
+    assert all(len(s) == 16 and s != IDENT[:16] for s in out)
+
+
+def test_regular_subgroup_search_stores_tables(monkeypatch, c12,
+                                               catalog_c12):
+    """After the searches over c12, every key element, generator, pool
+    entry and chain level the search kept is a 256-byte table."""
+    from srings import permgrp
+
+    real = permgrp._class_reps
+    records = []
+
+    def spy(found, K, spec, least, budget):
+        reps = real(found, K, spec, least, budget)
+        records.append((found, reps))
+        return reps
+
+    monkeypatch.setattr(permgrp, "_class_reps", spy)
+    groups = [K for K in (scheme_aut(entry.ring(c12))
+                          for entry in catalog_c12.entries)
+              if not K.is_symmetric()]
+    for K in groups:
+        regular_subgroups(K, c12)
+        _assert_inverses_undo_transversal(K._levels, 12)
+    chains = 0
+    for found, reps in records:
+        for key, (gens, (_prime, pool)) in found.items():
+            _assert_tables(key + gens, 12)
+            _assert_tables(pool, 12)
+        for *_, entry in reps:
+            if entry[1] is not None:
+                _assert_inverses_undo_transversal(entry[1]._levels, 12)
+                chains += 1
+    assert len(records) == 3 * len(groups) and chains
 
 
 def test_symmetric_group_shortcut(c8):
