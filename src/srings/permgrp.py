@@ -558,6 +558,7 @@ def regular_subgroups(K: PermGroup, spec, bounds=DEFAULT_BOUNDS) -> list:
     (_fpf_search), and keeps one subgroup per K-conjugacy class
     (_class_reps).  A level's record of a subgroup is (sorted element
     tuple, generators in coordinate order, (prime, pool), bucket entry).
+    A subgroup that lies in no regular one may be dropped unextended.
     Each class is represented by its least element tuple, with the
     generators first found for it.  All searches share one
     backtrack_node_budget and one table of Stab_K(0)'s orbits.  The search
@@ -622,7 +623,19 @@ def _extend_semiregular(reps, K, spec, prime, least, budget) -> dict:
     that generator.
 
     Keys, generators and pools hold tables; the commuting and fixed-orbit
-    tests read the n-byte strings r[:n]."""
+    tests read the n-byte strings r[:n].
+
+    From level 2 on, P is dropped unless the extending r send 0 into at
+    least p^later - 1 P-orbits, later counting this prime's coordinates not
+    yet placed, the current one included.  For if P lies in a regular
+    R ~ G, each r in R_p \\ P_p is fixed-point-free of order p, commutes
+    with P and lies outside P, so it is in the pool; it fixes no P-orbit,
+    or h^-1 r in R would fix a point for some h in P; and R being regular,
+    the p^later - 1 cosets P r != P send 0 into distinct P-orbits.  So the
+    subgroups that lie in a regular one are built from the same reps, in
+    the same order, as without the test, and a K-class holds only such
+    subgroups or none.  An r in <P, r'> \\ P for an r' already extended
+    from P gives <P, r'> again, so it is skipped."""
     n = K.degree
     new = {}
     for key, gens, pool, entry in reps:
@@ -638,19 +651,30 @@ def _extend_semiregular(reps, K, spec, prime, least, budget) -> dict:
         if not gens:
             extending = [r for r in pool if least[r[0]] == r[0]]
         else:
-            # r fixes the P-orbit with least point x iff lab[r[x]] == x;
-            # P has at least two orbits, so at_lows gives a tuple
-            lab = bytes(_orbit_minima(gens, n)) + IDENT[n:]
-            lows = sorted(set(lab[:n]))
+            # P's orbits are the blocks of |P| points of the layout
+            # entry[0], each led by its least point: r fixes the P-orbit
+            # led by x iff lab[r[x]] == x.  P has at least two orbits, so
+            # at_lows gives a tuple
+            pos, m = entry[0], len(key)
+            lows = pos[::m]
+            lab = bytes.maketrans(bytes(pos),
+                                  bytes(x for x in lows for _ in range(m)))
             at_lows = itemgetter(*lows)
             extending = [r for r in pool if not any(
                 map(eq, at_lows(r[:n].translate(lab)), lows))]
+            later = spec.radices[len(gens):].count(prime)
+            if len({lab[r[0]] for r in extending}) < prime ** later - 1:
+                continue
+        covered = set()
         for r in extending:
+            if r in covered:
+                continue
             elements = list(key)
             rp = r
             for _ in range(prime - 1):
                 elements += [h.translate(rp) for h in key]
                 rp = rp.translate(r)
+            covered.update(elements)
             elements.sort()
             new.setdefault(tuple(elements), (gens + (r,), (prime, pool)))
     return new

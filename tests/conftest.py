@@ -4,7 +4,8 @@ The oracles deliberately avoid the library's own machinery: subgroup
 counting by subset closure, permutation-group order by naive closure,
 Cayley minimality by closing every subset-generated subgroup,
 conjugacy classes of regular subgroups by walking conjugation orbits,
-the merge of conjugate subgroups by conjugating 256-byte tables,
+the merge of conjugate subgroups by conjugating 256-byte tables, the
+semiregular extensions by building every one of every representative,
 fixed-point-free prime-order elements by streaming every element and by
 a point-by-point backtrack over the stabilizer chain, a chain level's
 transversal by repeated passes over its whole orbit,
@@ -415,6 +416,51 @@ def merged_roots_by_tables(found, K) -> list:
                     seen.add(image)
                     frontier.append(image)
     return roots
+
+
+def extend_semiregular_by_parent(reps, K, spec, prime, least, budget) -> dict:
+    """permgrp._extend_semiregular as it was before it dropped the
+    subgroups that lie in no regular one, skipped the r that give a
+    subgroup already built from the same representative and read P's
+    orbits from its layout: every extension of every representative is
+    built, P's orbits are walked, and the first gens found for a key are
+    kept."""
+    from operator import eq, itemgetter
+
+    from srings.permgrp import (IDENT, _fpf_search, _orbit_minima,
+                                _transporter_chain)
+
+    n = K.degree
+    new = {}
+    for key, gens, pool, entry in reps:
+        if gens and pool[0] == prime:
+            g = gens[-1]
+            g_n = g[:n]
+            pool = [r for r in pool[1]
+                    if r[:n].translate(g) == g_n.translate(r)]
+        else:
+            if entry[1] is None:
+                entry[1] = _transporter_chain(K, entry[0])
+            pool = _fpf_search(gens, spec, prime, budget, entry[1])
+        if not gens:
+            extending = [r for r in pool if least[r[0]] == r[0]]
+        else:
+            # r fixes the P-orbit with least point x iff lab[r[x]] == x;
+            # P has at least two orbits, so at_lows gives a tuple
+            lab = bytes(_orbit_minima(gens, n)) + IDENT[n:]
+            lows = sorted(set(lab[:n]))
+            at_lows = itemgetter(*lows)
+            extending = [r for r in pool if not any(
+                map(eq, at_lows(r[:n].translate(lab)), lows))]
+        for r in extending:
+            elements = list(key)
+            rp = r
+            for _ in range(prime - 1):
+                elements += [h.translate(rp) for h in key]
+                rp = rp.translate(r)
+            elements.sort()
+            new.setdefault(tuple(elements), (gens + (r,), (prime, pool)))
+    return new
 
 
 def close_orbit_by_passes(transversal, gens):

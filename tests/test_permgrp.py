@@ -1,7 +1,10 @@
+import dis
 import hashlib
 import itertools
 import math
+import os
 import random
+import sys
 import traceback
 from pathlib import Path
 
@@ -24,7 +27,7 @@ from srings.permgrp import (IDENT, PermGroup, _fpf_search, _greedy_group,
 
 from conftest import (_prime_order_fpf, as_tuples,
                       centralizer_fpf_by_filter, close_orbit_by_passes,
-                      fpf_elements_by_chain,
+                      extend_semiregular_by_parent, fpf_elements_by_chain,
                       fpf_elements_by_streaming, merged_roots_by_tables,
                       naive_perm_closure, regular_classes_by_orbit)
 
@@ -508,16 +511,16 @@ def test_regular_subgroups_budget():
                              traceback.extract_tb(info.value.__traceback__)]
 
 
-@pytest.mark.parametrize("catalog, bound", [("catalog_c12", 17_048),
-                                            ("catalog_c16", 543_486),
-                                            ("catalog_c27_p", 219_120)])
+@pytest.mark.parametrize("catalog, bound", [("catalog_c12", 13_918),
+                                            ("catalog_c16", 457_647),
+                                            ("catalog_c27_p", 147_141)])
 def test_regular_subgroups_nodes_over_catalogs(monkeypatch, request,
                                                catalog, bound):
     """The backtrack nodes of regular_subgroups over a catalog, summed: at
-    most the totals spent when the candidates came from two searches, a
-    point-by-point chain backtrack with no generators and a centralizer
-    search that spent a node at every P-orbit and leaf.  So no verdict
-    within the default budget turns Undecided through the merged search."""
+    most the totals spent since the semiregular levels drop the subgroups
+    that lie in no regular one (before that 13,918, 473,068 and 181,236;
+    17,048, 543,486 and 219,120 when the candidates came from two searches).
+    So no verdict within the default budget turns Undecided."""
     from srings import permgrp
 
     budgets = []
@@ -539,8 +542,8 @@ def test_regular_subgroups_nodes_over_catalogs(monkeypatch, request,
 
 @pytest.mark.parametrize("catalog, levels, merged",
                          [("catalog_c12", 96, 975),
-                          ("catalog_c16", 168, 16_759),
-                          ("catalog_c27_p", 18, 18_151)])
+                          ("catalog_c16", 168, 15_024),
+                          ("catalog_c27_p", 18, 13_914)])
 def test_merged_roots_agree_with_table_merge(monkeypatch, request, catalog,
                                              levels, merged):
     """The merge on n-byte strings keeps the roots of the merge on 256-byte
@@ -566,6 +569,68 @@ def test_merged_roots_agree_with_table_merge(monkeypatch, request, catalog,
         if not K.is_symmetric():
             regular_subgroups(K, catalog.spec)
     assert (len(seen), sum(seen)) == (levels, merged)
+
+
+def _traced(fn, tracer):
+    """fn, run under the trace function tracer (None: untraced)."""
+    def run(*args):
+        outer = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            return fn(*args)
+        finally:
+            sys.settrace(outer)
+    return run
+
+
+def _counting_sorts(fn, counts):
+    """fn, wrapped to count how often the line of its one sort call runs:
+    in an _extend_semiregular, once per subgroup whose element tuple it
+    builds.  Only fn's own frames are traced line by line."""
+    code = fn.__code__
+    line, = {ins.positions.lineno for ins in dis.get_instructions(code)
+             if ins.argval == "sort"}
+
+    def in_fn(frame, event, arg):
+        if event == "line" and frame.f_lineno == line:
+            counts[0] += 1
+        return in_fn
+
+    return _traced(fn, lambda frame, event, arg:
+                   in_fn if frame.f_code is code else None)
+
+
+@pytest.mark.parametrize("catalog", [
+    "catalog_c12", "catalog_c16", "catalog_c27_p",
+    pytest.param("catalog_c18", marks=pytest.mark.skipif(
+        os.environ.get("SRINGS_EXTENDED") != "1",
+        reason="30-s run; set SRINGS_EXTENDED=1 to enable"))])
+def test_extensions_agree_with_building_every_one(monkeypatch, request,
+                                                  catalog):
+    """regular_subgroups returns the classes (generators, elements and
+    translation flag) it returned when every extension of every
+    representative was built (extend_semiregular_by_parent): the dropped
+    subgroups lie in no regular one, and the skipped r give a subgroup
+    already built.  It builds fewer subgroups: over c12, c16, 3^3-p and
+    2x3^2, 1,632, 20,228, 14,397 and 145,292 against 2,524, 46,392,
+    85,244 and 237,358."""
+    from srings import permgrp
+
+    catalog = request.getfixturevalue(catalog)
+    groups = [K for K in map(scheme_aut, catalog.rings())
+              if not K.is_symmetric()]
+    # the candidate searches run untraced, for speed
+    monkeypatch.setattr(permgrp, "_fpf_search",
+                        _traced(permgrp._fpf_search, None))
+    outputs, builds = [], []
+    for extend in (extend_semiregular_by_parent, permgrp._extend_semiregular):
+        counts = [0]
+        monkeypatch.setattr(permgrp, "_extend_semiregular",
+                            _counting_sorts(extend, counts))
+        outputs.append([regular_subgroups(K, catalog.spec) for K in groups])
+        builds.append(counts[0])
+    assert outputs[1] == outputs[0]
+    assert 0 < builds[1] < builds[0]
 
 
 @pytest.mark.parametrize("text", ["2^3", "3^2", "2^2x3", "2^4"])
