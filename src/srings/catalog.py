@@ -674,8 +674,7 @@ def rank3_classification(p: int, bounds=DEFAULT_BOUNDS) -> dict:
     run_bounds = bounds
     if spec.order > bounds.enum_p_order:
         run_bounds = replace(bounds, enum_p_order=spec.order)
-    catalog = enumerate_srings(spec, "p-srings", run_bounds,
-                               label=(p == 3))
+    catalog = enumerate_srings(spec, "p-srings", run_bounds, label=False)
     template_forms = {}
     for idx, (name, ring) in enumerate(templates):
         template_forms[canonical_form(ring)] = (idx, name, ring)

@@ -343,45 +343,37 @@ def verify_lift(a: SRing, b: SRing, f, alpha: GroupAut) -> bool:
 # -- fast paths -----------------------------------------------------------------
 
 
-def _p_group_prime(spec):
-    if len(spec.factors) == 1:
-        return spec.factors[0][0]
-    return None
-
-
 def ci_fastpath(a: SRing, ctx: SectionContext | None = None,
                 bounds=DEFAULT_BOUNDS) -> CIStatus | None:
     """Structural sufficient conditions for CI, cheapest first.
 
-    ctx is the context of a wreath section whose two factors the caller
-    has decided are CI.  The thin-radical path needs no section at all.
+    Without ctx, the thin-radical path, which needs no section.  With ctx,
+    the context of a wreath section whose two factors the caller has
+    decided are CI, the paths through that section.
     """
     spec = a.spec
-    p = _p_group_prime(spec)
-    if p is not None and a.is_p_sring(p):
-        thin = a.thin_radical()
-        if thin.order * p == spec.order:
-            _check_thin_structure(a, thin)
-            return CIStatus("CI", "fastpath-thin")
+    p = spec.factors[0][0] if len(spec.factors) == 1 else None
+    p_ring = p is not None and a.is_p_sring(p)
     if ctx is None:
+        if p_ring:
+            thin = a.thin_radical()
+            if thin.order * p == spec.order:
+                _check_thin_structure(a, thin)
+                return CIStatus("CI", "fastpath-thin")
         return None
     if ctx.sec_ring.rank == ctx.sec_ring.spec.order:
         return CIStatus("CI", "fastpath-trivial")
-    cyclotomic_whole = is_cyclotomic(a, bounds)
-    if cyclotomic_whole and p is not None and a.is_p_sring(p):
-        thin = a.thin_radical()
-        if thin.order * p * p == spec.order:
-            return CIStatus("CI", "fastpath-easy")
-    if cyclotomic_whole:
-        if is_cayley_minimal(ctx.sec_ring, bounds) or \
-                is_2_minimal(ctx.sec_ring, bounds):
-            return CIStatus("CI", "fastpath-min")
-    if p is not None and a.is_p_sring(p) and ctx.section.L.order == p \
-            and cyclotomic_whole:
-        # cyclotomic rings are orbit partitions of a point stabilizer, so
-        # the quotient-minimality path applies
-        if is_2_minimal(ctx.quot, bounds):
-            return CIStatus("CI", "fastpath-quotient")
+    if not is_cyclotomic(a, bounds):
+        return None
+    if p_ring and a.thin_radical().order * p * p == spec.order:
+        return CIStatus("CI", "fastpath-easy")
+    if is_cayley_minimal(ctx.sec_ring, bounds) or \
+            is_2_minimal(ctx.sec_ring, bounds):
+        return CIStatus("CI", "fastpath-min")
+    # cyclotomic rings are orbit partitions of a point stabilizer, so the
+    # quotient-minimality path applies
+    if p_ring and ctx.section.L.order == p and is_2_minimal(ctx.quot, bounds):
+        return CIStatus("CI", "fastpath-quotient")
     return None
 
 
@@ -412,31 +404,28 @@ class CIDecider:
 
     def decide(self, a: SRing) -> CIStatus:
         key = (a.spec.factors, a.cells)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        status = self._try_fastpaths(a) or is_ci(a, self.bounds)
-        self.cache[key] = status
-        return status
-
-    def _try_fastpaths(self, a: SRing) -> CIStatus | None:
-        status = ci_fastpath(a, None, self.bounds)
+        status = self.cache.get(key)
         if status is not None:
             return status
-        for section in decompositions(a):
+        # the thin path once per ring, then the section paths per section
+        status = ci_fastpath(a, None, self.bounds)
+        for section in () if status else decompositions(a):
             try:
                 ctx = SectionContext(a, section, self.bounds)
                 top_ci, quot_ci = self.decide(ctx.top), self.decide(ctx.quot)
                 if not (top_ci.is_ci and quot_ci.is_ci):
                     continue
                 status = ci_fastpath(a, ctx, self.bounds)
-                if status is not None:
-                    return status
-                if condition_holds(a, section, self.bounds, context=ctx):
-                    return CIStatus("CI", "section-condition")
+                if status is None and condition_holds(a, section, self.bounds,
+                                                      context=ctx):
+                    status = CIStatus("CI", "section-condition")
             except ResourceBoundExceeded:
                 continue
-        return None
+            if status is not None:
+                break
+        status = status or is_ci(a, self.bounds)
+        self.cache[key] = status
+        return status
 
 
 def decide_ci(a: SRing, bounds=DEFAULT_BOUNDS) -> CIStatus:

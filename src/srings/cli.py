@@ -23,10 +23,11 @@ import time
 from .config import DEFAULT_BOUNDS, extended_bounds
 from .errors import CatalogFormatError, ClassificationMismatch, \
     EnumerationMismatch, ResourceBoundExceeded
-from .groups import format_group, parse_group
+from .groups import format_group, group_spec, parse_group
 from .catalog import (enumerate_srings, load_catalog, rank3_classification,
                       save_catalog)
 from .ci import decide_ci, is_ci, is_ci_bruteforce, verify_criterion
+from .sring import SRing
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -80,10 +81,6 @@ def cmd_enumerate(args) -> int:
 
 def cmd_classify(args) -> int:
     _check_out(args.out)
-    from .groups import _is_prime
-
-    if args.p == 2 or not _is_prime(args.p):
-        raise ValueError("the classification needs an odd prime")
     report = rank3_classification(args.p, _bounds(args))
     records = list(report["rows"])
     header = {"command": "classify", "p": args.p, "seed": args.seed,
@@ -97,17 +94,15 @@ def cmd_classify(args) -> int:
 
 
 def _decide_entry(payload):
-    """Worker body: decide one catalog entry from its serialized cells,
-    or mark it undecided once the deadline (a time.monotonic() reading,
-    which worker processes share with the parent) has passed."""
-    group_text, cells, method, bounds, deadline = payload
+    """Worker body: decide one catalog entry from the group's factors and
+    the cells that load_catalog validated, or mark it undecided once the
+    deadline (a time.monotonic() reading, which worker processes share
+    with the parent) has passed."""
+    factors, cells, method, bounds, deadline = payload
     if deadline is not None and time.monotonic() >= deadline:
         return {"verdict": "Undecided", "method": None,
                 "resource": {"what": "time limit"}}
-    spec = parse_group(group_text, max_order=None)
-    from .sring import validate_partition
-
-    ring = validate_partition(spec, [frozenset(c) for c in cells])
+    ring = SRing(group_spec(factors, max_order=None), cells)
     if method == "bruteforce":
         status = is_ci_bruteforce(ring, bounds)
     elif method == "regular":
@@ -128,11 +123,10 @@ def cmd_ci(args) -> int:
     _check_out(args.out)
     bounds = _bounds(args)
     catalog = load_catalog(args.catalog)
-    group_text = format_group(catalog.spec)
     deadline = None if args.time_limit is None \
         else time.monotonic() + args.time_limit
-    payloads = [(group_text, [sorted(c) for c in e.cells], args.method,
-                 bounds, deadline) for e in catalog.entries]
+    payloads = [(catalog.spec.factors, e.cells, args.method, bounds, deadline)
+                for e in catalog.entries]
     if args.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -146,7 +140,7 @@ def cmd_ci(args) -> int:
     if args.update_catalog:
         save_catalog(catalog, args.catalog)
     header = {"command": "ci", "catalog": args.catalog, "method": args.method,
-              "seed": args.seed, "group": group_text,
+              "seed": args.seed, "group": format_group(catalog.spec),
               "undecided": undecided}
     out_records = [dict(rec, entry=i) for i, rec in enumerate(records)]
     _write_report(args.out, header, out_records)

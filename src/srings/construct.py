@@ -151,16 +151,15 @@ def decompositions(a: SRing) -> tuple:
 
 
 def is_wreath_for(a: SRing, section: Section) -> bool:
-    """Whether every cell outside U has the section's L in its radical."""
-    spec = a.spec
+    """Whether every cell outside U has the section's L in its radical.
+
+    With 1 < |L| and U < G that is membership in decompositions(a), an
+    identity test since sections are interned; otherwise the condition
+    holds vacuously and only U and L must be unions of cells."""
     U, L = section.U, section.L
-    if not (a.is_a_set(U.elements) and a.is_a_set(L.elements)):
-        return False
-    for cell in a.cells:
-        if not cell <= U.elements:
-            if L.mask & ~radical(spec, cell).mask:
-                return False
-    return True
+    if L.order > 1 and U.order < a.spec.order:
+        return section in decompositions(a)
+    return a.is_a_set(U.elements) and a.is_a_set(L.elements)
 
 
 def wreath_parts(a: SRing, section: Section):

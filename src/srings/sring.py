@@ -22,11 +22,6 @@ from .errors import (IdentityNotACell, NotAPartition, NotClosed,
 from .groups import GroupSpec, Subgroup, enumerate_subgroups, Section
 
 
-def _canonical_cells(cells):
-    return tuple(sorted((frozenset(c) for c in cells),
-                        key=lambda c: (len(c), min(c))))
-
-
 def memoized(fn):
     """Keep fn(ring, ...) in the ring's memo after the first call.
 
@@ -48,14 +43,15 @@ class SRing:
     """A validated Schur ring over a GroupSpec.
 
     Use validate_partition to construct; the constructor assumes the axioms
-    were already checked and only builds the lookup tables.
+    were already checked and the cells canonically ordered, and only builds
+    the lookup tables.
     """
 
     __slots__ = ("spec", "cells", "cell_of", "inverse_cell", "_memo")
 
     def __init__(self, spec: GroupSpec, cells):
         self.spec = spec
-        self.cells = _canonical_cells(cells)
+        self.cells = cells
         cell_of = [-1] * spec.order
         for i, cell in enumerate(self.cells):
             for x in cell:
@@ -182,7 +178,8 @@ def validate_partition(spec: GroupSpec, cells) -> SRing:
     Raises NotAPartition, IdentityNotACell, NotInverseClosed or NotClosed
     (the latter two with witnesses).
     """
-    cells = _canonical_cells(cells)
+    cells = tuple(sorted((frozenset(c) for c in cells),
+                         key=lambda c: (len(c), min(c))))
     total = 0
     union = 0
     for cell in cells:

@@ -17,7 +17,8 @@ automorphisms by filtering the self Cayley isomorphisms, the generators
 of a cyclotomic label by a greedy pass over their full listing, the
 relabeling of an enumeration leaf one label at a time, Aut(G) itself
 by filtering all square matrices, Schur ring validity by integer-span
-membership, and the groups layer's element tables
+membership, wreath sections by the radical of every cell outside U,
+and the groups layer's element tables
 (section projections, automorphism images, tensor embeddings) by
 coordinate linear algebra, one element at a time.
 """
@@ -711,6 +712,17 @@ def image_partition_is_sring(ring, f):
             if mapping.setdefault(src, dst) != dst:
                 return False
     return len(set(mapping.values())) == ring.rank
+
+
+def is_wreath_for_by_radicals(a, section):
+    """Wreath-section oracle: U and L are unions of cells, and every cell
+    X outside U has L inside its radical, that is X + L = X."""
+    U, L = section.U, section.L
+    if not (a.is_a_set(U.elements) and a.is_a_set(L.elements)):
+        return False
+    return all(a.spec.add(x, l) in cell
+               for cell in a.cells if not cell <= U.elements
+               for x in cell for l in L.elements)
 
 
 # -- coordinate oracles for the groups layer's element tables ----------------

@@ -104,15 +104,16 @@ def test_reports_are_reproducible(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_ci_workers(tmp_path):
+@pytest.mark.parametrize("method", ["regular", "auto"])
+def test_ci_workers(tmp_path, method):
     cat = tmp_path / "c8.cat"
     main(["enumerate", "--group", "2^3", "--filter", "all", "--out",
           str(cat), "--no-labels"])
     seq = tmp_path / "seq.txt"
     par = tmp_path / "par.txt"
-    assert main(["ci", "--catalog", str(cat), "--method", "regular",
+    assert main(["ci", "--catalog", str(cat), "--method", method,
                  "--out", str(seq)]) == 0
-    assert main(["ci", "--catalog", str(cat), "--method", "regular",
+    assert main(["ci", "--catalog", str(cat), "--method", method,
                  "--out", str(par), "--workers", "2"]) == 0
     strip = lambda p: [json.loads(l) for l in p.read_text().splitlines()[1:]]
     assert strip(seq) == strip(par)

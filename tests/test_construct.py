@@ -10,7 +10,8 @@ from srings.construct import (cyclotomic, decompositions, group_ring,
                               recognize_construction, schurian, sring_image,
                               tensor, wreath, wreath_parts)
 
-from conftest import make_plain_wreath, tensor_cells_by_coordinates
+from conftest import (is_wreath_for_by_radicals, make_plain_wreath,
+                      tensor_cells_by_coordinates)
 
 
 def test_group_ring_ranks(c3, c8):
@@ -161,6 +162,22 @@ def test_decomposition_round_trip(c27, table_rings):
             rebuilt = wreath(top, quot, section)
             assert rebuilt.cells == ring.cells
             assert is_wreath_for(ring, section)
+
+
+@pytest.mark.parametrize("catalog", ["catalog_c8", "catalog_c12",
+                                     "catalog_c16", "catalog_c27_p"])
+def test_is_wreath_for_matches_radical_oracle(request, catalog):
+    """is_wreath_for answers from decompositions when 1 < |L| and U < G
+    and from the A-set test otherwise; both must agree with the radicals
+    on every nested pair of cell-union subgroups."""
+    catalog = request.getfixturevalue(catalog)
+    checked = 0
+    for ring in catalog.rings():
+        for section in ring.a_sections():
+            assert is_wreath_for(ring, section) == \
+                is_wreath_for_by_radicals(ring, section)
+            checked += 1
+    assert checked
 
 
 def test_decompositions_example_u_equals_l(c27):

@@ -4,8 +4,9 @@ invariant check raises a typed error instead.  Nor does it catch every
 error at once, with a bare except or a handler for Exception or
 BaseException, which would swallow the typed ones.  And no module but
 the package's __init__, which re-exports the API, imports a name it
-never uses.  No function takes a budget it may run without, and no class
-sets an attribute on self that nothing reads."""
+never uses.  No function takes a budget it may run without, no class
+sets an attribute on self that nothing reads, and no ring is built
+without validation except from cells that load_catalog validated."""
 
 import ast
 import pathlib
@@ -115,3 +116,21 @@ def test_library_reads_every_attribute_it_sets():
                       and node.value.id == "self"
                       and node.attr not in read]
     assert found == []
+
+
+def test_library_builds_rings_only_from_validated_cells():
+    """SRing(...) trusts its cells: only validate_partition, which checks
+    them, and the CLI's worker, which gets the cells load_catalog
+    checked, may call it."""
+    found = []
+    for path, tree in _trees(SRC):
+        owner = {}
+        # breadth first, so a nested function's nodes get the inner name
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name) for node in ast.walk(func))
+        found += [f"{path.stem}.{owner.get(node, '<module>')}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and getattr(node.func, "id",
+                              getattr(node.func, "attr", None)) == "SRing"]
+    assert sorted(found) == ["cli._decide_entry", "sring.validate_partition"]
