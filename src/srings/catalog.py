@@ -587,11 +587,17 @@ def _json_record(line) -> dict:
     return rec
 
 
-def _field(rec, key, kind):
-    """rec[key] if it is a kind; CatalogFormatError naming it otherwise."""
-    if not isinstance(rec.get(key), kind):
+def _field(rec, key, kind, *default):
+    """rec[key] if it is a kind, where a bool is no int; CatalogFormatError
+    naming the field otherwise.  A default stands in for an absent key,
+    and a default of None for a null too."""
+    value = rec.get(key, *default)
+    if default and value is default[0]:
+        return value
+    if not isinstance(value, kind) or (isinstance(value, bool)
+                                       and kind is not bool):
         raise CatalogFormatError(f"field {key!r} must be {kind.__name__}")
-    return rec[key]
+    return value
 
 
 def load_catalog(path) -> Catalog:
@@ -626,14 +632,14 @@ def load_catalog(path) -> Catalog:
             rank=_field(rec, "rank", int),
             thin_radical_order=_field(rec, "thin_radical_order", int),
             decomposable=_field(rec, "decomposable", bool),
-            construction=rec.get("construction"),
-            ci=rec.get("ci"),
-            raw_count=rec.get("raw_count", 0),
+            construction=_field(rec, "construction", str, None),
+            ci=_field(rec, "ci", dict, None),
+            raw_count=_field(rec, "raw_count", int, 0),
         ))
         if entries[-1].rank != ring.rank:
             raise CatalogFormatError("rank annotation mismatch")
     return Catalog(spec, _field(header, "filter", str), entries,
-                   header.get("raw_total", 0))
+                   _field(header, "raw_total", int, 0))
 
 
 # -- rank-3 classification -------------------------------------------------------

@@ -221,7 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ci = sub.add_parser("ci", help="CI decision over a catalog")
     p_ci.add_argument("--catalog", required=True)
     p_ci.add_argument("--method", choices=("auto", "regular", "bruteforce"),
-                      default="auto")
+                      default="auto",
+                      help="auto: thin radical, then the section condition, "
+                           "then regular subgroups (default)")
     p_ci.add_argument("--out", default=None)
     p_ci.add_argument("--workers", type=_at_least(int, 1), default=1)
     p_ci.add_argument("--time-limit", type=_at_least(float, 0), default=None,

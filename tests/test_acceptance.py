@@ -176,7 +176,7 @@ def test_criterion_6_property_suites(catalog_c8, catalog_c12, catalog_c27_p,
                           thin.meet(radical(c27, cell)).order > 1)
         # thin radical of index p forces the full structure
         if thin.order * 3 == 27:
-            status = ci_fastpath(ring, None)
+            status = ci_fastpath(ring)
             check("thin-structure", status is not None
                   and status.method == "fastpath-thin")
             check("thin-cyclotomic", is_cyclotomic(ring))

@@ -16,8 +16,8 @@ from srings.catalog import enumerate_srings, load_catalog
 from srings.construct import decompositions, group_ring
 from srings.morphisms import (algebraic_isos, cayley_isos,
                               combinatorial_isos, has_combinatorial_iso,
-                              induced_algebraic, is_cayley_minimal,
-                              is_cyclotomic, scheme_aut)
+                              induced_algebraic, is_2_minimal,
+                              is_cayley_minimal, is_cyclotomic, scheme_aut)
 from srings.ci import (CIDecider, CIStatus, SectionContext, _flag_aut,
                        _matching_cayley, ci_fastpath,
                        condition_holds, decide_ci, image_sring, is_ci,
@@ -187,44 +187,59 @@ def test_condition_computed_both_sides(c27, table_rings):
 
 
 def test_fastpath_thin(c27, table_rings):
-    status = ci_fastpath(table_rings[2], None)
+    status = ci_fastpath(table_rings[2])
     assert status is not None and status.method == "fastpath-thin"
 
 
+def _section_ring(ring, section):
+    return SectionContext(ring, section).sec_ring
+
+
+def _is_group_ring(ring):
+    return ring.rank == ring.spec.order
+
+
 def test_fastpath_trivial(c27, table_rings):
+    """Table ring 5 has no thin radical of index 3, so the decider answers
+    it by a section whose section ring is a group ring."""
     ring = table_rings[5]
-    section = next(s for s in decompositions(ring)
-                   if s.U.order == 9 and s.L.order == 3)
-    status = ci_fastpath(ring, SectionContext(ring, section))
-    assert status is not None
-    assert status.method in ("fastpath-trivial", "fastpath-thin")
+    assert ci_fastpath(ring) is None
+    assert CIDecider().decide(ring).method == "fastpath-trivial"
 
 
-def test_fastpath_min(c27, table_rings):
-    ring = table_rings[3]
-    section = next(s for s in decompositions(ring) if s.U.order == 9)
-    status = ci_fastpath(ring, SectionContext(ring, section))
-    assert status is not None and status.verdict == "CI"
+@pytest.mark.parametrize("name, index", [("c12", 19), ("c16", 23)])
+def test_decider_answers_minimal_section_rings_by_the_condition(name, index):
+    """Each of these rings has a section whose section ring is Cayley
+    minimal or 2-minimal, a known CI case; the paper's condition covers
+    it, so the decider answers by that condition."""
+    catalog = load_catalog(PERFBENCH_DATA / f"{name}.cat")
+    ring = catalog.entries[index].ring(catalog.spec)
+    sec_rings = [_section_ring(ring, s) for s in decompositions(ring)]
+    assert any(is_cayley_minimal(r) or is_2_minimal(r)
+               for r in sec_rings if not _is_group_ring(r))
+    assert ci_fastpath(ring) is None
+    status = CIDecider().decide(ring)
+    assert status.verdict == "CI" and status.method == "section-condition"
 
 
-@pytest.mark.parametrize("index, method", [(23, "fastpath-min"),
-                                           (24, "fastpath-easy")])
-def test_cyclotomic_fastpaths_pass_an_overrun_on(index, method):
-    """These fast paths ask whether the whole ring is cyclotomic.  Under
-    one backtracking node that question raises, and the fast path must
-    raise too, not read the overrun as "not cyclotomic"."""
+@pytest.mark.parametrize("index", [23, 24])
+def test_condition_passes_an_overrun_on(index):
+    """The condition lists Cayley automorphisms of three rings.  Under one
+    backtracking node that listing raises, and condition_holds must raise
+    too, not read the overrun as "the condition fails".  Each section
+    gets a fresh ring, so no earlier search under the default bounds can
+    answer for the tight one."""
     catalog = load_catalog(PERFBENCH_DATA / "c16.cat")
     cells = catalog.entries[index].cells
     tight = dataclasses.replace(DEFAULT_BOUNDS, backtrack_node_budget=1)
     checked = 0
     for section in decompositions(validate_partition(catalog.spec, cells)):
         a = validate_partition(catalog.spec, cells)
-        ctx = SectionContext(a, section, DEFAULT_BOUNDS)
-        if ctx.sec_ring.rank == ctx.sec_ring.spec.order:
+        if _is_group_ring(_section_ring(a, section)):
             continue
         with pytest.raises(ResourceBoundExceeded):
-            ci_fastpath(a, ctx, tight)
-        assert ci_fastpath(a, ctx).method == method
+            condition_holds(a, section, tight)
+        assert condition_holds(a, section) is True
         checked += 1
     assert checked
 
@@ -240,6 +255,41 @@ def test_decider_strategies(c27, table_rings, catalog_c27_p):
         status = is_ci(table_rings[i])
         assert status.verdict == "CI"
         assert status.method == "regular-subgroups"
+
+
+DECIDER_METHODS = {"fastpath-thin", "fastpath-trivial", "section-condition",
+                   "regular-subgroups"}
+
+
+@pytest.mark.parametrize("fixture", ["catalog_c8", "catalog_c12",
+                                     "catalog_c27_p", "catalog_c16"])
+def test_decider_agrees_with_regular_subgroups(fixture, request):
+    """On every catalog entry the decider gives the verdict of the
+    regular-subgroup criterion, by the thin radical, the section
+    condition (a group ring as section ring is its trivial case) or that
+    criterion itself."""
+    catalog = request.getfixturevalue(fixture)
+    for ring in catalog.rings():
+        status = decide_ci(ring)
+        assert status.method in DECIDER_METHODS
+        assert status.verdict == is_ci(ring).verdict
+
+
+@pytest.mark.parametrize("fixture", ["catalog_c8", "catalog_c12",
+                                     "catalog_c27_p", "catalog_c16"])
+def test_condition_holds_on_group_ring_sections(fixture, request):
+    """The decider's group-ring shortcut is the condition's trivial case:
+    only the identity fixes the singleton cells of a group ring, so the
+    condition holds on every such section."""
+    catalog = request.getfixturevalue(fixture)
+    checked = 0
+    for ring in catalog.rings():
+        for section in decompositions(ring):
+            ctx = SectionContext(ring, section)
+            if _is_group_ring(ctx.sec_ring):
+                assert condition_holds(ring, section, context=ctx)
+                checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("budget", [1, 5, 20])
@@ -477,7 +527,7 @@ def test_thin_index_p_structure(catalog_c27_p, c27):
         thin = ring.thin_radical()
         if thin.order * 3 != 27:
             continue
-        status = ci_fastpath(ring, None)
+        status = ci_fastpath(ring)
         assert status is not None and status.method == "fastpath-thin"
         assert is_cyclotomic(ring)
         assert is_cayley_minimal(ring)

@@ -225,14 +225,48 @@ def _numeric_group(header, entries):
     header["group"] = 12
 
 
+def _text_raw_count(header, entries):
+    entries[1]["raw_count"] = "many"
+
+
+def _bool_raw_count(header, entries):
+    entries[1]["raw_count"] = True
+
+
+def _null_raw_count(header, entries):
+    entries[1]["raw_count"] = None
+
+
+def _bool_rank(header, entries):
+    entries[1]["rank"] = True
+
+
+def _numeric_construction(header, entries):
+    entries[1]["construction"] = 7
+
+
+def _list_ci(header, entries):
+    entries[1]["ci"] = [1]
+
+
+def _text_raw_total(header, entries):
+    header["raw_total"] = "lots"
+
+
 @pytest.mark.parametrize("damage, field", [
     (_drop_rank, "rank"), (_flat_cells, "cells"), (_text_in_cells, "cells"),
-    (_numeric_group, "group"),
-], ids=["entry-without-rank", "flat-cells", "text-in-cells", "numeric-group"])
+    (_numeric_group, "group"), (_text_raw_count, "raw_count"),
+    (_bool_raw_count, "raw_count"), (_null_raw_count, "raw_count"),
+    (_bool_rank, "rank"), (_numeric_construction, "construction"),
+    (_list_ci, "ci"), (_text_raw_total, "raw_total"),
+], ids=["entry-without-rank", "flat-cells", "text-in-cells", "numeric-group",
+        "text-raw-count", "bool-raw-count", "null-raw-count", "bool-rank",
+        "numeric-construction", "list-ci", "text-raw-total"])
 def test_a_signed_catalog_with_a_bad_field_is_a_format_error(
         tmp_path, capsys, damage, field):
-    # with the digest re-signed, each ended in a traceback (KeyError,
-    # TypeError, TypeError, AttributeError) with exit 1
+    # with the digest re-signed, the first four ended in a traceback
+    # (KeyError, TypeError, TypeError, AttributeError) with exit 1, and
+    # the rest loaded, and ci --update-catalog wrote the values back
     cat = _c8_catalog(tmp_path)
     header, *lines = cat.read_text().splitlines()
     header, entries = json.loads(header), [json.loads(x) for x in lines]

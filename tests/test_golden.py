@@ -8,8 +8,9 @@ of the Cayley automorphisms; the longest, on the rank-2 ring over 2^4,
 is the first 9 non-identity elements of GL(4,2).  Over 2x3^2 the power
 maps force cells, which never happens over 2^4, so its catalog pins the
 merge search's forced-cell path.  The regular-method reports pin the
-regular-subgroup certificates, and the auto report over 2^4 the fast
-paths that ask whether a ring is cyclotomic.  Over 2^2x3 the regular
+regular-subgroup certificates, and the auto reports which rings the
+thin radical, a group ring as section ring, the section condition and
+the regular-subgroup criterion each decide.  Over 2^2x3 the regular
 method runs two primes, so its report pins the search that draws the
 second prime's candidates from a representative's centralizer.  Over 2^4
 and 3^3 it runs one prime, so every candidate comes from the search with
@@ -41,9 +42,9 @@ GOLDEN = {
     "enumerate 3^3 p-srings":
         "147aa8bea2a1c322dab870d5670c9be7f625f4de6851d6b3a7d10b8b2f79a1a7",
     "ci auto 2^2x3":
-        "d5ddda9bf6c9c3ab56f59f53fca8797117338fd43216fa74bd879e195de96225",
+        "cf646040fd7e4d211d3388ab1a8da1e8a3617a5474924308e9338907a8cbce93",
     "ci auto 2^4":
-        "981db8f0a16741ad84f1b0c3194a337c9a1fb754d67e11e008f982418190be55",
+        "41e5ef617deb1e4ecd2119bb2d45168d7195e6e2efecf81915742af7bb8ebb05",
     "ci regular 2^3":
         "9437d41c7bdbf0f1b623b8d06acc45a24a66ea93b61d2379ecff9321d395d0c5",
     "ci regular 3^2":
