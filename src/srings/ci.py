@@ -362,10 +362,13 @@ def _check_thin_structure(a: SRing, thin):
     outside = [c for c in a.cells if not c <= thin.elements]
     if not outside:
         raise SRingsError("thin radical of index p leaves no cell outside")
-    section = Section(thin, radical(a.spec, outside[0]))
-    if not is_wreath_for(a, section):
+    L = radical(a.spec, outside[0])
+    add = a.spec.add_table()
+    # the wreath condition: X + L = X for every cell X outside the thin group
+    if any(add[x][h] not in cell for cell in outside for x in cell
+           for h in L.elements):
         raise SRingsError("expected thin-radical wreath structure")
-    top, _, quot, _ = wreath_parts(a, section)
+    top, _, quot, _ = wreath_parts(a, Section(thin, L))
     if top.rank != top.spec.order or quot.rank != quot.spec.order:
         raise SRingsError("thin-radical wreath factors must be group rings")
 

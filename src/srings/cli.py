@@ -26,7 +26,7 @@ from .errors import CatalogFormatError, ClassificationMismatch, \
 from .groups import format_group, group_spec, parse_group
 from .catalog import (enumerate_srings, load_catalog, rank3_classification,
                       save_catalog)
-from .ci import decide_ci, is_ci, is_ci_bruteforce, verify_criterion
+from .ci import CIDecider, is_ci, is_ci_bruteforce, verify_criterion
 from .sring import SRing
 
 EXIT_OK = 0
@@ -93,6 +93,19 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+_decider = None  # the running ci command's CIDecider in this process
+
+
+def decide_ci(ring, bounds):
+    """Decide one entry with the decider that the running ci command shares
+    among the entries this process decides; cmd_ci drops it when it starts
+    and when it ends."""
+    global _decider
+    if _decider is None or _decider.bounds != bounds:
+        _decider = CIDecider(bounds=bounds)
+    return _decider.decide(ring)
+
+
 def _decide_entry(payload):
     """Worker body: decide one catalog entry from the group's factors and
     the cells that load_catalog validated, or mark it undecided once the
@@ -120,6 +133,15 @@ def _decide_entry(payload):
 
 
 def cmd_ci(args) -> int:
+    global _decider
+    _decider = None
+    try:
+        return _run_ci(args)
+    finally:
+        _decider = None
+
+
+def _run_ci(args) -> int:
     _check_out(args.out)
     bounds = _bounds(args)
     catalog = load_catalog(args.catalog)

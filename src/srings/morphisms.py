@@ -259,13 +259,23 @@ def scheme_aut(a: SRing, bounds=DEFAULT_BOUNDS) -> PermGroup:
     the pointwise stabilizer of 0..k-1, and by downward induction on k
     they generate it: the maps found are a strong generating set for the
     base 0..n-1, and the chain is built from them with no sifting.
+
+    Every permutation keeps the two colors of a rank-2 ring, so there the
+    search's hits are known without a search: for each k >= 1 and each
+    y > k, the least map fixing 0..k-1 with k -> y, which then sends
+    k+1, ..., y to k, ..., y-1 and fixes the rest.
     """
     spec = a.spec
     n = spec.order
+    found = [spec.translation(b) for b in spec.basis()]
+    if a.rank == 2:
+        found += [tuple(range(k)) + (y,) + tuple(range(k, y))
+                  + tuple(range(y + 1, n))
+                  for k in range(1, n) for y in range(k + 1, n)]
+        return PermGroup.from_strong_generators(n, found)
     coloring = _PairColoring(a)
     colors = coloring.colors
     budget = _Budget(bounds.backtrack_node_budget)
-    found = [spec.translation(b) for b in spec.basis()]
 
     for k in range(n):
         level_gens = [g for g in found

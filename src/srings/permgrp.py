@@ -551,6 +551,26 @@ def regular_subgroups(K: PermGroup, spec, bounds=DEFAULT_BOUNDS) -> list:
     one representative per K-conjugacy class, with the class of the
     translations flagged.
 
+    Two K answer at once with the translations T alone: the symmetric
+    group, in which all regular subgroups of one abstract type are
+    conjugate, and K of order n, which is T itself.  Any other K is
+    searched (_search_classes)."""
+    n = K.degree
+    if n != spec.order:
+        raise ValueError("degree does not match the group order")
+    translations = [spec.translation(b) for b in spec.basis()]
+    for t in translations:
+        if not K.contains(t):
+            raise ValueError("K does not contain the right translations")
+    if K.is_symmetric() or K.order() == n:
+        t_set = frozenset(PermGroup(n, translations).elements())
+        return [RegularClass(tuple(translations), t_set, True)]
+    return _search_classes(K, spec, bounds)
+
+
+def _search_classes(K: PermGroup, spec, bounds) -> list:
+    """The classes of regular_subgroups, searched level by level.
+
     Builds commuting generator tuples (one batch of generators of order p
     per prime factor) level by level: each level extends the subgroups
     kept by the last one by fixed-point-free prime-order elements of K
@@ -566,18 +586,6 @@ def regular_subgroups(K: PermGroup, spec, bounds=DEFAULT_BOUNDS) -> list:
     256; the classes it returns hold tuples.
     """
     n = K.degree
-    if n != spec.order:
-        raise ValueError("degree does not match the group order")
-    translations = [spec.translation(b) for b in spec.basis()]
-    for t in translations:
-        if not K.contains(t):
-            raise ValueError("K does not contain the right translations")
-    if K.is_symmetric():
-        # all regular subgroups of a fixed abstract type are conjugate in
-        # the full symmetric group
-        t_set = frozenset(PermGroup(n, translations).elements())
-        return [RegularClass(tuple(translations), t_set, True)]
-
     budget = _Budget(bounds.backtrack_node_budget)
     least = _stabilizer_orbit_minima(K)
     reps = [((IDENT,), (), None, [range(n), None])]

@@ -4,6 +4,7 @@ The oracles deliberately avoid the library's own machinery: subgroup
 counting by subset closure, permutation-group order by naive closure,
 Cayley minimality by closing every subset-generated subgroup,
 conjugacy classes of regular subgroups by walking conjugation orbits,
+the classes of the translations alone by the level search itself,
 the merge of conjugate subgroups by conjugating 256-byte tables, the
 semiregular extensions by building every one of every representative,
 fixed-point-free prime-order elements by streaming every element and by
@@ -91,6 +92,11 @@ def table_rings(c27):
 @pytest.fixture(scope="session")
 def catalog_c8(c8):
     return enumerate_srings(c8, "all", label=False)
+
+
+@pytest.fixture(scope="session")
+def catalog_c9(c9):
+    return enumerate_srings(c9, "all", label=False)
 
 
 @pytest.fixture(scope="session")
@@ -206,6 +212,15 @@ def regular_classes_by_orbit(K, spec):
     found = extend_by_element_test(reps, cands[last], last)
     return [RegularClass(found[key][1], found[key][0], t_key in orbit)
             for key, orbit in conjugacy_orbits(found, conj)]
+
+
+def regular_subgroups_by_search(K, spec):
+    """The classes of regular_subgroups by its level search, with the
+    shortcut that answers a K of order n (the translations) bypassed."""
+    from srings.config import DEFAULT_BOUNDS
+    from srings.permgrp import _search_classes
+
+    return _search_classes(K, spec, DEFAULT_BOUNDS)
 
 
 def extend_by_element_test(reps, cands, prime):

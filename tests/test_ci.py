@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import traceback
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from srings.errors import (PreconditionFailed, ResourceBoundExceeded,
                            SRingsError)
 from srings.groups import (Section, all_auts, aut_group, cell_maps,
                            enumerate_subgroups, parse_group, subgroup_span)
-from srings.permgrp import pmul
+from srings.permgrp import pmul, regular_subgroups
 from srings.sring import validate_partition
 from srings.catalog import enumerate_srings, load_catalog
 from srings.construct import decompositions, group_ring
@@ -90,13 +91,21 @@ def test_is_ci_matches_bruteforce_everywhere(catalog_c8, c8):
         assert fast.verdict == slow.verdict == "CI"
 
 
-def test_is_ci_names_the_transporter_node_bound(c8):
-    ring = group_ring(c8)
-    scheme_aut(ring)  # kept in the ring's memo: only the transporter runs
-    tiny = dataclasses.replace(DEFAULT_BOUNDS, backtrack_node_budget=2)
+def test_is_ci_names_the_transporter_node_bound():
+    # |K| = 8: the candidate search spends 3 nodes, so a budget of 4 runs
+    # out in the transporter.  A group ring no longer searches, and on any
+    # other ring the candidate search alone spends more than 2 nodes
+    c4 = parse_group("2^2")
+    ring = validate_partition(c4, [{0}, {1, 2}, {3}])
+    K = scheme_aut(ring)  # kept in the ring's memo: only the search runs
+    tiny = dataclasses.replace(DEFAULT_BOUNDS, backtrack_node_budget=4)
+    with pytest.raises(ResourceBoundExceeded) as info:
+        regular_subgroups(K, c4, tiny)
+    assert "_transporter_exists" in [
+        frame.name for frame in traceback.extract_tb(info.value.__traceback__)]
     status = is_ci(ring, tiny)
     assert status.verdict == "Undecided"
-    assert status.resource == {"what": "backtracking nodes", "limit": 2,
+    assert status.resource == {"what": "backtracking nodes", "limit": 4,
                                "needed": None}
 
 
@@ -156,10 +165,14 @@ def test_condition_holds_rejects_projections_off_the_section_ring(
 
 
 def test_thin_fastpath_checks_its_wreath_structure(monkeypatch, table_rings):
-    ring = table_rings[2]
+    # cells outside the thin radical T are cosets of an L of order 3; with
+    # T itself as L they are not unions of L-cosets, though both factors
+    # of the section T/T are group rings, so only the wreath test fails
+    ring = table_rings[4]
+    thin = ring.thin_radical()
     assert ci_fastpath(ring).method == "fastpath-thin"
-    monkeypatch.setattr("srings.ci.is_wreath_for", lambda a, section: False)
-    with pytest.raises(SRingsError):
+    monkeypatch.setattr("srings.ci.radical", lambda spec, cell: thin)
+    with pytest.raises(SRingsError, match="wreath structure"):
         ci_fastpath(ring)
 
 

@@ -104,6 +104,9 @@ def test_reports_are_reproducible(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+PERFBENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+
+
 @pytest.mark.parametrize("method", ["regular", "auto"])
 def test_ci_workers(tmp_path, method):
     cat = tmp_path / "c8.cat"
@@ -117,6 +120,45 @@ def test_ci_workers(tmp_path, method):
                  "--out", str(par), "--workers", "2"]) == 0
     strip = lambda p: [json.loads(l) for l in p.read_text().splitlines()[1:]]
     assert strip(seq) == strip(par)
+
+
+def test_ci_workers_give_the_report_of_one_process(tmp_path):
+    # each worker process shares its own decider across its entries
+    reports = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"ci{workers}.txt"
+        assert main(["ci", "--catalog", str(PERFBENCH_DATA / "c16.cat"),
+                     "--out", str(out), "--workers", workers]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_ci_searches_each_ring_once_per_command(tmp_path, monkeypatch):
+    """One decider serves every entry of a ci command: each distinct ring,
+    entry or wreath factor, is searched at most once, and each entry is
+    still one decide_ci call.  The decider is gone when the command ends."""
+    from srings import ci
+
+    searched, decided = [], []
+    real_is_ci, real_decide = ci.is_ci, cli.decide_ci
+
+    def is_ci_spy(a, bounds):
+        searched.append((a.spec.factors, a.cells))
+        return real_is_ci(a, bounds)
+
+    def decide_spy(ring, bounds):
+        decided.append(ring.cells)
+        return real_decide(ring, bounds)
+
+    monkeypatch.setattr(ci, "is_ci", is_ci_spy)
+    monkeypatch.setattr(cli, "decide_ci", decide_spy)
+    catalog = PERFBENCH_DATA / "c16.cat"
+    assert main(["ci", "--catalog", str(catalog),
+                 "--out", str(tmp_path / "ci.txt")]) == 0
+    assert decided == [e.cells for e in load_catalog(catalog).entries]
+    # 50 searches of these 22 rings with a decider per entry
+    assert len(searched) == len(set(searched)) == 22
+    assert cli._decider is None
 
 
 def test_time_limit_marks_undecided(tmp_path):

@@ -161,6 +161,16 @@ def test_scheme_aut_gens_agree_with_full_level_search(c8, c9, catalog_c8,
         assert scheme_aut(ring).gens == want
 
 
+@pytest.mark.parametrize("text", ["3^3", "2^5"])
+def test_rank_2_scheme_aut_gens_agree_with_full_level_search(text):
+    # the rank-2 ring's generators are written down, not searched for
+    spec = parse_group(text)
+    ring = validate_partition(spec, [{0}, set(range(1, spec.order))])
+    want = tuple(scheme_aut_by_full_level_search(ring))
+    assert scheme_aut(ring).gens == want
+    assert scheme_aut(ring).is_symmetric()
+
+
 def test_scheme_aut_starts_only_searches_that_succeed(monkeypatch,
                                                       catalog_c12):
     real = morphisms._search_maps

@@ -29,7 +29,8 @@ from conftest import (_prime_order_fpf, as_tuples,
                       centralizer_fpf_by_filter, close_orbit_by_passes,
                       extend_semiregular_by_parent, fpf_elements_by_chain,
                       fpf_elements_by_streaming, merged_roots_by_tables,
-                      naive_perm_closure, regular_classes_by_orbit)
+                      naive_perm_closure, regular_classes_by_orbit,
+                      regular_subgroups_by_search)
 
 PERFBENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
@@ -541,16 +542,18 @@ def test_regular_subgroups_nodes_over_catalogs(monkeypatch, request,
 
 
 @pytest.mark.parametrize("catalog, levels, merged",
-                         [("catalog_c12", 96, 975),
-                          ("catalog_c16", 168, 15_024),
-                          ("catalog_c27_p", 18, 13_914)])
+                         [("catalog_c12", 93, 975),
+                          ("catalog_c16", 164, 15_024),
+                          ("catalog_c27_p", 15, 13_914)])
 def test_merged_roots_agree_with_table_merge(monkeypatch, request, catalog,
                                              levels, merged):
     """The merge on n-byte strings keeps the roots of the merge on 256-byte
     tables at every level of every search over a catalog.  A merge that
     stopped merging would change no output, since the transporter would
     find the same representatives, only more slowly; so the merged keys
-    are counted too."""
+    are counted too.  The group rings' K, the translations, are answered
+    without a search, so their levels (3, 4 and 3, none merging a key)
+    are not counted."""
     from srings import permgrp
 
     real = permgrp._merged_roots
@@ -566,7 +569,7 @@ def test_merged_roots_agree_with_table_merge(monkeypatch, request, catalog,
     catalog = request.getfixturevalue(catalog)
     for ring in catalog.rings():
         K = scheme_aut(ring)
-        if not K.is_symmetric():
+        if _searched(K):
             regular_subgroups(K, catalog.spec)
     assert (len(seen), sum(seen)) == (levels, merged)
 
@@ -689,7 +692,7 @@ def test_regular_subgroup_search_stores_tables(monkeypatch, c12,
     monkeypatch.setattr(permgrp, "_class_reps", spy)
     groups = [K for K in (scheme_aut(entry.ring(c12))
                           for entry in catalog_c12.entries)
-              if not K.is_symmetric()]
+              if _searched(K)]
     for K in groups:
         regular_subgroups(K, c12)
         _assert_inverses_undo_transversal(K._levels, 12)
@@ -705,6 +708,12 @@ def test_regular_subgroup_search_stores_tables(monkeypatch, c12,
     assert len(records) == 3 * len(groups) and chains
 
 
+def _searched(K):
+    """Whether regular_subgroups searches K: it answers the symmetric group
+    and the translations (a group ring's K) at once."""
+    return not K.is_symmetric() and K.order() != K.degree
+
+
 def test_symmetric_group_shortcut(c8):
     n = 8
     sym = PermGroup(n, [tuple([1, 0] + list(range(2, n))),
@@ -716,6 +725,24 @@ def test_symmetric_group_shortcut(c8):
 
 def _class_data(classes):
     return [(c.gens, c.elements, c.is_translation_class) for c in classes]
+
+
+@pytest.mark.parametrize("catalog", [
+    "catalog_c8", "catalog_c9", "catalog_c12", "catalog_c16",
+    "catalog_c27_p",
+    pytest.param("catalog_c18", marks=pytest.mark.skipif(
+        os.environ.get("SRINGS_EXTENDED") != "1",
+        reason="set SRINGS_EXTENDED=1 to enable"))])
+def test_translations_shortcut_agrees_with_the_search(request, catalog):
+    """On the group ring of each desk catalog, K is the translations, and
+    regular_subgroups answers without a search what the search returns."""
+    catalog = request.getfixturevalue(catalog)
+    spec = catalog.spec
+    K, = [scheme_aut(ring) for ring in catalog.rings()
+          if ring.rank == spec.order]
+    assert K.order() == spec.order and not _searched(K)
+    assert _class_data(regular_subgroups(K, spec)) == \
+        _class_data(regular_subgroups_by_search(K, spec))
 
 
 @pytest.mark.parametrize("text, flags", [("2^3", [True, False]),
@@ -820,12 +847,12 @@ def test_level_one_keys_over_c12_are_stabilizer_orbit_minima(
     monkeypatch.setattr(permgrp, "_class_reps", spy)
     for entry in catalog_c12.entries:
         K = scheme_aut(entry.ring(c12))
-        if not K.is_symmetric():
+        if _searched(K):
             regular_subgroups(K, c12)
-    assert len(level_one) == 32
+    assert len(level_one) == 31
     # a key for every fixed-point-free involution would be 2,588
     assert sum(len(found) for _K, found, _reps in level_one) <= 800
-    assert sum(len(reps) for _K, _found, reps in level_one) == 119
+    assert sum(len(reps) for _K, _found, reps in level_one) == 116
     for K, found, _reps in level_one:
         least = _stabilizer_orbit_minima(K)
         for (r,), _pool in found.values():
@@ -849,10 +876,10 @@ def test_stabilizer_orbits_are_computed_once_per_search(
     searched = []
     for entry in catalog_c12.entries:
         K = scheme_aut(entry.ring(c12))
-        if not K.is_symmetric():
+        if _searched(K):
             regular_subgroups(K, c12)
             searched.append(K)
-    assert len(searched) == 32
+    assert len(searched) == 31
     assert groups == searched
 
 
@@ -971,12 +998,12 @@ def test_new_prime_pools_over_c12_come_from_the_centralizer(
         monkeypatch, c12, catalog_c12):
     groups = [K for K in (scheme_aut(entry.ring(c12))
                           for entry in catalog_c12.entries)
-              if not K.is_symmetric()]
+              if _searched(K)]
     calls, listed = _recorded_searches(monkeypatch, c12, groups)
     # only the elements of order 2 are listed, once per search
-    assert listed == [[2]] * 32
+    assert listed == [[2]] * 31
     # one pool per representative of the last 2-level
-    assert len(calls) == 95
+    assert len(calls) == 94
     for K, gens, p, pool in calls:
         assert (p, len(gens)) == (3, 2)
         assert as_tuples(pool, K.degree) == \
@@ -987,11 +1014,11 @@ def test_new_prime_pools_over_small_c18_groups_come_from_the_centralizer(
         monkeypatch, catalog_c18):
     spec = catalog_c18.spec
     groups = [K for K in map(scheme_aut, catalog_c18.rings())
-              if K.order() <= 100_000 and not K.is_symmetric()]
+              if K.order() <= 100_000 and _searched(K)]
     calls, listed = _recorded_searches(monkeypatch, spec, groups)
-    assert listed == [[2]] * 43
-    assert len(calls) == 90
-    assert sum(bool(pool) for *_, pool in calls) == 72
+    assert listed == [[2]] * 42
+    assert len(calls) == 89
+    assert sum(bool(pool) for *_, pool in calls) == 71
     for K, gens, p, pool in calls:
         assert (p, len(gens)) == (3, 1)
         assert as_tuples(pool, K.degree) == \
