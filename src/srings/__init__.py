@@ -19,9 +19,9 @@ from .morphisms import (AlgebraicIso, algebraic_image, algebraic_isos,
                         has_combinatorial_iso, induced_algebraic,
                         is_2_minimal, is_cayley_minimal, is_cyclotomic,
                         restrict_perm, scheme_aut)
-from .ci import (CIDecider, CIStatus, ci_fastpath, condition_holds, decide_ci,
-                 image_sring, is_ci, is_ci_bruteforce, iso_membership,
-                 lift_isomorphism, verify_criterion, verify_lift)
+from .ci import (CIDecider, CIStatus, condition_holds, decide_ci, image_sring,
+                 is_ci, is_ci_bruteforce, iso_membership, lift_isomorphism,
+                 verify_criterion, verify_lift)
 from .catalog import (Catalog, Entry, canonical_form, enumerate_srings,
                       load_catalog, rank3_classification, save_catalog)
 

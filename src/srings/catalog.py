@@ -637,7 +637,7 @@ def load_catalog(path) -> Catalog:
             raw_count=_field(rec, "raw_count", int, 0),
         ))
         if entries[-1].rank != ring.rank:
-            raise CatalogFormatError("rank annotation mismatch")
+            raise CatalogFormatError("field 'rank' does not match the cells")
     return Catalog(spec, _field(header, "filter", str), entries,
                    _field(header, "raw_total", int, 0))
 

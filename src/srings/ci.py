@@ -2,12 +2,12 @@
 
 A ring over G is CI when every isomorphism onto a ring over the same group
 is the composition of a scheme automorphism and a group automorphism.
-Decision strategy, in order: the thin-radical path, the paper's
-section-factorization condition over each wreath section with CI
-factors, and the regular-subgroup criterion on the full automorphism
-group.  An overrun of that criterion's budget is an Undecided verdict.
-Filtering all of Sym(G) (is_ci_bruteforce, for tiny groups) is an
-independent check, not part of the strategy.
+Decision strategy, in order: the paper's section-factorization condition
+over each wreath section with CI factors, which holds at once when the
+section ring is a group ring, and then the regular-subgroup criterion on
+the full automorphism group.  An overrun of that criterion's budget is an
+Undecided verdict.  Filtering all of Sym(G) (is_ci_bruteforce, for tiny
+groups) is an independent check, not part of the strategy.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .groups import (GroupAut, Section, all_auts, aut_order, cell_maps,
 from .morphisms import (cayley_auts, induced_algebraic, restrict_perm,
                         scheme_aut)
 from .permgrp import PermGroup, pinv, pmul, regular_subgroups
-from .sring import SRing, radical, validate_partition
+from .sring import SRing, validate_partition
 from .construct import (decompositions, is_wreath_for, quotient, sring_image,
                         wreath_parts)
 
@@ -339,48 +339,16 @@ def verify_lift(a: SRing, b: SRing, f, alpha: GroupAut) -> bool:
             and phi_alpha.cell_map == phi_f.cell_map)
 
 
-# -- the thin-radical path ------------------------------------------------------
-
-
-def ci_fastpath(a: SRing) -> CIStatus | None:
-    """The thin-radical path, which needs no section: a p-ring whose thin
-    radical has index p is CI."""
-    spec = a.spec
-    if len(spec.factors) == 1:
-        p = spec.factors[0][0]
-        if a.is_p_sring(p):
-            thin = a.thin_radical()
-            if thin.order * p == spec.order:
-                _check_thin_structure(a, thin)
-                return CIStatus("CI", "fastpath-thin")
-    return None
-
-
-def _check_thin_structure(a: SRing, thin):
-    """A p-ring whose thin radical has index p must be the wreath of the
-    thin group ring with a full quotient group ring."""
-    outside = [c for c in a.cells if not c <= thin.elements]
-    if not outside:
-        raise SRingsError("thin radical of index p leaves no cell outside")
-    L = radical(a.spec, outside[0])
-    add = a.spec.add_table()
-    # the wreath condition: X + L = X for every cell X outside the thin group
-    if any(add[x][h] not in cell for cell in outside for x in cell
-           for h in L.elements):
-        raise SRingsError("expected thin-radical wreath structure")
-    top, _, quot, _ = wreath_parts(a, Section(thin, L))
-    if top.rank != top.spec.order or quot.rank != quot.spec.order:
-        raise SRingsError("thin-radical wreath factors must be group rings")
-
-
 # -- the full decision strategy --------------------------------------------------
 
 
 @dataclass
 class CIDecider:
-    """Memoizing decision strategy over a family of rings: the thin
-    radical, else the section condition over a section with CI factors,
-    taken at once when the section ring is a group ring, else is_ci."""
+    """Memoizing decision strategy over a family of rings: the paper's
+    section condition over the first wreath section with CI factors that
+    satisfies it, taken at once when the section ring is a group ring,
+    else is_ci.  evaluate_section is the one place a section is judged,
+    for decide and for verify_criterion."""
 
     bounds: object = field(default_factory=lambda: DEFAULT_BOUNDS)
     cache: dict = field(default_factory=dict)
@@ -390,27 +358,32 @@ class CIDecider:
         status = self.cache.get(key)
         if status is not None:
             return status
-        # the thin path once per ring, then the condition per section
-        status = ci_fastpath(a)
-        for section in () if status else decompositions(a):
+        for section in decompositions(a):
             try:
-                ctx = SectionContext(a, section, self.bounds)
-                top_ci, quot_ci = self.decide(ctx.top), self.decide(ctx.quot)
-                if not (top_ci.is_ci and quot_ci.is_ci):
-                    continue
-                # only the identity fixes the singleton cells of a group
-                # ring, so there the condition holds at once
-                if ctx.sec_ring.rank == ctx.sec_ring.spec.order:
-                    status = CIStatus("CI", "fastpath-trivial")
-                elif condition_holds(a, section, self.bounds, context=ctx):
-                    status = CIStatus("CI", "section-condition")
+                found = self.evaluate_section(a, section)
             except ResourceBoundExceeded:
                 continue
-            if status is not None:
+            if found and found[0]:
+                status = CIStatus("CI", found[1])
                 break
-        status = status or is_ci(a, self.bounds)
+        else:
+            status = is_ci(a, self.bounds)
         self.cache[key] = status
         return status
+
+    def evaluate_section(self, a: SRing, section: Section):
+        """None when a wreath factor of the section is not CI, else whether
+        the condition holds there and the method that showed it.  A
+        search that runs out raises ResourceBoundExceeded."""
+        ctx = SectionContext(a, section, self.bounds)
+        if not (self.decide(ctx.top).is_ci and self.decide(ctx.quot).is_ci):
+            return None
+        # only the identity fixes the singleton cells of a group ring, so
+        # there the condition holds at once
+        if ctx.sec_ring.rank == ctx.sec_ring.spec.order:
+            return True, "fastpath-trivial"
+        return (condition_holds(a, section, self.bounds, context=ctx),
+                "section-condition")
 
 
 def decide_ci(a: SRing, bounds=DEFAULT_BOUNDS) -> CIStatus:
@@ -424,11 +397,12 @@ def verify_criterion(catalog, bounds=DEFAULT_BOUNDS) -> dict:
     """Check that the factorization condition matches the CI property over
     every decomposable catalog entry whose wreath factors are CI.
 
-    Ground truth CI is the regular-subgroup criterion alone (is_ci); the
-    decider, which answers by the condition itself, only decides the
-    factors, so the equivalence test cannot become circular.  Reports
-    both quantifier readings: the condition holding for every witnessing
-    section and for at least one.
+    Ground truth CI is the regular-subgroup criterion alone (is_ci).  Each
+    section is judged by the decider's evaluate_section, as decide judges
+    it, but the entry's own verdict never comes from the decider, so the
+    equivalence test cannot become circular.  Reports both quantifier
+    readings: the condition holding for every witnessing section and for
+    at least one.
     """
     parts = CIDecider(bounds=bounds)
     records = []
@@ -443,22 +417,16 @@ def verify_criterion(catalog, bounds=DEFAULT_BOUNDS) -> dict:
         status = is_ci(a, bounds)
         sections = []
         for section in decs:
+            where = {"U": sorted(section.U.elements),
+                     "L": sorted(section.L.elements)}
             try:
-                ctx = SectionContext(a, section, bounds)
-                top_ci = parts.decide(ctx.top)
-                quot_ci = parts.decide(ctx.quot)
-                both = top_ci.is_ci and quot_ci.is_ci
-                cond = condition_holds(a, section, bounds, context=ctx) \
-                    if both else None
+                found = parts.evaluate_section(a, section)
             except ResourceBoundExceeded as exc:
-                sections.append({"U": sorted(section.U.elements),
-                                 "L": sorted(section.L.elements),
-                                 "parts_ci": None, "condition": None,
+                sections.append({**where, "parts_ci": None, "condition": None,
                                  "resource": str(exc)})
                 continue
-            sections.append({"U": sorted(section.U.elements),
-                             "L": sorted(section.L.elements),
-                             "parts_ci": both, "condition": cond})
+            sections.append({**where, "parts_ci": found is not None,
+                             "condition": found and found[0]})
         record = {"entry": idx, "rank": a.rank,
                   "ci": status.verdict, "method": status.method,
                   "sections": sections}

@@ -244,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ci.add_argument("--catalog", required=True)
     p_ci.add_argument("--method", choices=("auto", "regular", "bruteforce"),
                       default="auto",
-                      help="auto: thin radical, then the section condition, "
-                           "then regular subgroups (default)")
+                      help="auto: the section condition, then regular "
+                           "subgroups (default)")
     p_ci.add_argument("--out", default=None)
     p_ci.add_argument("--workers", type=_at_least(int, 1), default=1)
     p_ci.add_argument("--time-limit", type=_at_least(float, 0), default=None,

@@ -136,9 +136,13 @@ def induced_algebraic(a: SRing, b: SRing, f) -> AlgebraicIso | None:
 
 
 class _PairColoring:
-    """Precomputed pair colors and per-point allowed-image masks."""
+    """Precomputed pair colors and per-point allowed-image masks.
 
-    __slots__ = ("n", "colors", "row_allowed", "col_allowed")
+    Only rows are masked: (v, u) has the inverse color of (u, v), and
+    every map searched keeps inverse cells paired (an algebraic iso does),
+    so a column mask would repeat the row mask."""
+
+    __slots__ = ("n", "colors", "row_allowed")
 
     def __init__(self, ring: SRing):
         spec = ring.spec
@@ -154,17 +158,12 @@ class _PairColoring:
         self.colors = colors
         rank = ring.rank
         row_allowed = []
-        col_allowed = []
         for w in range(n):
             rows = [0] * rank
-            cols = [0] * rank
             for x in range(n):
                 rows[colors[w][x]] |= 1 << x
-                cols[colors[x][w]] |= 1 << x
             row_allowed.append(rows)
-            col_allowed.append(cols)
         self.row_allowed = row_allowed
-        self.col_allowed = col_allowed
 
 
 def _search_maps(src: _PairColoring, dst: _PairColoring, src_colors,
@@ -187,14 +186,13 @@ def _search_maps(src: _PairColoring, dst: _PairColoring, src_colors,
         assigned[u] = w
         used |= 1 << w
         row_u = src_colors[u]
-        col_allowed = dst.col_allowed[w]
         row_allowed = dst.row_allowed[w]
         touched = []
         for v in range(n):
             if assigned[v] >= 0:
                 continue
             old = cand[v]
-            new = old & row_allowed[row_u[v]] & col_allowed[src_colors[v][u]]
+            new = old & row_allowed[row_u[v]]
             if new != old:
                 touched.append((v, old))
                 cand[v] = new

@@ -740,6 +740,39 @@ def is_wreath_for_by_radicals(a, section):
                for x in cell for l in L.elements)
 
 
+THIN_WREATH_FACTS = ("radical-nontrivial", "wreath-section",
+                     "group-ring-parts", "decided-by-section")
+
+
+def thin_wreath_facts(ring):
+    """Why the section loop decides a p-ring whose thin radical T has
+    index p: L, the radical of a cell outside T, is nontrivial; T/L is a
+    wreath section (by the radical oracle and in decompositions); both
+    wreath factors and the section ring are group rings; and the decider
+    answers CI from a section, whose section ring is a group ring.  Maps
+    each name in THIN_WREATH_FACTS to whether it holds."""
+    from srings.ci import CIDecider, SectionContext
+    from srings.construct import decompositions
+    from srings.sring import radical
+
+    thin = ring.thin_radical()
+    outside = next(c for c in ring.cells if not c <= thin.elements)
+    section = Section(thin, radical(ring.spec, outside))
+    wreath_section = (is_wreath_for_by_radicals(ring, section)
+                      and section in decompositions(ring))
+    parts = ()
+    if wreath_section:
+        ctx = SectionContext(ring, section)
+        parts = (ctx.top, ctx.quot, ctx.sec_ring)
+    status = CIDecider().decide(ring)
+    return {"radical-nontrivial": section.L.order > 1,
+            "wreath-section": wreath_section,
+            "group-ring-parts": bool(parts) and all(
+                r.rank == r.spec.order for r in parts),
+            "decided-by-section": status.verdict == "CI"
+            and status.method == "fastpath-trivial"}
+
+
 # -- coordinate oracles for the groups layer's element tables ----------------
 
 

@@ -18,12 +18,12 @@ from srings.construct import (decompositions, group_ring, is_wreath_for,
 from srings.morphisms import (algebraic_image, algebraic_isos, cayley_auts,
                               is_2_minimal, is_cayley_minimal, is_cyclotomic,
                               scheme_aut)
-from srings.ci import (CIDecider, ci_fastpath, condition_holds, image_sring,
-                       is_ci, is_ci_bruteforce, lift_isomorphism,
-                       verify_criterion, verify_lift)
+from srings.ci import (CIDecider, condition_holds, image_sring, is_ci,
+                       is_ci_bruteforce, lift_isomorphism, verify_criterion,
+                       verify_lift)
 from srings.catalog import enumerate_srings, rank3_classification
 
-from conftest import make_plain_wreath
+from conftest import make_plain_wreath, thin_wreath_facts
 
 EXTENDED = os.environ.get("SRINGS_EXTENDED") == "1"
 
@@ -176,9 +176,8 @@ def test_criterion_6_property_suites(catalog_c8, catalog_c12, catalog_c27_p,
                           thin.meet(radical(c27, cell)).order > 1)
         # thin radical of index p forces the full structure
         if thin.order * 3 == 27:
-            status = ci_fastpath(ring)
-            check("thin-structure", status is not None
-                  and status.method == "fastpath-thin")
+            for fact, holds in thin_wreath_facts(ring).items():
+                check(f"thin-{fact}", holds)
             check("thin-cyclotomic", is_cyclotomic(ring))
             check("thin-cayley-minimal", is_cayley_minimal(ring))
             check("thin-ci", is_ci(ring).verdict == "CI")

@@ -37,6 +37,31 @@ def test_enumerate_c9_p_rings(c9):
     assert sorted(e.rank for e in catalog.entries) == [5, 9]
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_rings_over_a_prime_cycle_are_orbit_rings_of_aut(p):
+    """The Schur rings over C_p are the orbit rings of the subgroups of
+    Aut(C_p), one per divisor d of p - 1: the units m with m^d = 1.  Aut
+    is abelian, so it fixes each of them, and each class is one raw ring.
+    Over C_11 and C_13 the enumerator meets new cells whose power-map
+    images overlap cells forced before, and rejects them."""
+    spec = parse_group(str(p))
+
+    def multiple(x, m):
+        y = spec.identity
+        for _ in range(m):
+            y = spec.add(y, x)
+        return y
+
+    orbit_rings = set()
+    for d in (d for d in range(1, p) if (p - 1) % d == 0):
+        units = [m for m in range(1, p) if pow(m, d, p) == 1]
+        orbit_rings.add(frozenset(
+            frozenset(multiple(x, m) for m in units) for x in spec.elements()))
+    catalog = enumerate_srings(spec, "all", label=False)
+    assert len(orbit_rings) == len(catalog) == catalog.raw_total
+    assert {frozenset(e.cells) for e in catalog.entries} == orbit_rings
+
+
 def test_enumeration_raw_count_against_bell_oracle(c8):
     """Independent oracle: validate every partition of the 7 non-identity
     elements and compare the raw count."""

@@ -20,13 +20,13 @@ from srings.morphisms import (algebraic_isos, cayley_isos,
                               induced_algebraic, is_2_minimal,
                               is_cayley_minimal, is_cyclotomic, scheme_aut)
 from srings.ci import (CIDecider, CIStatus, SectionContext, _flag_aut,
-                       _matching_cayley, ci_fastpath,
-                       condition_holds, decide_ci, image_sring, is_ci,
-                       is_ci_bruteforce, iso_membership, lift_isomorphism,
-                       verify_criterion, verify_lift)
+                       _matching_cayley, condition_holds, decide_ci,
+                       image_sring, is_ci, is_ci_bruteforce, iso_membership,
+                       lift_isomorphism, verify_criterion, verify_lift)
 
-from conftest import (cayley_isos_by_filter, image_partition_is_sring,
-                      make_plain_wreath)
+from conftest import (THIN_WREATH_FACTS, cayley_isos_by_filter,
+                      image_partition_is_sring, make_plain_wreath,
+                      thin_wreath_facts)
 
 PERFBENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
@@ -164,16 +164,14 @@ def test_condition_holds_rejects_projections_off_the_section_ring(
         condition_holds(ring, section)
 
 
-def test_thin_fastpath_checks_its_wreath_structure(monkeypatch, table_rings):
-    # cells outside the thin radical T are cosets of an L of order 3; with
-    # T itself as L they are not unions of L-cosets, though both factors
-    # of the section T/T are group rings, so only the wreath test fails
+def test_thin_radical_wreath_is_over_the_cell_radical(table_rings):
+    # cells outside the thin radical T are cosets of an L of order 3, so
+    # the ring is a wreath over T/L; with T itself as L they are not
+    # unions of L-cosets, so T/T is no wreath section
     ring = table_rings[4]
     thin = ring.thin_radical()
-    assert ci_fastpath(ring).method == "fastpath-thin"
-    monkeypatch.setattr("srings.ci.radical", lambda spec, cell: thin)
-    with pytest.raises(SRingsError, match="wreath structure"):
-        ci_fastpath(ring)
+    assert thin_wreath_facts(ring) == dict.fromkeys(THIN_WREATH_FACTS, True)
+    assert Section(thin, thin) not in decompositions(ring)
 
 
 def test_condition_trivial_section_ring(c27, table_rings):
@@ -199,9 +197,12 @@ def test_condition_computed_both_sides(c27, table_rings):
             (product == set(sec_group.elements()))
 
 
-def test_fastpath_thin(c27, table_rings):
-    status = ci_fastpath(table_rings[2])
-    assert status is not None and status.method == "fastpath-thin"
+def test_thin_radical_ring_is_decided_by_a_section(c27, table_rings):
+    """A thin radical of index p makes the ring a wreath of group rings
+    over a group-ring section, which the section loop decides."""
+    ring = table_rings[2]
+    assert ring.thin_radical().order * 3 == 27
+    assert thin_wreath_facts(ring) == dict.fromkeys(THIN_WREATH_FACTS, True)
 
 
 def _section_ring(ring, section):
@@ -216,7 +217,7 @@ def test_fastpath_trivial(c27, table_rings):
     """Table ring 5 has no thin radical of index 3, so the decider answers
     it by a section whose section ring is a group ring."""
     ring = table_rings[5]
-    assert ci_fastpath(ring) is None
+    assert ring.thin_radical().order * 3 != 27
     assert CIDecider().decide(ring).method == "fastpath-trivial"
 
 
@@ -230,7 +231,6 @@ def test_decider_answers_minimal_section_rings_by_the_condition(name, index):
     sec_rings = [_section_ring(ring, s) for s in decompositions(ring)]
     assert any(is_cayley_minimal(r) or is_2_minimal(r)
                for r in sec_rings if not _is_group_ring(r))
-    assert ci_fastpath(ring) is None
     status = CIDecider().decide(ring)
     assert status.verdict == "CI" and status.method == "section-condition"
 
@@ -270,7 +270,7 @@ def test_decider_strategies(c27, table_rings, catalog_c27_p):
         assert status.method == "regular-subgroups"
 
 
-DECIDER_METHODS = {"fastpath-thin", "fastpath-trivial", "section-condition",
+DECIDER_METHODS = {"fastpath-trivial", "section-condition",
                    "regular-subgroups"}
 
 
@@ -278,14 +278,45 @@ DECIDER_METHODS = {"fastpath-thin", "fastpath-trivial", "section-condition",
                                      "catalog_c27_p", "catalog_c16"])
 def test_decider_agrees_with_regular_subgroups(fixture, request):
     """On every catalog entry the decider gives the verdict of the
-    regular-subgroup criterion, by the thin radical, the section
-    condition (a group ring as section ring is its trivial case) or that
-    criterion itself."""
+    regular-subgroup criterion, by the section condition (a group ring as
+    section ring is its trivial case) or that criterion itself."""
     catalog = request.getfixturevalue(fixture)
     for ring in catalog.rings():
         status = decide_ci(ring)
         assert status.method in DECIDER_METHODS
         assert status.verdict == is_ci(ring).verdict
+
+
+def test_section_loop_passes_over_sections_it_cannot_use(monkeypatch):
+    """Under four backtracking nodes the decider meets both sections it
+    must pass over: one with a wreath factor that is not CI, and one
+    whose search runs out.  Neither makes up a verdict: each ring is CI,
+    as under the default bounds, or Undecided.  Every ring is fresh, so
+    no search under the default bounds answers for the tight one."""
+    rings = load_catalog(PERFBENCH_DATA / "c16.cat").rings()
+    default = [decide_ci(ring) for ring in rings]
+    real = CIDecider.evaluate_section
+    passed_over = {"factor not CI": 0, "search ran out": 0}
+
+    def spy(self, a, section):
+        try:
+            found = real(self, a, section)
+        except ResourceBoundExceeded:
+            passed_over["search ran out"] += 1
+            raise
+        if found is None:
+            passed_over["factor not CI"] += 1
+        return found
+
+    monkeypatch.setattr(CIDecider, "evaluate_section", spy)
+    tight = CIDecider(dataclasses.replace(DEFAULT_BOUNDS,
+                                          backtrack_node_budget=4))
+    rings = load_catalog(PERFBENCH_DATA / "c16.cat").rings()
+    verdicts = [tight.decide(ring) for ring in rings]
+    assert passed_over == {"factor not CI": 9, "search ran out": 21}
+    assert {s.verdict for s in verdicts} == {"CI", "Undecided"}
+    assert all(want.verdict == "CI" for want, status in zip(default, verdicts)
+               if status.is_ci)
 
 
 @pytest.mark.parametrize("fixture", ["catalog_c8", "catalog_c12",
@@ -533,15 +564,16 @@ def test_lift_rejects_indecomposable(c27, table_rings):
 
 
 def test_thin_index_p_structure(catalog_c27_p, c27):
-    """Thin radical of index p forces: wreath of group rings, cyclotomic,
-    Cayley minimal, CI."""
+    """Thin radical of index p forces: a wreath of group rings over a
+    group-ring section, which the decider answers, cyclotomic, Cayley
+    minimal, CI."""
     for entry in catalog_c27_p.entries:
         ring = entry.ring(c27)
         thin = ring.thin_radical()
         if thin.order * 3 != 27:
             continue
-        status = ci_fastpath(ring)
-        assert status is not None and status.method == "fastpath-thin"
+        assert thin_wreath_facts(ring) == \
+            dict.fromkeys(THIN_WREATH_FACTS, True)
         assert is_cyclotomic(ring)
         assert is_cayley_minimal(ring)
         assert is_ci(ring).verdict == "CI"

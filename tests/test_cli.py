@@ -67,6 +67,23 @@ def test_order_and_worker_counts_below_one_are_usage_errors(
     assert not (tmp_path / "out.txt").exists()
 
 
+def test_a_group_above_max_order_is_undecided(tmp_path, capsys):
+    out = tmp_path / "c16.cat"
+    assert main(["enumerate", "--group", "2^4", "--max-order", "8",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == \
+        "undecided: group order: bound 8 exceeded (needed 16)\n"
+    assert not out.exists()
+
+
+def test_a_group_at_max_order_runs_as_by_default(tmp_path):
+    bounded, default = tmp_path / "bounded.txt", tmp_path / "default.txt"
+    assert main(["criterion", "--group", "2^3", "--max-order", "8",
+                 "--out", str(bounded)]) == 0
+    assert main(["criterion", "--group", "2^3", "--out", str(default)]) == 0
+    assert bounded.read_bytes() == default.read_bytes()
+
+
 def test_classify_p3(tmp_path):
     out = tmp_path / "rows.txt"
     assert main(["classify", "--p", "3", "--out", str(out)]) == 0
@@ -237,18 +254,31 @@ def _without_group(text):
     return "\n".join([json.dumps(header)] + rest) + "\n"
 
 
-@pytest.mark.parametrize("damage", [
-    lambda text: "not json\n" + text.split("\n", 1)[1],
-    _without_group,
-], ids=["header-not-json", "header-without-group"])
+def _wrong_format(text):
+    header, rest = text.split("\n", 1)
+    header = json.loads(header)
+    header["format"] = "srings-report"
+    return json.dumps(header) + "\n" + rest
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda text: "not json\n" + text.split("\n", 1)[1], "not JSON"),
+    (_without_group, "field 'group'"),
+    (lambda text: "[1, 2]\n" + text.split("\n", 1)[1], "not a JSON object"),
+    (lambda text: "", "empty catalog file"),
+    (_wrong_format, "not a catalog file"),
+], ids=["header-not-json", "header-without-group", "header-not-an-object",
+        "empty-file", "wrong-format"])
 def test_ci_on_a_malformed_catalog_is_a_usage_error(tmp_path, capsys,
-                                                    damage):
-    # both ended in a traceback (JSONDecodeError, KeyError) with exit 1
+                                                    damage, message):
+    # the first two ended in a traceback (JSONDecodeError, KeyError) with
+    # exit 1
     cat = _c8_catalog(tmp_path)
     cat.write_text(damage(cat.read_text()))
     capsys.readouterr()
     assert main(["ci", "--catalog", str(cat)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def _drop_rank(header, entries):
@@ -295,15 +325,19 @@ def _text_raw_total(header, entries):
     header["raw_total"] = "lots"
 
 
+def _wrong_rank(header, entries):
+    entries[1]["rank"] += 1
+
+
 @pytest.mark.parametrize("damage, field", [
     (_drop_rank, "rank"), (_flat_cells, "cells"), (_text_in_cells, "cells"),
     (_numeric_group, "group"), (_text_raw_count, "raw_count"),
     (_bool_raw_count, "raw_count"), (_null_raw_count, "raw_count"),
     (_bool_rank, "rank"), (_numeric_construction, "construction"),
-    (_list_ci, "ci"), (_text_raw_total, "raw_total"),
+    (_list_ci, "ci"), (_text_raw_total, "raw_total"), (_wrong_rank, "rank"),
 ], ids=["entry-without-rank", "flat-cells", "text-in-cells", "numeric-group",
         "text-raw-count", "bool-raw-count", "null-raw-count", "bool-rank",
-        "numeric-construction", "list-ci", "text-raw-total"])
+        "numeric-construction", "list-ci", "text-raw-total", "wrong-rank"])
 def test_a_signed_catalog_with_a_bad_field_is_a_format_error(
         tmp_path, capsys, damage, field):
     # with the digest re-signed, the first four ended in a traceback
