@@ -26,6 +26,8 @@ CATALOG_FORMAT = "srings-catalog"
 CATALOG_VERSION = 1
 # version 2: root branches are counted with the weight of their orbit
 CHECKPOINT_VERSION = 2
+# Least time between two checkpoint writes.
+CHECKPOINT_INTERVAL_S = 60.0
 
 
 # -- canonical form -----------------------------------------------------------
@@ -145,9 +147,10 @@ class _Enumerator:
         return cosets
 
     def run(self):
-        self._fix_cell((self.spec.identity,), check=False)
+        rest = frozenset(range(1, self.n))
+        self._fix_cell((self.spec.identity,), rest)
         stab = aut_group(self.spec).point_stabilizer(1)
-        self._search(frozenset(range(1, self.n)),
+        self._search(rest,
                      [_byte_tables(g) for g in stab.reduced_generators()])
 
     def _search(self, unassigned, group, depth=0):
@@ -186,7 +189,7 @@ class _Enumerator:
                     continue
             self.budget.spend()
             rest = unassigned - frozenset(cand)
-            journal = self._fix_cell(cand, check=True, unassigned=rest)
+            journal = self._fix_cell(cand, rest)
             if journal is None:
                 continue
             child = group
@@ -237,7 +240,7 @@ class _Enumerator:
                 for combo in itertools.combinations(pool, s - 1):
                     yield (x,) + combo
 
-    def _fix_cell(self, cell, check, unassigned=frozenset()):
+    def _fix_cell(self, cell, unassigned):
         cell_set = frozenset(cell)
         k = len(self.fixed)
         journal = {"index": k, "forced": [], "sig_pairs": 0,
@@ -245,8 +248,6 @@ class _Enumerator:
         self.fixed.append((cell_set, tuple(sorted(cell_set))))
         for y in cell_set:
             self.cell_of_fixed[y] = k
-        if not check:
-            return journal
         # power maps must carry the new cell onto a cell
         for m in self.multipliers:
             row = self.scale_rows[m]
@@ -262,18 +263,12 @@ class _Enumerator:
             if not image <= unassigned:
                 self._unfix(journal)
                 return None
-            conflict = False
+            # an image meeting another forced cell m'C' needs no check: the
+            # multiplier m'^-1 m maps C onto a set meeting C' without being it
             for y in image:
-                prev = self.forced.get(y)
-                if prev is None:
+                if y not in self.forced:
                     self.forced[y] = image
                     journal["forced"].append(y)
-                elif prev != image:
-                    conflict = True
-                    break
-            if conflict:
-                self._unfix(journal)
-                return None
         # forced cells must stay signature-uniform and intact
         if not self._counts_ok(k, unassigned, journal):
             self._unfix(journal)
@@ -343,8 +338,7 @@ class Catalog:
 
 def enumerate_srings(spec: GroupSpec, sring_filter: str = "all",
                      bounds=DEFAULT_BOUNDS, label: bool = True,
-                     progress=None, checkpoint=None,
-                     checkpoint_interval: float = 60.0) -> Catalog:
+                     checkpoint=None) -> Catalog:
     """All Schur rings over the group, one canonical representative per
     Cayley isomorphism class.
 
@@ -366,11 +360,10 @@ def enumerate_srings(spec: GroupSpec, sring_filter: str = "all",
     that.
 
     sring_filter "p-srings" keeps only partitions with prime-power cell
-    sizes (the group must be a p-group); "all" enumerates everything.
-    progress(raw_total, classes) is called after each leaf that takes
-    raw_total past a multiple of 50.  checkpoint names a progress file:
-    finished root branches are recorded there at most every
-    checkpoint_interval seconds, and a fresh run resumes from it.  A
+    sizes (the group must be a p-group); "all" enumerates everything, over
+    groups of order at most bounds.enum_all_order.  checkpoint names a
+    progress file: finished root branches are recorded there at most every
+    CHECKPOINT_INTERVAL_S seconds, and a fresh run resumes from it.  A
     file of another group, filter or CHECKPOINT_VERSION is ignored.
     """
     import os
@@ -381,9 +374,9 @@ def enumerate_srings(spec: GroupSpec, sring_filter: str = "all",
     p_filter = sring_filter == "p-srings"
     if p_filter and len(spec.factors) != 1:
         raise ValueError("p-power filter needs a p-group")
-    cap = bounds.enum_p_order if p_filter else bounds.enum_all_order
-    if spec.order > cap:
-        raise ResourceBoundExceeded("enumeration order", cap, spec.order)
+    if not p_filter and spec.order > bounds.enum_all_order:
+        raise ResourceBoundExceeded("enumeration order",
+                                    bounds.enum_all_order, spec.order)
 
     classes: dict = {}
     raw_total = 0
@@ -407,7 +400,6 @@ def enumerate_srings(spec: GroupSpec, sring_filter: str = "all",
     def on_leaf(partition):
         # the leaf stands for enum.weight raw rings, its root orbit's size
         nonlocal raw_total
-        before = raw_total
         raw_total += enum.weight
         lab = [0] * spec.order
         for i, cell in enumerate(partition):
@@ -425,8 +417,6 @@ def enumerate_srings(spec: GroupSpec, sring_filter: str = "all",
             class_of.update(dict.fromkeys(lab_orbit, key))
             orbit_size[key] = len(lab_orbit)
         classes[key][1] += enum.weight
-        if progress and raw_total // 50 > before // 50:
-            progress(raw_total, len(classes))
 
     last_write = time.monotonic()
 
@@ -435,7 +425,7 @@ def enumerate_srings(spec: GroupSpec, sring_filter: str = "all",
         if checkpoint is None:
             return
         now = time.monotonic()
-        if now - last_write < checkpoint_interval:
+        if now - last_write < CHECKPOINT_INTERVAL_S:
             return
         last_write = now
         _write_checkpoint(checkpoint, spec, sring_filter, index + 1,
@@ -675,12 +665,7 @@ def rank3_classification(p: int, bounds=DEFAULT_BOUNDS) -> dict:
     if p == 2 or p < 2:
         raise ValueError("the classification needs an odd prime")
     spec, templates = rank3_templates(p)
-    from dataclasses import replace
-
-    run_bounds = bounds
-    if spec.order > bounds.enum_p_order:
-        run_bounds = replace(bounds, enum_p_order=spec.order)
-    catalog = enumerate_srings(spec, "p-srings", run_bounds, label=False)
+    catalog = enumerate_srings(spec, "p-srings", bounds, label=False)
     template_forms = {}
     for idx, (name, ring) in enumerate(templates):
         template_forms[canonical_form(ring)] = (idx, name, ring)

@@ -59,8 +59,7 @@ def _bounds(args):
     bounds = extended_bounds() if args.extended else DEFAULT_BOUNDS
     if args.max_order is not None:
         bounds = dataclasses.replace(bounds, max_group_order=args.max_order,
-                                     enum_all_order=args.max_order,
-                                     enum_p_order=args.max_order)
+                                     enum_all_order=args.max_order)
     return bounds
 
 
@@ -71,8 +70,7 @@ def cmd_enumerate(args) -> int:
     checkpoint = f"{args.out}.ckpt" if args.checkpoint else None
     catalog = enumerate_srings(spec, args.filter, bounds,
                                label=not args.no_labels,
-                               checkpoint=checkpoint,
-                               checkpoint_interval=args.checkpoint_interval)
+                               checkpoint=checkpoint)
     save_catalog(catalog, args.out)
     print(f"{len(catalog.entries)} classes "
           f"({catalog.raw_total} rings) -> {args.out}")
@@ -229,8 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--max-order", type=_at_least(int, 1), default=None)
     p_enum.add_argument("--checkpoint", action="store_true",
                         help="write/resume <out>.ckpt during long runs")
-    p_enum.add_argument("--checkpoint-interval", type=_at_least(float, 0),
-                        default=60.0)
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_cls = sub.add_parser("classify",

@@ -30,9 +30,9 @@ BRUTEFORCE_ORDER = 8
 class Bounds:
     # Hard cap on |G| for group construction.
     max_group_order: int = 64
-    # Catalog enumeration caps per filter.
+    # Order cap of an "all" enumeration; a p-power enumeration is bounded
+    # by max_group_order and enum_node_budget alone.
     enum_all_order: int = 27
-    enum_p_order: int = 81
     # Node budget for the partition-merge enumeration tree.
     enum_node_budget: int = 50_000_000
     # Node budget of each backtracking search over maps: scheme and

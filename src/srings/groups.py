@@ -681,12 +681,10 @@ def cell_maps(spec: GroupSpec, cell_of, target, cell_map, budget):
     return rec(0, 1, ())
 
 
-def all_auts(spec: GroupSpec, limit: int | None = None) -> list:
-    """Every automorphism, sorted by matrix entries, listed once per group.
-    Guarded by limit."""
+def all_auts(spec: GroupSpec) -> list:
+    """Every automorphism, sorted by matrix entries, listed once per group
+    within the default backtracking budget."""
     expected = aut_order(spec)
-    if limit is not None and expected > limit:
-        raise ResourceBoundExceeded("automorphism enumeration", limit, expected)
     if spec._auts is None:
         auts = list(cell_maps(spec, [0] * spec.order, [0] * spec.order, [0],
                               _Budget(DEFAULT_BOUNDS.backtrack_node_budget)))

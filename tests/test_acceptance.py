@@ -260,7 +260,7 @@ def test_criterion_7_constructive_lift(c27, c16):
         ctx_ok = condition_holds(ring, section)
         assert ctx_ok, "builders must satisfy the factorization condition"
         aut = scheme_aut(ring)
-        auts = all_auts(spec, 10 ** 5)
+        auts = all_auts(spec)
         per = 25
         for _ in range(per):
             f = pmul(aut.random_element(rng), rng.choice(auts).perm)

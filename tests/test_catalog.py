@@ -217,9 +217,9 @@ def _valid_partitions(spec):
     return valid
 
 
-def _recorded_leaves(monkeypatch, spec, bounds=DEFAULT_BOUNDS, **kwargs):
+def _recorded_leaves(monkeypatch, spec, bounds=DEFAULT_BOUNDS):
     """Enumerate every ring over spec, recording each leaf of the merge
-    search with its weight; kwargs go to enumerate_srings."""
+    search with its weight."""
     leaves = []
 
     class Recording(catalog_module._Enumerator):
@@ -231,8 +231,7 @@ def _recorded_leaves(monkeypatch, spec, bounds=DEFAULT_BOUNDS, **kwargs):
             super().__init__(*args, on_leaf=recording_on_leaf, **kwargs)
 
     monkeypatch.setattr(catalog_module, "_Enumerator", Recording)
-    return (enumerate_srings(spec, "all", bounds, label=False, **kwargs),
-            leaves)
+    return enumerate_srings(spec, "all", bounds, label=False), leaves
 
 
 @pytest.mark.parametrize("group", ["2^3", "3^2", "2^2x3"])
@@ -288,32 +287,25 @@ def test_merge_search_prunes_below_the_root(monkeypatch, group, max_nodes,
     assert sum(weight for _leaf, weight in leaves) == catalog.raw_total
 
 
-def test_progress_fires_at_every_crossed_multiple_of_50(monkeypatch, c16):
-    """A leaf counts for the product of its orbit sizes, so the raw total
-    jumps; the callback fires once for each leaf that passes a multiple
-    of 50.  One candidate per stabilizer orbit at every level spends
-    8,518 nodes on 2^4, well within a budget of 80,000; the unweighted
-    search spent 329,651."""
-    calls = []
-    bounds = replace(DEFAULT_BOUNDS, enum_node_budget=80_000)
-    catalog, leaves = _recorded_leaves(
-        monkeypatch, c16, bounds, progress=lambda raw, _: calls.append(raw))
-    totals = [0]
-    for _leaf, weight in leaves:
-        totals.append(totals[-1] + weight)
-    assert len(catalog) == 43
-    assert catalog.raw_total == 12_537
-    assert totals[-1] == catalog.raw_total
-    assert calls == [t for s, t in zip(totals, totals[1:])
-                     if t // 50 > s // 50]
-    assert len(calls) < catalog.raw_total // 50
-
-
 def test_enumeration_node_bound_is_named(c8):
     bounds = replace(DEFAULT_BOUNDS, enum_node_budget=3)
     with pytest.raises(ResourceBoundExceeded) as info:
         enumerate_srings(c8, "all", bounds, label=False)
     assert (info.value.what, info.value.limit) == ("enumeration nodes", 3)
+
+
+def test_enumeration_order_bounds_only_the_all_filter(c8):
+    """enum_all_order stops an "all" enumeration before any search; a
+    p-power enumeration of the same group runs to the end."""
+    bounds = replace(DEFAULT_BOUNDS, enum_all_order=4)
+    with pytest.raises(ResourceBoundExceeded) as info:
+        enumerate_srings(c8, "all", bounds, label=False)
+    assert (info.value.what, info.value.limit, info.value.needed) == \
+        ("enumeration order", 4, 8)
+    catalog = enumerate_srings(c8, "p-srings", bounds, label=False)
+    assert [e.canonical for e in catalog.entries] == \
+        [e.canonical for e in enumerate_srings(c8, "p-srings",
+                                               label=False).entries]
 
 
 def test_enumeration_filter_validation(c12):
@@ -327,7 +319,7 @@ def test_enumeration_filter_validation(c12):
 
 def test_canonical_form_idempotent_and_invariant(c27, table_rings):
     rng = random.Random(4)
-    auts = all_auts(c27, 10 ** 5)
+    auts = all_auts(c27)
     for ring in table_rings.values():
         form, cells = canonical_partition(c27, ring.cells)
         again, cells2 = canonical_partition(c27, cells)
@@ -515,17 +507,32 @@ def test_checkpoint_resume_completed(tmp_path, c8, catalog_c8):
     assert not ckpt.exists()
 
 
-def test_checkpoint_resume_after_interrupt(tmp_path, c8, catalog_c8):
+def test_checkpoint_resume_after_interrupt(tmp_path, monkeypatch, c8,
+                                           catalog_c8):
+    """A run interrupted after its second root branch leaves the branches
+    it finished in the checkpoint, and a fresh run resumes from there."""
+    import json
+
     ckpt = tmp_path / "c8.ckpt"
+    enumerator = catalog_module._Enumerator
 
-    def bomb(raw, _classes):
-        if raw >= 50:
-            raise KeyboardInterrupt
+    class Interrupted(enumerator):
+        def __init__(self, *args, on_root, **kwargs):
+            def interrupting_on_root(index):
+                on_root(index)
+                if index >= 1:
+                    raise KeyboardInterrupt
 
+            super().__init__(*args, on_root=interrupting_on_root, **kwargs)
+
+    monkeypatch.setattr(catalog_module, "CHECKPOINT_INTERVAL_S", 0.0)
+    monkeypatch.setattr(catalog_module, "_Enumerator", Interrupted)
     with pytest.raises(KeyboardInterrupt):
-        enumerate_srings(c8, "all", label=False, checkpoint=str(ckpt),
-                         checkpoint_interval=0.0, progress=bomb)
-    assert ckpt.exists()
+        enumerate_srings(c8, "all", label=False, checkpoint=str(ckpt))
+    data = json.loads(ckpt.read_text())
+    assert data["root_done"] == 2
+    assert 0 < data["raw_total"] < catalog_c8.raw_total
+    monkeypatch.setattr(catalog_module, "_Enumerator", enumerator)
     resumed = enumerate_srings(c8, "all", label=False, checkpoint=str(ckpt))
     assert [(e.cells, e.raw_count) for e in resumed.entries] == \
         [(e.cells, e.raw_count) for e in catalog_c8.entries]

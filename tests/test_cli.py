@@ -204,8 +204,6 @@ def test_time_limit_zero_decides_nothing(tmp_path, workers):
     assert json.loads(lines[0])["undecided"] == 9
     records = [json.loads(l) for l in lines[1:]]
     assert all(r["verdict"] == "Undecided" for r in records)
-    assert main(["ci", "--catalog", str(cat), "--out", str(out),
-                 "--time-limit", "-1"]) == 2
 
 
 def test_enumeration_mismatch_exits_4(tmp_path, monkeypatch):
@@ -395,13 +393,13 @@ def test_output_into_a_missing_directory_fails_before_any_work(
     assert cat.read_bytes() == before
 
 
-@pytest.mark.parametrize("interval", ["-1", "nan"])
-def test_negative_checkpoint_interval_is_a_usage_error(tmp_path, capsys,
-                                                       interval):
-    out = tmp_path / "c4.cat"
-    assert main(["enumerate", "--group", "2^2", "--out", str(out),
-                 "--checkpoint-interval", interval]) == 2
-    assert "error: argument --checkpoint-interval" in capsys.readouterr().err
+@pytest.mark.parametrize("limit", ["-1", "nan"])
+def test_a_negative_or_nan_time_limit_is_a_usage_error(tmp_path, capsys,
+                                                       limit):
+    out = tmp_path / "t.txt"
+    assert main(["ci", "--catalog", str(tmp_path / "c4.cat"), "--out",
+                 str(out), "--time-limit", limit]) == 2
+    assert "error: argument --time-limit" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -251,7 +251,7 @@ def test_auts_permute_subgroups(c12):
 
 
 def test_all_auts_matches_order(c12):
-    auts = all_auts(c12, limit=10 ** 5)
+    auts = all_auts(c12)
     assert len(auts) == 12
     assert len({a.perm for a in auts}) == 12
 

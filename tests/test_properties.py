@@ -1,9 +1,11 @@
 """Property tests over random catalog rings and random automorphisms."""
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from srings.catalog import canonical_form
-from srings.construct import sring_image
+from srings.ci import CIDecider, image_sring, lift_isomorphism, verify_lift
+from srings.construct import decompositions, sring_image
 from srings.groups import aut_generators
 from srings.morphisms import scheme_aut
 from srings.permgrp import pmul, regular_subgroups
@@ -69,3 +71,35 @@ def test_regular_subgroup_classes_are_aut_invariant(
                 for c in regular_subgroups(scheme_aut(a), a.spec)]
 
     assert flags(sring_image(ring, perm)) == flags(ring)
+
+
+@pytest.fixture(scope="session")
+def liftable_sections(catalog_c8, catalog_c12, catalog_c27_p):
+    """Every (ring, section) of the three catalogs whose wreath factors are
+    CI and where the section condition holds, as evaluate_section judges."""
+    decider = CIDecider()
+    pairs = []
+    for ring in _catalog_rings(catalog_c8, catalog_c12, catalog_c27_p):
+        for section in decompositions(ring):
+            judged = decider.evaluate_section(ring, section)
+            if judged is not None and judged[0]:
+                pairs.append((ring, section))
+    return pairs
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_lift_of_a_random_isomorphism_verifies(data, liftable_sections):
+    """For a scheme automorphism k and a word sigma in the generators of
+    Aut(G), f = k sigma maps the ring onto b = image_sring(ring, f); the
+    lift over a section with CI factors where the condition holds is a
+    group automorphism onto b that induces f's algebraic isomorphism."""
+    ring, section = data.draw(st.sampled_from(liftable_sections))
+    k = scheme_aut(ring).random_element(data.draw(st.randoms()))
+    gens = [g.perm for g in aut_generators(ring.spec)]
+    f = k
+    for g in data.draw(st.lists(st.sampled_from(gens), max_size=12)):
+        f = pmul(f, g)
+    b = image_sring(ring, f)
+    alpha = lift_isomorphism(ring, b, f, section)
+    assert verify_lift(ring, b, f, alpha)
