@@ -6,14 +6,14 @@ with a CLI front end (``srings --help``).
 
 from .config import Bounds, DEFAULT_BOUNDS, extended_bounds
 from .groups import (GroupAut, GroupSpec, Section, Subgroup, aut_group,
-                     complement, enumerate_subgroups, format_group,
-                     make_group, parse_group, subgroup_span)
+                     enumerate_subgroups, format_group, make_group,
+                     parse_group, subgroup_span)
 from .permgrp import (PermGroup, from_generators, holomorph, regular_subgroups,
                       right_regular, subgroups_between, two_equivalent)
 from .sring import SRing, radical, validate_partition
 from .construct import (cyclotomic, decompositions, group_ring,
                         parse_construction, quotient, recognize_construction,
-                        schurian, sring_image, tensor, wreath)
+                        schurian, tensor, wreath)
 from .morphisms import (AlgebraicIso, algebraic_image, algebraic_isos,
                         cayley_auts, cayley_isos, combinatorial_isos,
                         has_combinatorial_iso, induced_algebraic,

@@ -17,14 +17,12 @@ from dataclasses import dataclass, field
 from .config import BRUTEFORCE_ORDER, DEFAULT_BOUNDS, _Budget
 from .errors import (PreconditionFailed, ResourceBoundExceeded,
                      SectionNotPreserved, SRingsError)
-from .groups import (GroupAut, Section, all_auts, aut_order, cell_maps,
-                     complement)
+from .groups import GroupAut, Section, all_auts, aut_order, cell_maps
 from .morphisms import (cayley_auts, induced_algebraic, restrict_perm,
                         scheme_aut)
 from .permgrp import PermGroup, pinv, pmul, regular_subgroups
 from .sring import SRing, validate_partition
-from .construct import (decompositions, is_wreath_for, quotient, sring_image,
-                        wreath_parts)
+from .construct import decompositions, is_wreath_for, quotient, wreath_parts
 
 @dataclass
 class CIStatus:
@@ -214,13 +212,14 @@ def lift_isomorphism(a: SRing, b: SRing, f, section: Section | None = None,
     satisfying the factorization condition.  Stages: align the image
     section with a group automorphism, lift both factor isomorphisms to
     canonical Cayley isomorphisms phi (over U) and psi (over G/L), correct
-    them to agree on the section U/L, and glue them over basis images.
+    them to agree on the section U/L, and glue them: alpha is the least
+    automorphism of G that acts as phi on U and induces psi on G/L.
 
-    The glued alpha maps U's basis through phi and each basis element x
-    of a complement of U to any element of the coset psi(x + L).  That
-    choice is free: cells outside U are unions of L-cosets, so alpha's
-    action on them is fixed by the map it induces on G/L, which is psi;
-    cells inside U are fixed by alpha restricted to U, which is phi.
+    One exists because phi and psi agree on U/L, and any such alpha
+    induces f's algebraic iso: cells outside U are unions of L-cosets, so
+    alpha's action on them is fixed by the map it induces on G/L, which
+    is psi; cells inside U are fixed by alpha restricted to U, which is
+    phi.
     """
     spec = a.spec
     # translations are scheme automorphisms, so normalizing f(e) = e keeps
@@ -241,7 +240,7 @@ def lift_isomorphism(a: SRing, b: SRing, f, section: Section | None = None,
     flag = (U.elements, L.elements)
     theta = _flag_aut(spec, flag, tuple(map(phi_f.image_set, flag)), bounds)
     theta_inv_perm = pinv(theta.perm)
-    b1 = sring_image(b, theta_inv_perm)
+    b1 = image_sring(b, theta_inv_perm)
     f1 = pmul(f, theta_inv_perm)
     ctx = SectionContext(a, section, bounds)
 
@@ -276,12 +275,15 @@ def lift_isomorphism(a: SRing, b: SRing, f, section: Section | None = None,
     if ctx.on_section(phi, ctx.top_sec) != ctx.on_section(psi, ctx.quot_sec):
         raise SRingsError("corrected factor lifts disagree on the section")
 
-    # stage 4: glue phi's action on U's basis to psi's on a complement's
-    phi_g = _ambient(phi, ctx.top_sec)
-    psi_g = _ambient(psi, ctx.quot_sec)
-    pairs = [(u, phi_g[u]) for u in U.basis_elements()]
-    pairs += [(x, psi_g[x]) for x in complement(U, spec).basis_elements()]
-    alpha = GroupAut.from_images(spec, pairs)
+    # stage 4: the least automorphism acting as phi on U and as psi on
+    # G/L; a point of U is labeled by its element of U's chart (proj is -1
+    # off U), any other by |U| plus its coset in G/L
+    n_u = U.order
+    labels = [u if u >= 0 else n_u + q
+              for u, q in zip(ctx.top_sec.proj, ctx.quot_sec.proj)]
+    alpha = _first_map(spec, labels, labels,
+                       phi.perm + tuple(n_u + y for y in psi.perm), bounds,
+                       SRingsError("no automorphism glues the factor lifts"))
 
     # verify against b1, then compose the section alignment back in
     phi_alpha = induced_algebraic(a, b1, alpha.perm)
@@ -299,11 +301,9 @@ def _flag_aut(spec, flag, image, bounds) -> GroupAut:
     cell_of, target = ([0 if x in low else 1 if x in top else 2
                         for x in spec.elements()]
                        for top, low in (flag, image))
-    theta = next(cell_maps(spec, cell_of, target, (0, 1, 2),
-                           _Budget(bounds.backtrack_node_budget)), None)
-    if theta is None:
-        raise PreconditionFailed("align", "image subgroups have wrong orders")
-    return theta
+    return _first_map(spec, cell_of, target, (0, 1, 2), bounds,
+                      PreconditionFailed("align",
+                                         "image subgroups have wrong orders"))
 
 
 def _matching_cayley(src: SRing, dst: SRing, f_perm, bounds, stage):
@@ -312,11 +312,18 @@ def _matching_cayley(src: SRing, dst: SRing, f_perm, bounds, stage):
     phi_f = induced_algebraic(src, dst, f_perm)
     if phi_f is None:
         raise PreconditionFailed(stage, "restriction is not an isomorphism")
-    aut = next(cell_maps(src.spec, src.cell_of, dst.cell_of, phi_f.cell_map,
+    return _first_map(src.spec, src.cell_of, dst.cell_of, phi_f.cell_map,
+                      bounds, PreconditionFailed(
+                          stage, "no Cayley isomorphism matches; the factor "
+                                 "is not CI for this instance"))
+
+
+def _first_map(spec, cell_of, target, cell_map, bounds, error) -> GroupAut:
+    """The first automorphism cell_maps finds, or raise error if none."""
+    aut = next(cell_maps(spec, cell_of, target, cell_map,
                          _Budget(bounds.backtrack_node_budget)), None)
     if aut is None:
-        raise PreconditionFailed(stage, "no Cayley isomorphism matches; the "
-                                        "factor is not CI for this instance")
+        raise error
     return aut
 
 

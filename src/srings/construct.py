@@ -170,12 +170,6 @@ def wreath_parts(a: SRing, section: Section):
     return quotient(a, u_chart), u_chart, quotient(a, glq), glq
 
 
-def sring_image(a: SRing, perm) -> SRing:
-    """The ring with cells mapped through a group automorphism's permutation."""
-    cells = [frozenset(perm[x] for x in cell) for cell in a.cells]
-    return validate_partition(a.spec, cells)
-
-
 # -- construction expressions -------------------------------------------------
 #
 # Small prefix grammar used for catalog labels and the CLI:

@@ -421,13 +421,6 @@ def enumerate_subgroups(spec: GroupSpec) -> tuple:
     return spec._subgroups
 
 
-def complement(U: Subgroup, spec: GroupSpec) -> Subgroup:
-    """Deterministic direct complement: extend U's echelon basis by unit
-    vectors and take the added ones."""
-    return Subgroup(spec, [extend_basis(basis, unit_rows(n), p)
-                           for (p, n), basis in zip(spec.factors, U.bases)])
-
-
 # -- sections ---------------------------------------------------------------
 
 
@@ -510,34 +503,6 @@ class GroupAut:
     @classmethod
     def identity(cls, spec: GroupSpec) -> "GroupAut":
         return cls(spec, [unit_rows(n) for _p, n in spec.factors])
-
-    @classmethod
-    def from_images(cls, spec: GroupSpec, pairs) -> "GroupAut":
-        """Automorphism sending src -> dst for (src, dst) pairs whose
-        sources form a basis of prime-order elements; each image is read
-        in its source's prime block."""
-        srcs, dsts, radices = [], [], []
-        for s, d in pairs:
-            blocks = [(p, n, pos) for p, n, pos in spec.prime_blocks()
-                      if any(spec.coords(s)[pos:pos + n])]
-            if len(blocks) != 1:
-                raise GroupSpecError("sources are not a basis of "
-                                     "prime-order elements")
-            p, n, pos = blocks[0]
-            srcs.append(s)
-            dsts.append(spec.block_element(pos, spec.coords(d)[pos:pos + n]))
-            radices.append(p)
-        src_table = spec.combinations(srcs, radices)
-        dst_table = spec.combinations(dsts, radices)
-        if sorted(src_table) != list(spec.elements()):
-            raise GroupSpecError("sources are not a basis of "
-                                 "prime-order elements")
-        if len(set(dst_table)) != spec.order:
-            raise GroupSpecError("images do not define an automorphism")
-        perm = [0] * spec.order
-        for x, y in zip(src_table, dst_table):
-            perm[x] = y
-        return cls.from_perm(spec, perm)
 
     @classmethod
     def from_perm(cls, spec: GroupSpec, perm) -> "GroupAut":

@@ -563,7 +563,7 @@ def regular_subgroups(K: PermGroup, spec, bounds=DEFAULT_BOUNDS) -> list:
         if not K.contains(t):
             raise ValueError("K does not contain the right translations")
     if K.is_symmetric() or K.order() == n:
-        t_set = frozenset(PermGroup(n, translations).elements())
+        t_set = frozenset(map(spec.translation, spec.elements()))
         return [RegularClass(tuple(translations), t_set, True)]
     return _search_classes(K, spec, bounds)
 

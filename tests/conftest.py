@@ -119,6 +119,20 @@ def catalog_c18():
     return enumerate_srings(parse_group("2x3^2"), "all", label=False)
 
 
+@pytest.fixture
+def holomorph_k_over_c8(monkeypatch, c8):
+    """Fault injection for the NotCI paths, which no desk catalog reaches:
+    the ci module's scheme_aut answers the holomorph of 2^3, which has two
+    classes of regular subgroups, for every ring over 2^3, and the true K
+    for any other ring, so wreath factors keep their CI verdicts."""
+    from srings import ci
+    from srings.permgrp import holomorph
+
+    real = ci.scheme_aut
+    monkeypatch.setattr(ci, "scheme_aut", lambda a, bounds: holomorph(
+        a.spec) if a.spec == c8 else real(a, bounds))
+
+
 # -- independent oracles -----------------------------------------------------
 
 
@@ -855,34 +869,6 @@ def aut_perm_by_matrices(aut):
                     for j in range(n)]
         images.append(spec.index(out))
     return tuple(images)
-
-
-def aut_mats_by_solving(spec, pairs):
-    """The per-prime matrices M with src * M = dst on each prime block, by
-    one solve per unit vector over the sources with a nonzero part in the
-    block, reading the images in that block only; None when the sources
-    do not span a block or some M is singular."""
-    from srings.groups import rref, unit_rows
-
-    mats = []
-    for p, n, pos in spec.prime_blocks():
-        srcs, dsts = [], []
-        for s, d in pairs:
-            vec = spec.coords(s)[pos:pos + n]
-            if any(vec):
-                srcs.append(vec)
-                dsts.append(spec.coords(d)[pos:pos + n])
-        if rref(srcs, p) != unit_rows(n):
-            return None
-        rows = []
-        for unit in unit_rows(n):
-            coeffs = solve_in_basis(srcs, unit, p)
-            rows.append(tuple(sum(c * d[j] for c, d in zip(coeffs, dsts)) % p
-                              for j in range(n)))
-        if len(rref(rows, p)) != n:
-            return None
-        mats.append(tuple(rows))
-    return mats
 
 
 def tensor_cells_by_coordinates(a1, a2, spec):

@@ -11,7 +11,8 @@ from srings.errors import (CatalogFormatError, EnumerationMismatch,
                            ResourceBoundExceeded)
 from srings.groups import all_auts, aut_order, parse_group
 from srings.sring import validate_partition
-from srings.construct import decompositions, group_ring, sring_image
+from srings.ci import image_sring
+from srings.construct import decompositions, group_ring
 from srings.morphisms import cayley_isos, is_cyclotomic, least_labeling
 from srings.permgrp import orbits
 from srings.catalog import (canonical_form, canonical_partition,
@@ -326,7 +327,7 @@ def test_canonical_form_idempotent_and_invariant(c27, table_rings):
         assert again == form and cells2 == cells
         for _ in range(3):
             phi = rng.choice(auts)
-            image = sring_image(ring, phi.perm)
+            image = image_sring(ring, phi.perm)
             assert canonical_form(image) == form
 
 

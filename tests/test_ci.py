@@ -417,6 +417,23 @@ def _random_instances(spec, seed, count, builders):
     return out
 
 
+def test_is_ci_names_the_non_conjugate_class(catalog_c8,
+                                             holomorph_k_over_c8):
+    """With K the holomorph, every ring over 2^3 is NotCI, and the witness
+    names the class other than the translations'.  T is normal in the
+    holomorph, so its class holds T alone."""
+    spec = catalog_c8.spec
+    t_set = set(map(spec.translation, spec.elements()))
+    for ring in catalog_c8.rings():
+        status = is_ci(ring)
+        assert status.verdict == "NotCI"
+        classes = status.witness["classes"]
+        other = status.witness["non_conjugate"]
+        assert len(classes) == 2 and other in classes
+        assert [set(gens) <= t_set for gens in classes].count(True) == 1
+        assert not set(other) <= t_set
+
+
 def test_lift_isomorphism_random_instances(c27, c16):
     """Acceptance-grade randomized check of the constructive lift."""
     builders27 = []

@@ -113,6 +113,30 @@ def test_criterion_c8(tmp_path):
     assert header["criterion_some_section"] is True
 
 
+def test_notci_verdicts_reach_the_reports(tmp_path, holomorph_k_over_c8):
+    """With K the holomorph for the rings over 2^3: ci --method regular
+    writes a NotCI record with a two-class certificate for each of the 9
+    classes, and criterion counts every one of the 14 sections where the
+    condition holds with CI factors as a soundness violation."""
+    cat = tmp_path / "c8.cat"
+    assert main(["enumerate", "--group", "2^3", "--out", str(cat),
+                 "--no-labels"]) == 0
+    report = tmp_path / "ci.txt"
+    assert main(["ci", "--catalog", str(cat), "--method", "regular",
+                 "--out", str(report)]) == 0
+    records = [json.loads(line)
+               for line in report.read_text().splitlines()[1:]]
+    assert len(records) == 9
+    assert all(r["verdict"] == "NotCI" and len(r["certificate"]) == 2
+               for r in records)
+    out = tmp_path / "crit.txt"
+    assert main(["criterion", "--group", "2^3", "--out", str(out)]) == 4
+    header = json.loads(out.read_text().splitlines()[0])
+    assert header["soundness_violations"] == 14
+    assert header["criterion_every_section"] is False
+    assert header["criterion_some_section"] is False
+
+
 def test_reports_are_reproducible(tmp_path):
     out1 = tmp_path / "a.txt"
     out2 = tmp_path / "b.txt"

@@ -7,8 +7,8 @@ from srings.permgrp import holomorph, right_regular, PermGroup
 from srings.sring import SRing, validate_partition
 from srings.construct import (cyclotomic, decompositions, group_ring,
                               is_wreath_for, parse_construction, quotient,
-                              recognize_construction, schurian, sring_image,
-                              tensor, wreath, wreath_parts)
+                              recognize_construction, schurian, tensor,
+                              wreath, wreath_parts)
 
 from conftest import (is_wreath_for_by_radicals, make_plain_wreath,
                       tensor_cells_by_coordinates)
@@ -251,11 +251,12 @@ def test_quotient_commutes_with_cyclotomic(c27):
 
 
 def test_sring_image_by_automorphism(c27, table_rings):
+    from srings.ci import image_sring
     from srings.groups import aut_generators
 
     ring = table_rings[6]
     for aut in aut_generators(c27):
-        image = sring_image(ring, aut.perm)
+        image = image_sring(ring, aut.perm)
         assert image.rank == ring.rank
 
 

@@ -5,15 +5,14 @@ import pytest
 from srings import groups as groups_module
 from srings.errors import GroupSpecError, ResourceBoundExceeded, SRingsError
 from srings.groups import (GroupAut, Section, Subgroup, all_auts,
-                           aut_generators, aut_group, aut_order, complement,
+                           aut_generators, aut_group, aut_order,
                            enumerate_subgroups, format_group, full_subgroup,
                            make_group, parse_group, subgroup_span,
                            trivial_subgroup)
 
-from conftest import (aut_mats_by_filter, aut_mats_by_solving,
-                      aut_perm_by_matrices, closure_subgroups,
-                      op_preserving_bijections, section_by_solving,
-                      solve_in_basis)
+from conftest import (aut_mats_by_filter, aut_perm_by_matrices,
+                      closure_subgroups, op_preserving_bijections,
+                      section_by_solving)
 
 
 def test_make_group_orders():
@@ -191,23 +190,6 @@ def test_subgroup_lattice_closed_under_meet_and_join(c12):
             assert a.join(b).elements in keys
 
 
-def test_complement_properties(c27, c12):
-    for spec in (c27, c12):
-        for U in enumerate_subgroups(spec):
-            D = complement(U, spec)
-            assert D.order * U.order == spec.order
-            assert D.meet(U).order == 1
-
-
-def test_complement_examples(c27):
-    assert complement(full_subgroup(c27), c27).order == 1
-    assert complement(trivial_subgroup(c27), c27).order == 27
-    U = subgroup_span(c27, [c27.index((1, 0, 0))])
-    D = complement(U, c27)
-    assert D.elements == subgroup_span(
-        c27, [c27.index((0, 1, 0)), c27.index((0, 0, 1))]).elements
-
-
 def test_section_quotient(c27):
     U = full_subgroup(c27)
     L = subgroup_span(c27, [c27.index((1, 0, 0))])
@@ -271,29 +253,6 @@ def test_aut_compose_inverse(c27):
     a, b = auts[0], auts[1]
     left = a.compose(b).perm
     assert left == tuple(b.perm[a.perm[x]] for x in range(27))
-
-
-def test_aut_from_images_reads_one_shot_pairs(c12):
-    # from_images reads the pairs once per prime block; a one-shot
-    # iterator must reach the second block too
-    basis = c12.basis()
-    images = [c12.index((1, 1, 0)), c12.index((1, 0, 0)),
-              c12.index((0, 0, 2))]
-    aut = GroupAut.from_images(c12, zip(basis, images))
-    assert [aut.perm[b] for b in basis] == images
-    assert aut == GroupAut.from_images(c12, list(zip(basis, images)))
-
-
-def test_aut_from_images(c27):
-    basis = c27.basis()
-    images = [c27.index((1, 1, 0)), c27.index((0, 1, 1)),
-              c27.index((0, 0, 1))]
-    aut = GroupAut.from_images(c27, list(zip(basis, images)))
-    for b, img in zip(basis, images):
-        assert aut.perm[b] == img
-    with pytest.raises(GroupSpecError):
-        GroupAut.from_images(c27, [(basis[0], 0), (basis[1], basis[1]),
-                                   (basis[2], basis[2])])
 
 
 def test_aut_group_rejects_a_short_generator_set(c12, monkeypatch):
@@ -361,53 +320,3 @@ def test_aut_perm_matches_row_times_matrix():
     auts.append(GroupAut(specs[1], [((1, 2), (2, 1))]))
     for aut in auts:
         assert aut.perm == aut_perm_by_matrices(aut)
-
-
-def _random_block_pairs(spec, rng):
-    """A random basis of prime-order elements with random images: each
-    image has random coordinates in its source's block (maybe a singular
-    map) and random coordinates in every other block."""
-    pairs = []
-    for p, n, pos in spec.prime_blocks():
-        rows = []
-        while len(rows) < n:
-            row = tuple(rng.randrange(p) for _ in range(n))
-            if solve_in_basis(rows, row, p) is None:
-                rows.append(row)
-        for row in rows:
-            src = [0] * len(spec.radices)
-            src[pos:pos + n] = row
-            dst = [rng.randrange(r) for r in spec.radices]
-            pairs.append((spec.index(src), spec.index(dst)))
-    rng.shuffle(pairs)
-    return pairs
-
-
-@pytest.mark.parametrize("text", ["2^2x3", "2x3^2", "3^3", "2^4"])
-def test_aut_from_images_matches_per_block_solve(text):
-    spec = parse_group(text)
-    rng = random.Random(f"from_images {text}")
-    made = refused = 0
-    for _ in range(60):
-        pairs = _random_block_pairs(spec, rng)
-        mats = aut_mats_by_solving(spec, pairs)
-        if mats is None:
-            with pytest.raises(GroupSpecError):
-                GroupAut.from_images(spec, pairs)
-            refused += 1
-        else:
-            aut = GroupAut.from_images(spec, pairs)
-            assert aut == GroupAut(spec, mats)
-            assert aut.perm == aut_perm_by_matrices(aut)
-            made += 1
-    assert made and refused
-
-
-def test_aut_from_images_requires_prime_order_sources(c12):
-    mixed = [(c12.index((1, 0, 1)), 1), (c12.index((0, 1, 0)), 2),
-             (c12.index((0, 0, 1)), 4)]
-    short = [(c12.index((1, 0, 0)), 1), (c12.index((0, 0, 1)), 4)]
-    dependent = short + [(c12.index((1, 0, 0)), 2)]
-    for pairs in (mixed, short, dependent, short + [(0, 0)]):
-        with pytest.raises(GroupSpecError):
-            GroupAut.from_images(c12, pairs)

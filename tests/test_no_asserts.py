@@ -5,8 +5,9 @@ error at once, with a bare except or a handler for Exception or
 BaseException, which would swallow the typed ones.  And no module but
 the package's __init__, which re-exports the API, imports a name it
 never uses.  No function takes a budget it may run without, no class
-sets an attribute on self that nothing reads, and no ring is built
-without validation except from cells that load_catalog validated."""
+sets an attribute on self that nothing reads, no private function or
+class is left without a caller, and no ring is built without
+validation except from cells that load_catalog validated."""
 
 import ast
 import pathlib
@@ -134,3 +135,25 @@ def test_library_builds_rings_only_from_validated_cells():
                   and getattr(node.func, "id",
                               getattr(node.func, "attr", None)) == "SRing"]
     assert sorted(found) == ["cli._decide_entry", "sring.validate_partition"]
+
+
+def test_library_private_helpers_have_callers():
+    """Every private function or class of the library is referenced, by
+    name or as an attribute, somewhere in the library outside its own
+    definition; one that is not is dead code a deletion left behind."""
+    trees = list(_trees(SRC))
+    refs = [node for _path, tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    found = []
+    for path, tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)) \
+                    or not node.name.startswith("_") \
+                    or node.name.endswith("__"):
+                continue
+            own = {id(inner) for inner in ast.walk(node)}
+            if not any(getattr(ref, "id", getattr(ref, "attr", None))
+                       == node.name and id(ref) not in own for ref in refs):
+                found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert found == []

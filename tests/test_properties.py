@@ -1,12 +1,15 @@
 """Property tests over random catalog rings and random automorphisms."""
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from srings.catalog import canonical_form
-from srings.ci import CIDecider, image_sring, lift_isomorphism, verify_lift
-from srings.construct import decompositions, sring_image
-from srings.groups import aut_generators
+from srings.ci import (CIDecider, SectionContext, image_sring,
+                       lift_isomorphism, verify_lift)
+from srings.construct import decompositions, quotient
+from srings.groups import all_auts, aut_generators
 from srings.morphisms import scheme_aut
 from srings.permgrp import pmul, regular_subgroups
 
@@ -49,7 +52,7 @@ def test_canonical_form_is_aut_invariant(
     perm = tuple(range(ring.spec.order))
     for g in word:
         perm = pmul(perm, g)
-    assert canonical_form(sring_image(ring, perm)) == canonical_form(ring)
+    assert canonical_form(image_sring(ring, perm)) == canonical_form(ring)
 
 
 @PROPERTY_SETTINGS
@@ -70,16 +73,17 @@ def test_regular_subgroup_classes_are_aut_invariant(
         return [c.is_translation_class
                 for c in regular_subgroups(scheme_aut(a), a.spec)]
 
-    assert flags(sring_image(ring, perm)) == flags(ring)
+    assert flags(image_sring(ring, perm)) == flags(ring)
 
 
 @pytest.fixture(scope="session")
-def liftable_sections(catalog_c8, catalog_c12, catalog_c27_p):
-    """Every (ring, section) of the three catalogs whose wreath factors are
+def liftable_sections(catalog_c8, catalog_c12, catalog_c27_p, catalog_c16):
+    """Every (ring, section) of the four catalogs whose wreath factors are
     CI and where the section condition holds, as evaluate_section judges."""
     decider = CIDecider()
     pairs = []
-    for ring in _catalog_rings(catalog_c8, catalog_c12, catalog_c27_p):
+    for ring in (_catalog_rings(catalog_c8, catalog_c12, catalog_c27_p)
+                 + catalog_c16.rings()):
         for section in decompositions(ring):
             judged = decider.evaluate_section(ring, section)
             if judged is not None and judged[0]:
@@ -103,3 +107,38 @@ def test_lift_of_a_random_isomorphism_verifies(data, liftable_sections):
     b = image_sring(ring, f)
     alpha = lift_isomorphism(ring, b, f, section)
     assert verify_lift(ring, b, f, alpha)
+
+
+def test_lift_corrects_factor_lifts_that_disagree_on_the_section(
+        liftable_sections, monkeypatch):
+    """Over the 30 liftable sections of the 2^4 catalog whose section ring
+    is not a group ring, f = k sigma, for a scheme automorphism k and an
+    automorphism sigma of G, lifts and verify_lift passes.  The factor
+    lifts phi0 and psi0, the first two maps the lift projects onto U/L,
+    disagree there in some draws, so the stage-3 correction runs."""
+    sections = [(ring, section) for ring, section in liftable_sections
+                if ring.spec.order == 16
+                and quotient(ring, section).rank < section.quotient.order]
+    assert len(sections) == 30
+    projected = []
+    on_section = SectionContext.on_section
+
+    def spy(ctx, g, chart):
+        image = on_section(ctx, g, chart)
+        projected.append(image)
+        return image
+
+    monkeypatch.setattr(SectionContext, "on_section", spy)
+    rng = random.Random(1)
+    disagreements = 0
+    for ring, section in sections:
+        auts = all_auts(ring.spec)
+        k_group = scheme_aut(ring)
+        for _ in range(6):
+            f = pmul(k_group.random_element(rng), rng.choice(auts).perm)
+            b = image_sring(ring, f)
+            projected.clear()
+            alpha = lift_isomorphism(ring, b, f, section)
+            assert verify_lift(ring, b, f, alpha)
+            disagreements += projected[0] != projected[1]
+    assert disagreements
